@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import io as tio
 from .cycle import (
@@ -117,26 +116,20 @@ def _cmd_check_balancing(args):
 def _cmd_integrate(args):
     domain = _maybe_truncate(_load_domain(args.domain), args)
     form = _load(args.form, expect="superform")
-    try:
-        if hasattr(domain, "weighted_cells"):
-            value = integrate_complex(domain, form)
-        else:
-            value = integrate_polytope(domain, form)
-    except ValueError as e:
-        raise InputError(str(e))
+    if hasattr(domain, "weighted_cells"):
+        value = integrate_complex(domain, form)
+    else:
+        value = integrate_polytope(domain, form)
     return _report("integrate", {"value": tio.rational_str(value)})
 
 
 def _cmd_integrate_boundary(args):
     domain = _maybe_truncate(_load_domain(args.domain), args)
     form = _load(args.form, expect="superform")
-    try:
-        if hasattr(domain, "weighted_cells"):
-            value = integrate_complex_boundary(domain, form)
-        else:
-            value = integrate_boundary(domain, form)
-    except ValueError as e:
-        raise InputError(str(e))
+    if hasattr(domain, "weighted_cells"):
+        value = integrate_complex_boundary(domain, form)
+    else:
+        value = integrate_boundary(domain, form)
     return _report("integrate-boundary", {"value": tio.rational_str(value)})
 
 
@@ -144,10 +137,7 @@ def _cmd_stokes(args):
     domain = _maybe_truncate(_load_domain(args.domain), args)
     eta_prime = _load(args.eta_prime, expect="superform")
     eta_second = _load(args.eta_second, expect="superform")
-    try:
-        r1, r2 = stokes_residual(domain, eta_prime, eta_second)
-    except ValueError as e:
-        raise InputError(str(e))
+    r1, r2 = stokes_residual(domain, eta_prime, eta_second)
     text = _report("stokes", {
         "residuals": [tio.rational_str(r1), tio.rational_str(r2)],
         "ok": r1 == 0 and r2 == 0,
@@ -161,10 +151,7 @@ def _cmd_green(args):
     sigma = _load(args.domain, expect="polyhedron")
     alpha = _load(args.alpha, expect="superform")
     beta = _load(args.beta, expect="superform")
-    try:
-        res = green_residual(sigma, alpha, beta)
-    except ValueError as e:
-        raise InputError(str(e))
+    res = green_residual(sigma, alpha, beta)
     text = _report("green", {"residual": tio.rational_str(res), "ok": res == 0})
     if res != 0:
         raise CheckFailure(text)
@@ -174,10 +161,7 @@ def _cmd_green(args):
 def _cmd_pushforward(args):
     f = _load(args.map, expect="map")
     wc = _load(args.cycle, expect="weighted-complex")
-    try:
-        return tio.emit(pushforward(f, wc))
-    except ValueError as e:
-        raise InputError(str(e))
+    return tio.emit(pushforward(f, wc))
 
 
 def _cmd_projection_check(args):
@@ -187,10 +171,7 @@ def _cmd_projection_check(args):
     if args.window is None:
         raise InputError("projection-check requires --window")
     window = _load(args.window, expect="polyhedron")
-    try:
-        left, right = projection_check(f, wc, form, window)
-    except ValueError as e:
-        raise InputError(str(e))
+    left, right = projection_check(f, wc, form, window)
     text = _report("projection-check", {
         "pushforward_integral": tio.rational_str(left),
         "pullback_integral": tio.rational_str(right),
@@ -210,10 +191,7 @@ def _cmd_current_eval(args):
     cur = Current.dirac(wc)
     for op in args.ops:
         cur = cur.apply({"d'": "d_prime", "d''": "d_second"}[op])
-    try:
-        value = current_eval(cur, form, window)
-    except ValueError as e:
-        raise InputError(str(e))
+    value = current_eval(cur, form, window)
     return _report("current-eval", {"value": tio.rational_str(value)})
 
 
@@ -271,8 +249,6 @@ def build_parser():
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", metavar="FILE",
                         help="write output here instead of stdout")
-    output.add_argument("--format", choices=["json"], default="json",
-                        help="output format (json only)")
     ap = argparse.ArgumentParser(
         prog="tropform",
         description="Exact calculus of superforms on tropical cycles.",
@@ -372,7 +348,8 @@ def main(argv=None):
     except CheckFailure as e:
         _write(args, e.report)
         return 1
-    except InputError as e:
+    except (InputError, ValueError) as e:
+        # library functions raise ValueError for inputs they cannot accept
         print("error: %s" % e, file=sys.stderr)
         return 2
     _write(args, text)

@@ -17,19 +17,16 @@ from .lattice import (
     lattice_from_rows,
     member,
     reduce_mod_lattice,
-    vec_sub,
+    vec_neg,
 )
 from .polyhedra import (
-    Complex,
-    EMPTY,
     affine_image,
     all_faces,
     complex_from_cells,
     from_halfspaces,
     intersect,
-    vec_neg,
 )
-from .superform import AffineMap, Superform, contract, d_prime, d_second, pullback, wedge
+from .superform import d_prime, d_second, pullback, wedge
 from .integrate import integrate_complex, integrate_polytope, outward_vector
 
 

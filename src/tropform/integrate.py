@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .lattice import dot, primitive_outward, solve_exact, transpose, vec_sub
+from .lattice import determinant, dot, primitive_outward, solve_exact, transpose, vec_sub
 from .polyhedra import faces, triangulate
-from .superform import AffineMap, Superform, contract, pullback
+from .superform import AffineMap, contract, pullback
 
 
 def _intrinsic_map(sigma):
@@ -54,7 +54,7 @@ def integrate_polynomial_simplex(poly, simplex_vertices):
     if len(edges) != n:
         raise ValueError("simplex is not full-dimensional in the chart")
     linear = [[Fraction(edges[j][i]) for j in range(n)] for i in range(n)]
-    det = _det(linear)
+    det = determinant(linear)
     if det == 0:
         return Fraction(0)
     sub = poly.compose_affine(linear, v0, n)
@@ -62,26 +62,6 @@ def integrate_polynomial_simplex(poly, simplex_vertices):
     for e, c in sub.terms.items():
         total += c * integrate_monomial_simplex(e)
     return abs(det) * total
-
-
-def _det(rows):
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        piv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / piv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
 
 
 def integrate_polytope(sigma, a):

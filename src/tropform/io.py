@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .cycle import WeightedComplex, zero_cycle
+from .cycle import WeightedComplex
 from .hypersurface import TropicalPolynomial, tropical_polynomial
 from .polyhedra import Complex, Polyhedron, complex_from_cells, from_halfspaces
 from .superform import AffineMap, Polynomial, Superform

@@ -74,58 +74,77 @@ def _addmul(row, other, q):
 # ---------------------------------------------------------------------------
 # exact rational Gaussian elimination
 
+def gauss_jordan(rows, ncols=None):
+    """Reduced row echelon form of a matrix over Q, computed exactly.
+
+    Returns (reduced, pivots, det): the nonzero rows of the reduced form as
+    lists of Fractions (each pivot entry 1 and the only nonzero entry of its
+    column), their pivot columns in increasing order, and the determinant,
+    which is 0 unless the matrix is square and invertible."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nr = len(m)
+    if ncols is None:
+        ncols = len(m[0]) if nr else 0
+    pivots = []
+    det = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            det = -det
+        piv = m[r][c]
+        det *= piv
+        row = m[r] = [x / piv for x in m[r]]
+        for i in range(nr):
+            f = m[i][c]
+            if i != r and f != 0:
+                m[i] = [x - f * y for x, y in zip(m[i], row)]
+        pivots.append(c)
+        r += 1
+    if r != nr or nr != ncols:
+        det = Fraction(0)
+    return m[:r], pivots, det
+
+
 def solve_exact(a_rows, b):
     """Solve A x = b over Q.  Returns one solution as a list of Fractions,
     or None when the system is inconsistent."""
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        piv = aug[r][c]
-        aug[r] = [x / piv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    n = len(a_rows[0]) if a_rows else 0
+    reduced, pivots, _ = gauss_jordan([list(row) + [c] for row, c in zip(a_rows, b)])
+    if pivots and pivots[-1] == n:
+        return None
     x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
+    for row, c in zip(reduced, pivots):
+        x[c] = row[n]
     return x
 
 
 def rational_rank(rows):
     """Rank of a matrix with integer or Fraction entries."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    for c in range(nc):
-        pr = next((i for i in range(rank, nr) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        piv = m[rank][c]
-        for i in range(rank + 1, nr):
-            if m[i][c] != 0:
-                f = m[i][c] / piv
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    return len(gauss_jordan(rows)[1])
+
+
+def rational_kernel(rows, n):
+    """Basis of {x in Q^n : rows . x = 0}, one vector per free column."""
+    reduced, pivots, _ = gauss_jordan(rows, n)
+    kern = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        kern.append(v)
+    return kern
+
+
+def determinant(rows):
+    """Determinant of a square matrix over Q (1 for the empty matrix)."""
+    return gauss_jordan(rows, len(rows))[2]
 
 
 def in_span(rows, v):

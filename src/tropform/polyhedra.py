@@ -14,19 +14,15 @@ from functools import reduce
 from math import gcd
 
 from .lattice import (
-    Lattice,
+    determinant,
     identity_matrix,
     dot,
-    full_lattice,
-    hnf,
-    in_span,
     is_zero_vec,
     lattice_from_rows,
     primitive,
+    rational_kernel,
     rational_rank,
     saturate,
-    solve_exact,
-    transpose,
     vec_neg,
     vec_sub,
     zero_lattice,
@@ -131,17 +127,15 @@ class Polyhedron:
 
     is_empty = False
 
-    def __init__(self, ambient_dim, halfspaces, equalities, vertices, rays, lineality):
+    def __init__(self, ambient_dim, halfspaces, equalities, vertices, rays, lineality,
+                 direction_lattice):
         self.ambient_dim = ambient_dim
         self.halfspaces = tuple(halfspaces)      # canonical facet inequalities
         self.equalities = tuple(equalities)      # canonical affine-hull equations
         self.vertices = tuple(sorted(vertices))
         self.rays = tuple(sorted(rays))
         self.lineality = tuple(lineality)
-        dirs = [vec_sub(v, self.vertices[0]) for v in self.vertices[1:]]
-        dir_rows = [_clear_denominators(d) for d in dirs] + list(self.rays) + list(self.lineality)
-        self.direction_lattice = saturate(lattice_from_rows(dir_rows, ambient_dim)) \
-            if dir_rows else zero_lattice(ambient_dim)
+        self.direction_lattice = direction_lattice
         self.dim = self.direction_lattice.rank
         self._faces_by_codim = {}
         self._key = (ambient_dim, self.lineality, self.vertices, self.rays)
@@ -276,18 +270,10 @@ def _assemble(ambient_dim, candidate_halfspaces, verts, rec, lin_basis):
     facets = {}
     for u, c in candidate_halfspaces:
         c = Fraction(c)
-        tight_dirs = []
-        all_tight = True
-        for v in verts:
-            if dot(u, v) == c:
-                d = vec_sub(v, v0) if v != v0 else None
-                if d is not None:
-                    tight_dirs.append(_clear_denominators(d))
-            else:
-                all_tight = False
         tv = [v for v in verts if dot(u, v) == c]
         if not tv:
             continue
+        all_tight = len(tv) == len(verts)
         w0 = tv[0]
         tight_dirs = [_clear_denominators(vec_sub(v, w0)) for v in tv[1:]]
         for r in rec:
@@ -308,7 +294,7 @@ def _assemble(ambient_dim, candidate_halfspaces, verts, rec, lin_basis):
             if ch is not None:
                 facets[ch[0]] = ch[1]
     hs = sorted(facets.items())
-    return Polyhedron(ambient_dim, hs, equalities, verts, rec, lin_basis)
+    return Polyhedron(ambient_dim, hs, equalities, verts, rec, lin_basis, dir_lat)
 
 
 def _orthogonal_complement(lat, ambient_dim):
@@ -317,45 +303,10 @@ def _orthogonal_complement(lat, ambient_dim):
         return [tuple(row) for row in identity_matrix(ambient_dim)]
     if lat.rank == ambient_dim:
         return []
-    # integer kernel of basis * x^T = 0 via HNF of the transpose trick:
-    # solve over Q, then saturate.
-    b = [list(r) for r in lat.basis]
-    # find rational kernel basis by elimination
-    kern = _rational_kernel(b, ambient_dim)
+    # integer kernel of basis * x^T = 0: solve over Q, then saturate.
+    kern = rational_kernel(lat.basis, ambient_dim)
     rows = [_clear_denominators(k) for k in kern]
     return [tuple(r) for r in saturate(lattice_from_rows(rows, ambient_dim)).basis]
-
-
-def _rational_kernel(rows, n):
-    """Basis of {x in Q^n : rows . x = 0}."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nr = len(m)
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        m[r] = [x / piv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    kern = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        kern.append(v)
-    return kern
 
 
 def from_generators(points, rays=(), lines=(), ambient_dim=None):
@@ -591,25 +542,4 @@ def simplex_volume(simplex):
     v0 = simplex[0]
     rows = [list(vec_sub(v, v0)) for v in simplex[1:]]
     n = len(rows)
-    det = _det_fraction(rows)
-    return abs(det) / factorial(n)
-
-
-def _det_fraction(rows):
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        piv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / piv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
+    return abs(determinant(rows)) / factorial(n)

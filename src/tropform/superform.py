@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from .lattice import determinant, identity_matrix
+
 
 # ---------------------------------------------------------------------------
 # polynomials over Q
@@ -180,6 +182,16 @@ def insert_sign(i, tup):
 # ---------------------------------------------------------------------------
 # superforms
 
+def _accumulate(out, key, poly):
+    """Add poly into the component map out at key, dropping zero sums."""
+    cur = out.get(key)
+    s = poly if cur is None else cur + poly
+    if s.is_zero:
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 class Superform:
     """Superform of bidegree (p, q) on R^r with polynomial coefficients."""
 
@@ -219,11 +231,7 @@ class Superform:
             raise ValueError("cannot add forms of different type")
         out = dict(self.components)
         for k, poly in other.components.items():
-            s = out.get(k, Polynomial(self.ambient_dim)) + poly
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _accumulate(out, k, poly)
         return Superform(self.ambient_dim, self.p, self.q, out)
 
     def __neg__(self):
@@ -276,15 +284,8 @@ def wedge(a, b):
             if s1 == 0 or s2 == 0:
                 continue
             sign = s1 * s2 * (-1 if (len(J1) * len(I2)) % 2 else 1)
-            I = tuple(sorted(I1 + I2))
-            J = tuple(sorted(J1 + J2))
-            poly = (f * g).scale(sign)
-            cur = out.get((I, J))
-            s = poly if cur is None else cur + poly
-            if s.is_zero:
-                out.pop((I, J), None)
-            else:
-                out[(I, J)] = s
+            key = (tuple(sorted(I1 + I2)), tuple(sorted(J1 + J2)))
+            _accumulate(out, key, (f * g).scale(sign))
     return Superform(r, p, q, out)
 
 
@@ -312,14 +313,7 @@ def d_prime(a):
             if df.is_zero:
                 continue
             sign = insert_sign(i, I)
-            key = (tuple(sorted(I + (i,))), J)
-            poly = df.scale(sign)
-            cur = out.get(key)
-            s = poly if cur is None else cur + poly
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _accumulate(out, (tuple(sorted(I + (i,))), J), df.scale(sign))
     return Superform(r, a.p + 1, a.q, out)
 
 
@@ -339,20 +333,8 @@ def d_second(a):
             if df.is_zero:
                 continue
             sign = block * insert_sign(j, J)
-            key = (I, tuple(sorted(J + (j,))))
-            poly = df.scale(sign)
-            cur = out.get(key)
-            s = poly if cur is None else cur + poly
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _accumulate(out, (I, tuple(sorted(J + (j,)))), df.scale(sign))
     return Superform(r, a.p, a.q + 1, out)
-
-
-def d_total(a):
-    """d = d' + d'' (heterogeneous; returned as a pair)."""
-    return (d_prime(a), d_second(a))
 
 
 def _insert_one(a, v, pos):
@@ -378,13 +360,7 @@ def _insert_one(a, v, pos):
                     continue
                 sign = -1 if (k + t + a.p) % 2 else 1
                 key = (tuple(x for x in I if x != i), J)
-                poly = f.scale(sign * coeff)
-                cur = out.get(key)
-                s = poly if cur is None else cur + poly
-                if s.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                _accumulate(out, key, f.scale(sign * coeff))
         return Superform(r, a.p - 1, a.q, out)
     t = pos - a.p
     for (I, J), f in a.components.items():
@@ -394,13 +370,7 @@ def _insert_one(a, v, pos):
                 continue
             sign = -1 if (k + t) % 2 else 1
             key = (I, tuple(x for x in J if x != j))
-            poly = f.scale(sign * coeff)
-            cur = out.get(key)
-            s = poly if cur is None else cur + poly
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _accumulate(out, key, f.scale(sign * coeff))
     return Superform(r, a.p, a.q - 1, out)
 
 
@@ -457,28 +427,11 @@ class AffineMap:
 
     @classmethod
     def identity(cls, r):
-        from .lattice import identity_matrix
         return cls(identity_matrix(r), [0] * r)
 
 
 def _minor_det(rows, row_idx, col_idx):
-    sub = [[Fraction(rows[i][j]) for j in col_idx] for i in row_idx]
-    n = len(sub)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if sub[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            sub[c], sub[pr] = sub[pr], sub[c]
-            det = -det
-        det *= sub[c][c]
-        piv = sub[c][c]
-        for i in range(c + 1, n):
-            if sub[i][c] != 0:
-                f = sub[i][c] / piv
-                sub[i] = [x - f * y for x, y in zip(sub[i], sub[c])]
-    return det
+    return determinant([[rows[i][j] for j in col_idx] for i in row_idx])
 
 
 def pullback(f, a):
@@ -503,13 +456,7 @@ def pullback(f, a):
                 dJ = _minor_det(rows, J, L)
                 if not dJ:
                     continue
-                contrib = newpoly.scale(dI * dJ)
-                cur = out.get((K, L))
-                s = contrib if cur is None else cur + contrib
-                if s.is_zero:
-                    out.pop((K, L), None)
-                else:
-                    out[(K, L)] = s
+                _accumulate(out, (K, L), newpoly.scale(dI * dJ))
     if a.p > rin or a.q > rin:
         return Superform(rin, min(a.p, rin), min(a.q, rin))
     return Superform(rin, a.p, a.q, out)

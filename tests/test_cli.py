@@ -12,7 +12,7 @@ from tropform import io as tio
 from tropform.cli import main
 from tropform.cycle import WeightedComplex
 from tropform.hypersurface import tropical_polynomial
-from tropform.polyhedra import complex_from_cells, from_generators
+from tropform.polyhedra import complex_from_cells, from_generators, from_halfspaces
 from tropform.superform import AffineMap, Polynomial, basis_form
 
 
@@ -179,3 +179,32 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])
     assert e.value.code == 2
+
+
+def _empty_polyhedron_doc(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"format": "trop/1", "kind": "polyhedron",
+                                "ambient_dim": 2, "halfspaces": [],
+                                "equalities": [], "empty": True}))
+    return str(path)
+
+
+@pytest.mark.parametrize("probe", ["faces-empty", "refine-2d-3d",
+                                   "truncate-unbounded"])
+def test_cli_library_value_errors_exit_2(tmp_path, capsys, probe):
+    if probe == "faces-empty":
+        argv = ["faces", _empty_polyhedron_doc(tmp_path), "0"]
+    elif probe == "refine-2d-3d":
+        argv = ["refine",
+                _write(tmp_path, "c2.json", complex_from_cells([box(2)])),
+                _write(tmp_path, "c3.json", complex_from_cells([box(3)]))]
+    else:
+        half_plane = from_halfspaces([((1, 0), Fraction(1))], 2)
+        argv = ["truncate",
+                _write(tmp_path, "cx.json", complex_from_cells([box(2)])),
+                _write(tmp_path, "w.json", half_plane)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
