@@ -55,25 +55,16 @@ def _read(path):
         raise InputError("cannot read %s: %s" % (path, e.strerror))
 
 
-def _load(path, expect=None):
+def _load(path, *kinds):
+    """Parse the document at path; its kind must be one of kinds."""
     try:
-        return tio.parse(_read(path), expect=expect)
+        obj = tio.parse(_read(path))
     except (tio.SchemaError, ValueError) as e:
         raise InputError("%s: %s" % (path, e))
-
-
-def _load_domain(path):
-    """A polyhedron or weighted complex, for integration-style commands."""
-    text = _read(path)
-    try:
-        kind = tio.kind_of_text(text)
-        if kind not in ("polyhedron", "weighted-complex"):
-            raise InputError(
-                "%s: expected a polyhedron or weighted-complex, got %r"
-                % (path, kind))
-        return tio.parse(text)
-    except (tio.SchemaError, ValueError) as e:
-        raise InputError("%s: %s" % (path, e))
+    kind = tio.kind_of(obj)
+    if kind not in kinds:
+        raise InputError("%s: expected %s, got %r" % (path, " or ".join(kinds), kind))
+    return obj
 
 
 def _report(command, body):
@@ -86,7 +77,7 @@ def _maybe_truncate(domain, args):
     window = getattr(args, "window", None)
     if window is None:
         return domain
-    box = _load(window, expect="polyhedron")
+    box = _load(window, "polyhedron")
     if hasattr(domain, "truncated"):
         return domain.truncated(box)
     from .polyhedra import intersect
@@ -97,7 +88,7 @@ def _maybe_truncate(domain, args):
 # subcommands; each returns the output text and may raise CheckFailure
 
 def _cmd_check_balancing(args):
-    wc = _load(args.cycle, expect="weighted-complex")
+    wc = _load(args.cycle, "weighted-complex")
     violations = check_balancing(wc)
     body = {
         "balanced": not violations,
@@ -114,8 +105,8 @@ def _cmd_check_balancing(args):
 
 
 def _cmd_integrate(args):
-    domain = _maybe_truncate(_load_domain(args.domain), args)
-    form = _load(args.form, expect="superform")
+    domain = _maybe_truncate(_load(args.domain, "polyhedron", "weighted-complex"), args)
+    form = _load(args.form, "superform")
     if hasattr(domain, "weighted_cells"):
         value = integrate_complex(domain, form)
     else:
@@ -124,8 +115,8 @@ def _cmd_integrate(args):
 
 
 def _cmd_integrate_boundary(args):
-    domain = _maybe_truncate(_load_domain(args.domain), args)
-    form = _load(args.form, expect="superform")
+    domain = _maybe_truncate(_load(args.domain, "polyhedron", "weighted-complex"), args)
+    form = _load(args.form, "superform")
     if hasattr(domain, "weighted_cells"):
         value = integrate_complex_boundary(domain, form)
     else:
@@ -134,9 +125,9 @@ def _cmd_integrate_boundary(args):
 
 
 def _cmd_stokes(args):
-    domain = _maybe_truncate(_load_domain(args.domain), args)
-    eta_prime = _load(args.eta_prime, expect="superform")
-    eta_second = _load(args.eta_second, expect="superform")
+    domain = _maybe_truncate(_load(args.domain, "polyhedron", "weighted-complex"), args)
+    eta_prime = _load(args.eta_prime, "superform")
+    eta_second = _load(args.eta_second, "superform")
     r1, r2 = stokes_residual(domain, eta_prime, eta_second)
     text = _report("stokes", {
         "residuals": [tio.rational_str(r1), tio.rational_str(r2)],
@@ -148,9 +139,9 @@ def _cmd_stokes(args):
 
 
 def _cmd_green(args):
-    sigma = _load(args.domain, expect="polyhedron")
-    alpha = _load(args.alpha, expect="superform")
-    beta = _load(args.beta, expect="superform")
+    sigma = _load(args.domain, "polyhedron")
+    alpha = _load(args.alpha, "superform")
+    beta = _load(args.beta, "superform")
     res = green_residual(sigma, alpha, beta)
     text = _report("green", {"residual": tio.rational_str(res), "ok": res == 0})
     if res != 0:
@@ -159,18 +150,18 @@ def _cmd_green(args):
 
 
 def _cmd_pushforward(args):
-    f = _load(args.map, expect="map")
-    wc = _load(args.cycle, expect="weighted-complex")
+    f = _load(args.map, "map")
+    wc = _load(args.cycle, "weighted-complex")
     return tio.emit(pushforward(f, wc))
 
 
 def _cmd_projection_check(args):
-    f = _load(args.map, expect="map")
-    wc = _load(args.cycle, expect="weighted-complex")
-    form = _load(args.form, expect="superform")
+    f = _load(args.map, "map")
+    wc = _load(args.cycle, "weighted-complex")
+    form = _load(args.form, "superform")
     if args.window is None:
         raise InputError("projection-check requires --window")
-    window = _load(args.window, expect="polyhedron")
+    window = _load(args.window, "polyhedron")
     left, right = projection_check(f, wc, form, window)
     text = _report("projection-check", {
         "pushforward_integral": tio.rational_str(left),
@@ -183,11 +174,11 @@ def _cmd_projection_check(args):
 
 
 def _cmd_current_eval(args):
-    wc = _load(args.cycle, expect="weighted-complex")
-    form = _load(args.form, expect="superform")
+    wc = _load(args.cycle, "weighted-complex")
+    form = _load(args.form, "superform")
     if args.window is None:
         raise InputError("current-eval requires --window")
-    window = _load(args.window, expect="polyhedron")
+    window = _load(args.window, "polyhedron")
     cur = Current.dirac(wc)
     for op in args.ops:
         cur = cur.apply({"d'": "d_prime", "d''": "d_second"}[op])
@@ -196,40 +187,31 @@ def _cmd_current_eval(args):
 
 
 def _cmd_hypersurface(args):
-    tp = _load(args.polynomial, expect="tropical-polynomial")
+    tp = _load(args.polynomial, "tropical-polynomial")
     return tio.emit(corner_locus(tp), kind="weighted-complex")
 
 
 def _cmd_refine(args):
-    c = _load(args.complex, expect="complex")
-    d = _load(args.other, expect="complex")
+    c = _load(args.complex, "complex")
+    d = _load(args.other, "complex")
     return tio.emit(refine(c, d), kind="complex")
 
 
 def _cmd_truncate(args):
-    text = _read(args.complex)
-    try:
-        kind = tio.kind_of_text(text)
-        obj = tio.parse(text)
-    except (tio.SchemaError, ValueError) as e:
-        raise InputError("%s: %s" % (args.complex, e))
-    box = _load(args.box, expect="polyhedron")
-    if kind == "weighted-complex":
+    obj = _load(args.complex, "complex", "weighted-complex")
+    box = _load(args.box, "polyhedron")
+    if hasattr(obj, "truncated"):
         return tio.emit(obj.truncated(box))
-    if kind == "complex":
-        return tio.emit(truncate(obj, box), kind="complex")
-    raise InputError("%s: expected a complex or weighted-complex" % args.complex)
+    return tio.emit(truncate(obj, box))
 
 
 def _cmd_faces(args):
-    p = _load(args.polyhedron, expect="polyhedron")
-    if args.codim < 0 or (not p.is_empty and args.codim > p.dim):
-        raise InputError("codimension out of range")
+    p = _load(args.polyhedron, "polyhedron")
     return tio.emit(faces(p, args.codim), kind="polyhedron-list")
 
 
 def _cmd_validate(args):
-    c = _load(args.complex, expect="complex")
+    c = _load(args.complex, "complex")
     violations = validate_complex(c)
     text = _report("validate", {
         "valid": not violations,
@@ -333,27 +315,30 @@ def build_parser():
 
 
 def _write(args, text):
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise InputError("cannot write %s: %s" % (args.out, e.strerror))
 
 
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        text = args.func(args)
-    except CheckFailure as e:
-        _write(args, e.report)
-        return 1
+        try:
+            text, status = args.func(args), 0
+        except CheckFailure as e:
+            text, status = e.report, 1
+        _write(args, text)
     except (InputError, ValueError) as e:
         # library functions raise ValueError for inputs they cannot accept
         print("error: %s" % e, file=sys.stderr)
         return 2
-    _write(args, text)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

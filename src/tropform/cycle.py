@@ -21,8 +21,9 @@ from .lattice import (
 )
 from .polyhedra import (
     affine_image,
-    all_faces,
+    check_window,
     complex_from_cells,
+    faces,
     from_halfspaces,
     intersect,
 )
@@ -77,6 +78,7 @@ class WeightedComplex:
     def truncated(self, box):
         """Weighted complex of intersections with a bounded window; pieces of
         full dimension inherit the weight of their cell."""
+        check_window(box)
         pieces = []
         for c, m in self.weighted_cells():
             x = intersect(c, box)
@@ -89,36 +91,28 @@ def zero_cycle():
     return WeightedComplex([])
 
 
-def _incident_maximal(wc, rho):
-    """Maximal cells of wc having rho as a face."""
-    rk = rho.key()
-    out = []
-    for c, m in wc.weighted_cells():
-        if any(f.key() == rk for f in all_faces(c)):
-            out.append((c, m))
-    return out
+def _excess_by_face(wc):
+    """Codimension-1 faces rho of the support of wc, sorted by key, each
+    with the weighted outward sum sum_{sigma > rho} m_sigma w_{rho,sigma}."""
+    support = wc.support_subcomplex()
+    if support.dim < 1:
+        return []
+    found = {}
+    for sigma, m in support.weighted_cells():
+        for rho in faces(sigma, 1):
+            _, excess = found.setdefault(rho.key(), (rho, [0] * rho.ambient_dim))
+            for i, x in enumerate(outward_vector(sigma, rho)):
+                excess[i] += m * x
+    return [found[k] for k in sorted(found)]
 
 
 def check_balancing(wc):
     """Violations of the balancing condition: list of (face, excess) where the
     excess is the canonical representative modulo N_rho of
     sum m_sigma w_{rho,sigma}; empty iff wc is a tropical cycle."""
-    if wc.is_zero:
-        return []
-    support = wc.support_subcomplex()
-    if support.is_zero:
-        return []
-    n = support.dim
-    violations = []
-    for rho in support.complex.cells_of_dim(n - 1):
-        excess = [0] * rho.ambient_dim
-        for sigma, m in _incident_maximal(support, rho):
-            omega = outward_vector(sigma, rho)
-            for i in range(len(excess)):
-                excess[i] += m * omega[i]
-        if not member(excess, rho.direction_lattice):
-            violations.append((rho, reduce_mod_lattice(excess, rho.direction_lattice)))
-    return violations
+    return [(rho, reduce_mod_lattice(excess, rho.direction_lattice))
+            for rho, excess in _excess_by_face(wc)
+            if not member(excess, rho.direction_lattice)]
 
 
 def closedness_witness(wc):
@@ -126,30 +120,13 @@ def closedness_witness(wc):
 
     For each codimension-1 face, decompose the weighted outward sum as
     l + t with l in the real span of N_rho; a nonzero transversal part t
-    makes some test form's contraction restrict nontrivially to rho.
-    Empty iff no witness exists."""
-    if wc.is_zero:
-        return []
-    support = wc.support_subcomplex()
-    if support.is_zero:
-        return []
-    n = support.dim
-    witnesses = []
-    for rho in support.complex.cells_of_dim(n - 1):
-        excess = [0] * rho.ambient_dim
-        for sigma, m in _incident_maximal(support, rho):
-            omega = outward_vector(sigma, rho)
-            for i in range(len(excess)):
-                excess[i] += m * omega[i]
-        basis = [list(b) for b in rho.direction_lattice.basis]
-        if not in_span(basis, tuple(excess)):
-            t = reduce_mod_lattice(excess, rho.direction_lattice)
-            witnesses.append((rho, t))
-            continue
-        # integer excess inside the span of a saturated lattice is a member;
-        # no smooth test form can detect it (alternating n-linear map on an
-        # (n-1)-dimensional space vanishes)
-    return witnesses
+    makes some test form's contraction restrict nontrivially to rho.  An
+    integer sum inside the span of the saturated N_rho is a member, and no
+    smooth test form detects it (an alternating n-linear map on an
+    (n-1)-dimensional space vanishes).  Empty iff no witness exists."""
+    return [(rho, reduce_mod_lattice(excess, rho.direction_lattice))
+            for rho, excess in _excess_by_face(wc)
+            if not in_span([list(b) for b in rho.direction_lattice.basis], tuple(excess))]
 
 
 # ---------------------------------------------------------------------------

@@ -342,13 +342,3 @@ def parse(text, expect=None):
         _fail("$.kind", "expected %r, got %r" % (expect, kind))
     return _PARSERS[kind](obj, "$")
 
-
-def kind_of_text(text):
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError("syntax error at line %d column %d: %s"
-                         % (e.lineno, e.colno, e.msg))
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SchemaError("$.kind: missing required field")
-    return obj["kind"]

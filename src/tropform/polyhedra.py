@@ -2,9 +2,10 @@
 
 Polyhedra are intersections of halfspaces <u, x> <= c with integer normals u
 and rational constants c.  Conversion between H- and V-representations uses
-an exact double description method; identity of cells is decided through a
-canonical key built from the V-data, which makes complex validation and
-deduplication deterministic.
+an exact double description method; faces and triangulations of a built
+polyhedron come from its vertex-facet incidence without running it again.
+Identity of cells is decided through a canonical key built from the V-data,
+which makes complex validation and deduplication deterministic.
 """
 
 from __future__ import annotations
@@ -369,15 +370,16 @@ def affine_image(linear_rows, translate, p):
 
 
 def facets(p):
-    """Closed faces of codimension 1 (canonical polyhedra)."""
+    """Closed faces of codimension 1 (canonical polyhedra), read off the
+    vertices and rays tight at each facet inequality of p."""
     if p.is_empty or p.dim <= 0:
         return []
-    out = {}
+    out = []
     for u, c in p.halfspaces:
-        f = from_halfspaces(list(p.all_halfspaces()) + [(vec_neg(u), -c)], p.ambient_dim)
-        if not f.is_empty and f.dim == p.dim - 1:
-            out[f.key()] = f
-    return [out[k] for k in sorted(out)]
+        verts = [v for v in p.vertices if dot(u, v) == c]
+        rec = [r for r in p.rays if dot(u, r) == 0]
+        out.append(_assemble(p.ambient_dim, p.halfspaces, verts, rec, p.lineality))
+    return sorted(out, key=Polyhedron.key)
 
 
 def faces(p, codim):
@@ -498,10 +500,15 @@ def refine(cx, dx):
     return complex_from_cells(pieces)
 
 
-def truncate(cx, box):
-    """Intersect every cell with a bounded full-dimensional polytope."""
+def check_window(box):
+    """Reject a truncation window that is not a bounded polytope."""
     if box.is_empty or not box.is_bounded:
         raise ValueError("truncation window must be a bounded polytope")
+
+
+def truncate(cx, box):
+    """Intersect every cell with a bounded full-dimensional polytope."""
+    check_window(box)
     pieces = []
     for a in cx.maximal_cells():
         x = intersect(a, box)
@@ -512,28 +519,33 @@ def truncate(cx, box):
 
 def triangulate(p):
     """Placing triangulation of a polytope from the lexicographically
-    smallest vertex; returns simplices as tuples of vertices."""
+    smallest vertex; returns simplices as tuples of vertices.
+
+    Purely combinatorial: a face is its set of vertex indices, and the
+    facets of a face F are the inclusion-maximal proper sets F & t, with t
+    the vertex set of a facet of p."""
     if p.is_empty:
         return []
     if not p.is_bounded:
         raise ValueError("cannot triangulate an unbounded polyhedron")
-    return _triangulate_rec(p)
-
-
-def _triangulate_rec(p):
-    if p.dim == 0:
-        return [(p.vertices[0],)]
     verts = p.vertices
-    if len(verts) == p.dim + 1:
-        return [tuple(verts)]
-    v0 = verts[0]
-    simplices = []
-    for f in facets(p):
-        if v0 in f.vertices:
-            continue
-        for s in _triangulate_rec(f):
-            simplices.append(s + (v0,))
-    return simplices
+    tight = [frozenset(i for i, v in enumerate(verts) if dot(u, v) == c)
+             for u, c in p.halfspaces]
+
+    def place(face, dim):
+        if len(face) == dim + 1:
+            return [tuple(sorted(face))]
+        cuts = {face & t for t in tight} - {face}
+        sub = sorted(tuple(sorted(g)) for g in cuts if not any(g < h for h in cuts))
+        v0 = min(face)
+        out = []
+        for g in sub:
+            if v0 not in g:
+                out.extend(s + (v0,) for s in place(frozenset(g), dim - 1))
+        return out
+
+    simplices = place(frozenset(range(len(verts))), p.dim)
+    return [tuple(verts[i] for i in s) for s in simplices]
 
 
 def simplex_volume(simplex):

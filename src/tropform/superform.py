@@ -10,6 +10,7 @@ normalized into this form with the Koszul sign for odd generators.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .lattice import determinant, identity_matrix
@@ -430,10 +431,6 @@ class AffineMap:
         return cls(identity_matrix(r), [0] * r)
 
 
-def _minor_det(rows, row_idx, col_idx):
-    return determinant([[rows[i][j] for j in col_idx] for i in row_idx])
-
-
 def pullback(f, a):
     """F* a for a on the codomain of f: coefficients composed with f, each
     d'x_I and d''x_J replaced through the minors of the linear part."""
@@ -441,6 +438,11 @@ def pullback(f, a):
         raise ValueError("form does not live on the codomain of the map")
     rin = f.domain_dim
     rows = f.linear
+
+    @cache
+    def minor(row_idx, col_idx):
+        return determinant([[rows[i][j] for j in col_idx] for i in row_idx])
+
     out = {}
     index_sets_p = list(combinations(range(rin), a.p))
     index_sets_q = list(combinations(range(rin), a.q))
@@ -449,11 +451,11 @@ def pullback(f, a):
         if newpoly.is_zero:
             continue
         for K in index_sets_p:
-            dI = _minor_det(rows, I, K)
+            dI = minor(I, K)
             if not dI:
                 continue
             for L in index_sets_q:
-                dJ = _minor_det(rows, J, L)
+                dJ = minor(J, L)
                 if not dJ:
                     continue
                 _accumulate(out, (K, L), newpoly.scale(dI * dJ))

@@ -190,18 +190,26 @@ def _empty_polyhedron_doc(tmp_path):
 
 
 @pytest.mark.parametrize("probe", ["faces-empty", "refine-2d-3d",
-                                   "truncate-unbounded"])
+                                   "truncate-unbounded", "out-missing-dir",
+                                   "truncate-weighted-unbounded"])
 def test_cli_library_value_errors_exit_2(tmp_path, capsys, probe):
+    half_plane = from_halfspaces([((1, 0), Fraction(1))], 2)
     if probe == "faces-empty":
         argv = ["faces", _empty_polyhedron_doc(tmp_path), "0"]
     elif probe == "refine-2d-3d":
         argv = ["refine",
                 _write(tmp_path, "c2.json", complex_from_cells([box(2)])),
                 _write(tmp_path, "c3.json", complex_from_cells([box(3)]))]
-    else:
-        half_plane = from_halfspaces([((1, 0), Fraction(1))], 2)
+    elif probe == "truncate-unbounded":
         argv = ["truncate",
                 _write(tmp_path, "cx.json", complex_from_cells([box(2)])),
+                _write(tmp_path, "w.json", half_plane)]
+    elif probe == "out-missing-dir":
+        argv = ["faces", _write(tmp_path, "sq.json", box(2)), "1",
+                "--out", str(tmp_path / "no" / "such" / "dir.json")]
+    else:
+        argv = ["truncate",
+                _write(tmp_path, "wc.json", WeightedComplex([(box(2), 1)])),
                 _write(tmp_path, "w.json", half_plane)]
     assert main(argv) == 2
     captured = capsys.readouterr()

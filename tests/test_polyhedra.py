@@ -3,8 +3,12 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from conftest import box, segment, simplex
 
+from tropform import polyhedra
+from tropform.lattice import vec_neg
 from tropform.polyhedra import (
     EMPTY,
     Complex,
@@ -12,6 +16,7 @@ from tropform.polyhedra import (
     affine_image,
     complex_from_cells,
     faces,
+    facets,
     from_generators,
     from_halfspaces,
     intersect,
@@ -152,3 +157,86 @@ def test_empty_marker():
     assert EMPTY.is_empty
     assert EMPTY.dim == -1
     assert all_faces(box(1)) is not None
+
+
+# -- faces and triangulations from the incidence, against the DD path ------
+
+def _dd_facets(p):
+    """Facets found by running the double description method once more on
+    the facet's H-description."""
+    if p.dim <= 0:
+        return []
+    out = {}
+    for u, c in p.halfspaces:
+        f = from_halfspaces(list(p.all_halfspaces()) + [(vec_neg(u), -c)], p.ambient_dim)
+        if not f.is_empty and f.dim == p.dim - 1:
+            out[f.key()] = f
+    return [out[k] for k in sorted(out)]
+
+
+def _dd_triangulate(p):
+    """Placing triangulation from the smallest vertex over _dd_facets."""
+    if p.dim == 0:
+        return [(p.vertices[0],)]
+    if len(p.vertices) == p.dim + 1:
+        return [tuple(p.vertices)]
+    v0 = p.vertices[0]
+    return [s + (v0,) for f in _dd_facets(p) if v0 not in f.vertices
+            for s in _dd_triangulate(f)]
+
+
+def _canonical(f):
+    return (f.key(), f.halfspaces, f.equalities, f.direction_lattice.basis)
+
+
+def _generated(bounded):
+    def build(r):
+        vec = st.tuples(*[st.integers(-2, 2)] * r)
+        return st.builds(
+            lambda pts, rays, lines: from_generators(pts, rays, lines, r),
+            st.lists(st.tuples(*[st.integers(-3, 3)] * r), min_size=1, max_size=7),
+            st.just([]) if bounded else st.lists(vec, max_size=2),
+            st.just([]) if bounded else st.lists(vec, max_size=1))
+    return st.integers(2, 3).flatmap(build)
+
+
+FACE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@FACE_SETTINGS
+@given(st.one_of(_generated(True), _generated(False)))
+def test_facets_match_double_description(p):
+    todo, seen = [p], {p.key()}
+    while todo:
+        q = todo.pop()
+        got = facets(q)
+        assert [_canonical(f) for f in got] == [_canonical(f) for f in _dd_facets(q)]
+        for f in got:
+            if f.key() not in seen:
+                seen.add(f.key())
+                todo.append(f)
+
+
+@FACE_SETTINGS
+@given(_generated(True))
+def test_triangulate_matches_recursive_placing(p):
+    assert triangulate(p) == _dd_triangulate(p)
+
+
+def test_faces_of_built_polyhedra_run_no_double_description(monkeypatch):
+    cube = box(3)
+    wedge = from_generators([(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+                            [(0, 0, 1), (1, 1, 1)], [], 3)
+    calls = []
+    dd = polyhedra.dual_description
+    monkeypatch.setattr(polyhedra, "dual_description",
+                        lambda *args: calls.append(args) or dd(*args))
+    for p in (cube, wedge):
+        facets(p)
+        for codim in range(p.dim + 1):
+            faces(p, codim)
+        all_faces(p)
+    triangulate(cube)
+    assert calls == []
+    box(2)  # the counter does see conversions of input data
+    assert calls
