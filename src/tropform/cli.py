@@ -58,13 +58,9 @@ def _read(path):
 def _load(path, *kinds):
     """Parse the document at path; its kind must be one of kinds."""
     try:
-        obj = tio.parse(_read(path))
+        return tio.parse(_read(path), expect=kinds)
     except (tio.SchemaError, ValueError) as e:
         raise InputError("%s: %s" % (path, e))
-    kind = tio.kind_of(obj)
-    if kind not in kinds:
-        raise InputError("%s: expected %s, got %r" % (path, " or ".join(kinds), kind))
-    return obj
 
 
 def _report(command, body):

@@ -323,8 +323,10 @@ _PARSERS = {
 def parse(text, expect=None):
     """Parse trop/1 JSON text into the corresponding domain object.
 
-    Raises SchemaError (naming the offending field) for schema violations
-    and ValueError with position information for malformed JSON."""
+    expect, if given, is the tuple of kinds accepted; any other kind is
+    rejected before its parser runs. Raises SchemaError (naming the
+    offending field) for schema violations and ValueError with position
+    information for malformed JSON."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -338,7 +340,8 @@ def parse(text, expect=None):
     kind = _get(obj, "kind", "$")
     if kind not in _PARSERS:
         _fail("$.kind", "unknown kind %r" % (kind,))
-    if expect is not None and kind != expect:
-        _fail("$.kind", "expected %r, got %r" % (expect, kind))
+    if expect is not None and kind not in expect:
+        _fail("$.kind", "expected %s, got %r"
+              % (" or ".join(map(repr, expect)), kind))
     return _PARSERS[kind](obj, "$")
 

@@ -64,6 +64,22 @@ def test_parse_rejects_bad_format_and_kind():
         tio.parse("{not json")
 
 
+def test_wrong_kind_is_rejected_before_its_parser_runs(tmp_path, capsys):
+    # the cells are malformed, so only the kind check can produce this message
+    doc = '{"format": "trop/1", "kind": "weighted-complex", "cells": 7}'
+    with pytest.raises(tio.SchemaError, match=r"^\$\.kind: expected "
+                       r"'polyhedron' or 'map', got 'weighted-complex'$"):
+        tio.parse(doc, expect=("polyhedron", "map"))
+    c = _write(tmp_path, "c.json", box(1))
+    a = _write(tmp_path, "a.json",
+               basis_form(1, (0,), (0,), Polynomial(1, {(1,): Fraction(1)})))
+    w = tmp_path / "w.json"
+    w.write_text(doc)
+    assert main(["integrate", c, a, "--window", str(w)]) == 2
+    assert ("$.kind: expected 'polyhedron', got 'weighted-complex'"
+            in capsys.readouterr().err)
+
+
 def _write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(tio.emit(obj))
@@ -111,7 +127,7 @@ def test_cli_pushforward_and_out(tmp_path, capsys):
                 WeightedComplex([(segment((0,), (1,)), 1)]))
     dest = tmp_path / "out.json"
     assert main(["pushforward", f, wc, "--out", str(dest)]) == 0
-    result = tio.parse(dest.read_text(), expect="weighted-complex")
+    result = tio.parse(dest.read_text(), expect=("weighted-complex",))
     assert result.weighted_cells()[0][1] == 2
 
 
