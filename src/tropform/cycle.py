@@ -9,12 +9,14 @@ associated Dirac supercurrent is d'-closed (and d''-closed).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .lattice import (
     dot,
     in_span,
     is_zero_vec,
     lattice_from_rows,
+    lattice_index,
     member,
     reduce_mod_lattice,
     vec_neg,
@@ -22,7 +24,6 @@ from .lattice import (
 from .polyhedra import (
     affine_image,
     check_window,
-    complex_from_cells,
     faces,
     from_halfspaces,
     intersect,
@@ -36,27 +37,24 @@ class WeightedComplex:
     maximal cells.  The empty weighted complex is the tropical zero cycle."""
 
     def __init__(self, weighted_cells):
-        """weighted_cells: iterable of (polyhedron, integer weight); faces are
-        added automatically and must all have equal dimension at the top."""
-        items = [(c, int(m)) for c, m in weighted_cells if not c.is_empty]
+        """weighted_cells: iterable of (polyhedron, integer weight), all of
+        one dimension in one ambient space.  These are the maximal cells;
+        their faces are not stored, and weights of equal cells add up."""
         self._weights = {}
-        cells = []
-        for c, m in items:
-            key = c.key()
-            self._weights[key] = self._weights.get(key, 0) + m
-            cells.append(c)
-        self.complex = complex_from_cells(cells)
         self._top = {}
-        dims = set(c.dim for c, _ in items)
+        for c, m in weighted_cells:
+            if c.is_empty:
+                continue
+            key = c.key()
+            self._weights[key] = self._weights.get(key, 0) + int(m)
+            self._top[key] = c
+        cells = self._top.values()
+        if len(set(c.ambient_dim for c in cells)) > 1:
+            raise ValueError("weighted cells must lie in one ambient space")
+        dims = set(c.dim for c in cells)
         if len(dims) > 1:
             raise ValueError("weighted cells must have equal dimension")
         self.dim = dims.pop() if dims else -1
-        for c, _ in items:
-            self._top[c.key()] = c
-        # every maximal cell of the generated complex must carry a weight
-        for c in self.complex.maximal_cells():
-            if c.key() not in self._weights:
-                raise ValueError("maximal cell without a weight")
 
     @property
     def is_zero(self):
@@ -70,10 +68,6 @@ class WeightedComplex:
 
     def weight(self, cell):
         return self._weights.get(cell.key(), 0)
-
-    def support_subcomplex(self):
-        """Subcomplex generated by the nonzero-weight maximal cells."""
-        return WeightedComplex([(c, m) for c, m in self.weighted_cells() if m])
 
     def truncated(self, box):
         """Weighted complex of intersections with a bounded window; pieces of
@@ -94,11 +88,12 @@ def zero_cycle():
 def _excess_by_face(wc):
     """Codimension-1 faces rho of the support of wc, sorted by key, each
     with the weighted outward sum sum_{sigma > rho} m_sigma w_{rho,sigma}."""
-    support = wc.support_subcomplex()
-    if support.dim < 1:
+    if wc.dim < 1:
         return []
     found = {}
-    for sigma, m in support.weighted_cells():
+    for sigma, m in wc.weighted_cells():
+        if m == 0:
+            continue
         for rho in faces(sigma, 1):
             _, excess = found.setdefault(rho.key(), (rho, [0] * rho.ambient_dim))
             for i, x in enumerate(outward_vector(sigma, rho)):
@@ -202,86 +197,65 @@ def _image_lattice(f, lat):
     return lattice_from_rows(rows, f.codomain_dim)
 
 
+def _split(p, u, c):
+    """The closed halves of p on either side of the hyperplane u.x = c when
+    it crosses the relative interior of p; otherwise p itself."""
+    vals = [dot(u, v) - c for v in p.vertices] + [dot(u, r) for r in p.rays]
+    vals += [x for l in p.lineality for x in (dot(u, l), -dot(u, l))]
+    if not min(vals) < 0 < max(vals):
+        return [p]
+    return [from_halfspaces(p.all_halfspaces() + [cut], p.ambient_dim)
+            for cut in ((u, c), (vec_neg(u), -c))]
+
+
 def pushforward(f, wc):
     """Push-forward of a weighted complex along an integral affine map.
 
-    Images of maximal cells are refined (within each image affine hull, by
-    all facet hyperplanes and by the hulls of pairwise intersections) until
-    they form a complex; each n-dimensional piece receives the weight
-    sum [N_piece : F(N_cell)] * m_cell over the cells covering it.  Cells
-    with lower-dimensional image are dropped; the result may be the zero
-    cycle."""
-    if wc.is_zero:
-        return zero_cycle()
-    n = wc.dim
+    The n-dimensional images of the maximal cells are cut into pieces.
+    Each image is cut by the cut set of its affine hull: the facet
+    hyperplanes of every image in that hull, and the affine-hull equations
+    of every nonempty intersection of such an image with another image.  A
+    hyperplane cuts a piece only where it crosses the piece's relative
+    interior.  Each piece receives the weight
+    sum [N_piece : F(N_cell)] * m_cell over the cells whose image covers it.
+    Cells with rank F(N_cell) < n have lower-dimensional image and are
+    dropped; the result may be the zero cycle.  For n >= 2 the pieces can
+    meet in part of a face, and the result then need not be balanced."""
+    cells = wc.maximal_cells()
+    if cells and cells[0].ambient_dim != f.domain_dim:
+        raise ValueError("map domain is R^%d but the cycle lies in R^%d"
+                         % (f.domain_dim, cells[0].ambient_dim))
     sources = []
     for cell, m in wc.weighted_cells():
         if m == 0:
             continue
-        img = affine_image(f.linear, f.translate, cell)
-        if img.is_empty or img.dim < n:
-            continue
-        sources.append((cell, m, img))
-    if not sources:
-        return zero_cycle()
-    # group images by affine hull
-    groups = {}
-    for entry in sources:
-        hull_key = entry[2].equalities
-        groups.setdefault(hull_key, []).append(entry)
-    out_dim = f.codomain_dim
-    all_images = [e[2] for e in sources]
+        sub = _image_lattice(f, cell.direction_lattice)
+        if sub.rank == wc.dim:
+            sources.append((m, sub, affine_image(f.linear, f.translate, cell)))
+    cuts = {}
+    for _, _, img in sources:
+        cuts.setdefault(img.equalities, set()).update(img.halfspaces)
+    for (_, _, a), (_, _, b) in combinations(sources, 2):
+        x = intersect(a, b)
+        if not x.is_empty:
+            cuts[a.equalities].update(x.equalities)
+            cuts[b.equalities].update(x.equalities)
     pieces = {}
-    for hull_key, entries in groups.items():
-        cuts = set()
-        for _, _, img in entries:
-            for u, c in img.halfspaces:
-                cuts.add((u, Fraction(c)))
-        for _, _, img in entries:
-            for other in all_images:
-                if other is img:
-                    continue
-                x = intersect(img, other)
-                if x.is_empty:
-                    continue
-                for e, c in x.equalities:
-                    cuts.add((tuple(e), Fraction(c)))
-        for cell, m, img in entries:
-            parts = [img]
-            for u, c in sorted(cuts):
-                nxt = []
-                for p in parts:
-                    lo = intersect(p, from_halfspaces([(u, c)], out_dim))
-                    hi = intersect(p, from_halfspaces([(vec_neg(u), -c)], out_dim))
-                    for piece in (lo, hi):
-                        if not piece.is_empty and piece.dim == n:
-                            nxt.append(piece)
-                parts = nxt
-            for p in parts:
-                pieces.setdefault(p.key(), p)
+    for _, _, img in sources:
+        parts = [img]
+        for u, c in sorted(cuts[img.equalities]):
+            parts = [half for p in parts for half in _split(p, u, c)]
+        for p in parts:
+            pieces.setdefault(p.key(), p)
     weighted = []
     for key in sorted(pieces):
         piece = pieces[key]
         x = piece.rel_interior_point()
-        total = 0
-        for cell, m, img in sources:
-            if img.contains(x):
-                idx = _index_of_images(f, cell, piece)
-                total += idx * m
-        weighted.append((piece, total))
-    weighted = [(p, m) for p, m in weighted if m != 0]
-    if not weighted:
-        return zero_cycle()
+        total = sum(m * lattice_index(sub, piece.direction_lattice)
+                    for m, sub, img in sources if img.contains(x))
+        if total:
+            weighted.append((piece, total))
     return WeightedComplex(weighted)
-
-
-def _index_of_images(f, cell, piece):
-    from .lattice import lattice_index
-    sub = _image_lattice(f, cell.direction_lattice)
-    idx = lattice_index(sub, piece.direction_lattice)
-    if idx is None:
-        raise ValueError("rank-deficient image slipped through")
-    return idx
 
 
 def preimage_polyhedron(f, p):
@@ -313,8 +287,7 @@ def projection_check(f, wc, a, window):
     for cell, m in wc.weighted_cells():
         if m == 0:
             continue
-        img = affine_image(f.linear, f.translate, cell)
-        if img.is_empty or img.dim < n:
+        if _image_lattice(f, cell.direction_lattice).rank < n:
             continue  # pullback form restricts to zero on such cells
         dom = intersect(cell, pre)
         if dom.is_empty or dom.dim < n:

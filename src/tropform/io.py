@@ -106,10 +106,8 @@ def _emit_complex(c):
 
 def _emit_weighted_complex(wc):
     cells = wc.weighted_cells()
-    dims = set(c.ambient_dim for c, _ in cells)
-    r = dims.pop() if len(dims) == 1 else 0
     return {
-        "ambient_dim": r,
+        "ambient_dim": cells[0][0].ambient_dim if cells else 0,
         "cells": [{"polyhedron": _emit_polyhedron(c), "weight": m}
                   for c, m in cells],
     }

@@ -388,18 +388,13 @@ def faces(p, codim):
         raise ValueError("empty polyhedron has no graded faces")
     if codim < 0 or codim > p.dim:
         raise ValueError("codimension out of range")
-    if codim in p._faces_by_codim:
-        return list(p._faces_by_codim[codim])
-    current = {p.key(): p}
-    for _ in range(codim):
-        nxt = {}
-        for cell in current.values():
-            for f in facets(cell):
-                nxt[f.key()] = f
-        current = nxt
-    result = [current[k] for k in sorted(current)]
-    p._faces_by_codim[codim] = result
-    return list(result)
+    if codim not in p._faces_by_codim:
+        if codim == 0:
+            found = {p.key(): p}
+        else:
+            found = {f.key(): f for cell in faces(p, codim - 1) for f in facets(cell)}
+        p._faces_by_codim[codim] = [found[k] for k in sorted(found)]
+    return list(p._faces_by_codim[codim])
 
 
 def all_faces(p):
@@ -437,14 +432,11 @@ class Complex:
         return max((c.dim for c in self._cells.values()), default=-1)
 
     def maximal_cells(self):
-        """Cells not properly contained in another cell."""
-        keys = set(self._cells)
-        face_keys = set()
-        for c in self._cells.values():
-            for f in all_faces(c):
-                if f.key() != c.key():
-                    face_keys.add(f.key())
-        return [self._cells[k] for k in sorted(keys - face_keys)]
+        """Cells that are no facet of another cell; the cells are closed
+        under faces, so these are the cells in no other cell."""
+        facet_keys = {f.key() for c in self._cells.values() if c.dim > 0
+                      for f in faces(c, 1)}
+        return [self._cells[k] for k in sorted(set(self._cells) - facet_keys)]
 
     def __contains__(self, cell):
         return cell.key() in self._cells

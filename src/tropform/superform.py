@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .lattice import determinant, identity_matrix
+from .lattice import determinant
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +145,6 @@ class Polynomial:
                     term = term * power(i, k)
             out = out + term
         return out
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def __repr__(self):
         if not self.terms:
@@ -425,10 +422,6 @@ class AffineMap:
                for i in range(self.codomain_dim)]
         tr = self.apply(other.translate)
         return AffineMap(lin, tr)
-
-    @classmethod
-    def identity(cls, r):
-        return cls(identity_matrix(r), [0] * r)
 
 
 def pullback(f, a):

@@ -205,11 +205,28 @@ def _empty_polyhedron_doc(tmp_path):
     return str(path)
 
 
+def _mixed_ambient_doc(tmp_path):
+    """A weighted complex with one segment in R^1 and one in R^2."""
+    cells = []
+    for seg in (segment((0,), (1,)), segment((0, 0), (1, 0))):
+        body = json.loads(tio.emit(seg))
+        del body["format"], body["kind"]
+        cells.append({"polyhedron": body, "weight": 1})
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"format": "trop/1", "kind": "weighted-complex",
+                                "ambient_dim": 2, "cells": cells}))
+    return str(path)
+
+
 @pytest.mark.parametrize("probe", ["faces-empty", "refine-2d-3d",
                                    "truncate-unbounded", "out-missing-dir",
-                                   "truncate-weighted-unbounded"])
+                                   "truncate-weighted-unbounded",
+                                   "pushforward-domain-r1", "pushforward-domain-r3",
+                                   "projection-check-domain-r1",
+                                   "check-balancing-mixed-ambient"])
 def test_cli_library_value_errors_exit_2(tmp_path, capsys, probe):
     half_plane = from_halfspaces([((1, 0), Fraction(1))], 2)
+    planar = WeightedComplex([(segment((0, 0), (1, 1)), 1)])
     if probe == "faces-empty":
         argv = ["faces", _empty_polyhedron_doc(tmp_path), "0"]
     elif probe == "refine-2d-3d":
@@ -223,12 +240,28 @@ def test_cli_library_value_errors_exit_2(tmp_path, capsys, probe):
     elif probe == "out-missing-dir":
         argv = ["faces", _write(tmp_path, "sq.json", box(2)), "1",
                 "--out", str(tmp_path / "no" / "such" / "dir.json")]
-    else:
+    elif probe == "truncate-weighted-unbounded":
         argv = ["truncate",
                 _write(tmp_path, "wc.json", WeightedComplex([(box(2), 1)])),
                 _write(tmp_path, "w.json", half_plane)]
+    elif probe.startswith("pushforward-domain-"):
+        # a map on R^1 or on R^3 does not act on a cycle in R^2
+        linear = [[1]] if probe.endswith("r1") else [[1, 1, 1]]
+        argv = ["pushforward",
+                _write(tmp_path, "f.json", AffineMap(linear, [Fraction(0)])),
+                _write(tmp_path, "wc.json", planar)]
+    elif probe == "projection-check-domain-r1":
+        argv = ["projection-check",
+                _write(tmp_path, "f.json", AffineMap([[1]], [Fraction(0)])),
+                _write(tmp_path, "wc.json", planar),
+                _write(tmp_path, "a.json", basis_form(1, (0,), (0,))),
+                "--window", _write(tmp_path, "w.json", box(1, 0, 2))]
+    else:
+        argv = ["check-balancing", _mixed_ambient_doc(tmp_path)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    if probe == "check-balancing-mixed-ambient":
+        assert "$.cells" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""

@@ -3,8 +3,12 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from conftest import box, rand_form, segment
 
+from tropform import io as tio
+from tropform import polyhedra
 from tropform.cycle import (
     Current,
     WeightedComplex,
@@ -17,7 +21,8 @@ from tropform.cycle import (
 )
 from tropform.hypersurface import corner_locus, tropical_polynomial
 from tropform.integrate import integrate_complex, integrate_polytope
-from tropform.polyhedra import from_halfspaces
+from tropform.lattice import lattice_from_rows, lattice_index, vec_neg
+from tropform.polyhedra import affine_image, from_halfspaces, intersect
 from tropform.superform import AffineMap, Polynomial, basis_form, d_prime
 
 
@@ -242,3 +247,94 @@ def test_projection_check_random(seed=47):
         left, right = projection_check(f, wc, a, box(2, -4, 4))
         assert left == right
         done += 1
+
+
+def _oracle_pushforward(f, wc):
+    """Reference push-forward: images grouped by affine hull, every ordered
+    pair of images intersected, and every cut applied to every piece as two
+    intersections with halfspace polyhedra."""
+    n, r = wc.dim, f.codomain_dim
+    sources = []
+    for cell, m in wc.weighted_cells():
+        if m != 0:
+            img = affine_image(f.linear, f.translate, cell)
+            if img.dim == n:
+                sources.append((cell, m, img))
+    groups = {}
+    for entry in sources:
+        groups.setdefault(entry[2].equalities, []).append(entry)
+    pieces = {}
+    for entries in groups.values():
+        cuts = set()
+        for _, _, img in entries:
+            cuts.update((u, Fraction(c)) for u, c in img.halfspaces)
+            for x in [intersect(img, other) for _, _, other in sources if other is not img]:
+                if not x.is_empty:
+                    cuts.update((tuple(e), Fraction(c)) for e, c in x.equalities)
+        for _, _, img in entries:
+            parts = [img]
+            for u, c in sorted(cuts):
+                halves = [intersect(p, from_halfspaces([cut], r)) for p in parts
+                          for cut in ((u, c), (vec_neg(u), -c))]
+                parts = [h for h in halves if not h.is_empty and h.dim == n]
+            pieces.update((p.key(), p) for p in parts)
+    weighted = []
+    for key in sorted(pieces):
+        piece = pieces[key]
+        x = piece.rel_interior_point()
+        total = 0
+        for cell, m, img in sources:
+            if img.contains(x):
+                rows = [f.apply_linear(b) for b in cell.direction_lattice.basis]
+                sub = lattice_from_rows([v for v in rows if any(v)], r)
+                total += m * lattice_index(sub, piece.direction_lattice)
+        if total:
+            weighted.append((piece, total))
+    return WeightedComplex(weighted)
+
+
+_EXPONENTS = [(i, j) for i in range(3) for j in range(3)]
+
+
+@st.composite
+def _cycle_and_map(draw):
+    """The sum of one or two corner loci of random tropical polynomials in
+    r = 2, so that cells may cross, and a random 2x2 integer affine map,
+    singular and rank-1 maps included."""
+    cells = []
+    for _ in range(draw(st.integers(1, 2))):
+        exps = draw(st.lists(st.sampled_from(_EXPONENTS), min_size=2, max_size=5,
+                             unique=True))
+        coeffs = draw(st.lists(st.integers(-6, 6), min_size=len(exps),
+                               max_size=len(exps)))
+        tp = tropical_polynomial([(e, Fraction(c, 2)) for e, c in zip(exps, coeffs)], 2)
+        cells += corner_locus(tp).weighted_cells()
+    entry = st.integers(-2, 2)
+    linear = draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2))
+    shift = draw(st.lists(st.integers(-1, 1), min_size=2, max_size=2))
+    return WeightedComplex(cells), AffineMap(linear, [Fraction(t) for t in shift])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_cycle_and_map())
+def test_pushforward_matches_pairwise_refinement(case):
+    wc, f = case
+    assert tio.emit(pushforward(f, wc)) == tio.emit(_oracle_pushforward(f, wc))
+
+
+def test_weighted_complex_and_pushforward_build_only_what_they_read(monkeypatch):
+    a, b = segment((0, 0), (1, 2)), segment((1, 2), (3, 2))
+    one = WeightedComplex([(segment((0, 0), (1, 2)), 1)])
+    ident = AffineMap([[1, 0], [0, 1]], [Fraction(0), Fraction(0)])
+    facet_calls, dd_calls = [], []
+    facets, dd = polyhedra.facets, polyhedra.dual_description
+    monkeypatch.setattr(polyhedra, "facets",
+                        lambda p: facet_calls.append(p) or facets(p))
+    monkeypatch.setattr(polyhedra, "dual_description",
+                        lambda *args: dd_calls.append(args) or dd(*args))
+    WeightedComplex([(a, 1), (b, 1)])
+    assert facet_calls == []
+    # the image is built once (generators to halfspaces and back), and
+    # neither facet hyperplane crosses the segment
+    assert pushforward(ident, one).weighted_cells() == one.weighted_cells()
+    assert len(dd_calls) == 2
