@@ -1,21 +1,25 @@
 """Exact integration of superforms over integral affine polytopes.
 
-An (n, n)-form is integrated over an n-dimensional polytope by pulling back
-to intrinsic coordinates given by a Z-basis of the polytope's direction
-lattice, extracting the top coefficient, applying the sign
-(-1)^{n(n-1)/2} that makes d'x_1 ^ d''x_1 ^ ... ^ d'x_n ^ d''x_n positive,
-and integrating the polynomial over a placing triangulation with the
-closed-form monomial-over-simplex formula.  Everything is over Q.
+An (n, n)-form a is integrated over an n-dimensional polytope in intrinsic
+coordinates given by a Z-basis B of the polytope's direction lattice.  The
+top coefficient of the pullback is read off the chart's minors: in ambient
+coordinates it is sum_{I,J} det(B_I) det(B_J) a_IJ, with B_I the rows I of
+B, and this one polynomial is composed with the chart once, not each
+component of a.  The sign (-1)^{n(n-1)/2} makes
+d'x_1 ^ d''x_1 ^ ... ^ d'x_n ^ d''x_n positive, and the polynomial is
+integrated over a placing triangulation with the closed-form
+monomial-over-simplex formula.  Everything is over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .lattice import determinant, dot, primitive_outward, solve_exact, transpose, vec_sub
 from .polyhedra import faces, triangulate
-from .superform import AffineMap, contract, pullback
+from .superform import AffineMap, Polynomial, contract
 
 
 def _intrinsic_map(sigma):
@@ -80,9 +84,11 @@ def integrate_polytope(sigma, a):
         poly = a.coefficient((), ())
         return poly.evaluate(sigma.vertices[0])
     phi = _intrinsic_map(sigma)
-    intr = pullback(phi, a)
-    top = tuple(range(n))
-    g = intr.coefficient(top, top)
+    minor = cache(lambda rows: determinant([phi.linear[i] for i in rows]))
+    g = Polynomial(sigma.ambient_dim)
+    for (I, J), poly in a.components.items():
+        g = g + poly.scale(minor(I) * minor(J))
+    g = g.compose_affine(phi.linear, phi.translate, n)
     if g.is_zero:
         return Fraction(0)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1

@@ -388,11 +388,10 @@ def faces(p, codim):
         raise ValueError("empty polyhedron has no graded faces")
     if codim < 0 or codim > p.dim:
         raise ValueError("codimension out of range")
+    if codim == 0:
+        return [p]
     if codim not in p._faces_by_codim:
-        if codim == 0:
-            found = {p.key(): p}
-        else:
-            found = {f.key(): f for cell in faces(p, codim - 1) for f in facets(cell)}
+        found = {f.key(): f for cell in faces(p, codim - 1) for f in facets(cell)}
         p._faces_by_codim[codim] = [found[k] for k in sorted(found)]
     return list(p._faces_by_codim[codim])
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import lcm, prod
 
 from .lattice import determinant
 
@@ -30,9 +31,22 @@ class Polynomial:
         self.terms = {}
         if terms:
             for e, c in terms.items():
+                e = tuple(e)
+                if len(e) != nvars or any(k < 0 for k in e):
+                    raise ValueError("exponent %r is not %d nonnegative integers"
+                                     % (e, nvars))
                 c = Fraction(c)
                 if c != 0:
-                    self.terms[tuple(e)] = c
+                    self.terms[e] = c
+
+    @classmethod
+    def _trusted(cls, nvars, terms):
+        """The polynomial with the ready map terms (exponent tuples of length
+        nvars to nonzero Fractions), taken as is: no checks, no copy."""
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
 
     @classmethod
     def constant(cls, nvars, c):
@@ -63,10 +77,10 @@ class Polynomial:
                 out[e] = s
             elif e in out:
                 del out[e]
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -83,15 +97,15 @@ class Polynomial:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = Fraction(c)
         if c == 0:
-            return Polynomial(self.nvars)
-        return Polynomial(self.nvars, {e: c * x for e, x in self.terms.items()})
+            return Polynomial._trusted(self.nvars, {})
+        return Polynomial._trusted(self.nvars, {e: c * x for e, x in self.terms.items()})
 
     def partial(self, i):
         out = {}
@@ -101,7 +115,7 @@ class Polynomial:
             ne = list(e)
             ne[i] -= 1
             out[tuple(ne)] = c * e[i]
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     def evaluate(self, point):
         total = Fraction(0)
@@ -114,37 +128,63 @@ class Polynomial:
         return total
 
     def compose_affine(self, linear_rows, translate, new_nvars):
-        """Substitute x_i = sum_j linear_rows[i][j] y_j + translate[i]."""
-        subs = []
-        for i in range(self.nvars):
-            t = {}
-            for j in range(new_nvars):
-                a = Fraction(linear_rows[i][j])
-                if a:
-                    e = [0] * new_nvars
-                    e[j] = 1
-                    t[tuple(e)] = a
-            tc = Fraction(translate[i])
-            if tc:
-                e0 = (0,) * new_nvars
-                t[e0] = t.get(e0, Fraction(0)) + tc
-            subs.append(Polynomial(new_nvars, t))
-        powers = [{0: Polynomial.constant(new_nvars, 1)} for _ in range(self.nvars)]
+        """Substitute x_i = sum_j linear_rows[i][j] y_j + translate[i].
+
+        The work is on integers.  Each x_i becomes s_i / d_i, with d_i the
+        common denominator of its row and shift and s_i integral, and each
+        term c x^e becomes (m_e / L) prod_i s_i^e_i, with L the common
+        denominator of all terms.  Exponents of y are packed into one int in
+        base deg + 1, so multiplying monomials adds ints and never carries.
+        The powers of each s_i and the products of leading powers that
+        several terms share are cached for the call; the terms that share
+        all but their last exponent are summed first and multiplied by that
+        product once, adding into one accumulator in place.  One Fraction is
+        built per output term."""
+        n, m = self.nvars, new_nvars
+        if not self.terms:
+            return Polynomial._trusted(m, {})
+        if not n:
+            return Polynomial._trusted(m, {(0,) * m: self.terms[()]})
+        base = max(map(sum, self.terms)) + 1
+        subs, dens = [], []
+        for i in range(n):
+            row = [(base ** j, linear_rows[i][j]) for j in range(m)] + [(0, translate[i])]
+            d = lcm(*(a.denominator for _, a in row))
+            subs.append({k: a.numerator * (d // a.denominator) for k, a in row if a})
+            dens.append(d)
+        powers = [[{0: 1}] for _ in range(n)]
 
         def power(i, k):
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * subs[i]
-            return cache[k]
+            cached = powers[i]
+            while len(cached) <= k:
+                cached.append(_add_product({}, cached[-1], subs[i]))
+            return cached[k]
 
-        out = Polynomial(new_nvars)
+        scales = {e: c.denominator * prod(d ** k for d, k in zip(dens, e))
+                  for e, c in self.terms.items()}
+        den = lcm(*scales.values())
+        last = n - 1
+        groups = {}
         for e, c in self.terms.items():
-            term = Polynomial.constant(new_nvars, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
+            _add_product(groups.setdefault(e[:last], {}),
+                         {0: c.numerator * (den // scales[e])}, power(last, e[last]))
+        leading = {(): {0: 1}}
+        out = {}
+        for head, group in groups.items():
+            for i, k in enumerate(head):
+                if head[:i + 1] not in leading:
+                    rest = leading[head[:i]]
+                    leading[head[:i + 1]] = _add_product({}, rest, power(i, k)) if k else rest
+            _add_product(out, leading[head], group)
+        terms = {}
+        for k, a in out.items():
+            if a:
+                e = []
+                for _ in range(m):
+                    k, x = divmod(k, base)
+                    e.append(x)
+                terms[tuple(e)] = Fraction(a, den)
+        return Polynomial._trusted(m, terms)
 
     def __repr__(self):
         if not self.terms:
@@ -154,6 +194,17 @@ class Polynomial:
             mono = "*".join("x%d^%d" % (i, k) for i, k in enumerate(e) if k)
             bits.append(("%s*%s" % (c, mono)) if mono else str(c))
         return " + ".join(bits)
+
+
+def _add_product(out, a, b):
+    """Add the product of the integer polynomials a and b, maps from packed
+    exponents to ints, into out in place; returns out."""
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
 
 
 # ---------------------------------------------------------------------------

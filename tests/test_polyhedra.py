@@ -1,6 +1,8 @@
 """Polyhedra: canonical forms, faces, complexes, refinement, triangulation."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -240,3 +242,18 @@ def test_faces_of_built_polyhedra_run_no_double_description(monkeypatch):
     assert calls == []
     box(2)  # the counter does see conversions of input data
     assert calls
+
+
+def test_face_caches_hold_no_reference_cycle():
+    # a polyhedron whose faces were read is freed when its last reference
+    # goes, not only when the cyclic garbage collector next runs
+    p = box(3)
+    all_faces(p)
+    triangulate(p)
+    alive = weakref.ref(p)
+    gc.disable()
+    try:
+        del p
+        assert alive() is None
+    finally:
+        gc.enable()

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import rand_form, rand_poly
 
 from tropform.superform import (
@@ -32,6 +34,16 @@ def test_polynomial_arithmetic():
     assert (f + g).terms == {(0, 1): Fraction(2)}
     assert f.partial(0).terms == {(0, 0): Fraction(1)}
     assert f.evaluate((Fraction(3), Fraction(1))) == 5
+
+
+def test_polynomial_rejects_malformed_exponents():
+    with pytest.raises(ValueError):
+        Polynomial(2, {(1,): 1})
+    with pytest.raises(ValueError):
+        Polynomial(1, {(-1,): 1})
+    with pytest.raises(ValueError):
+        Polynomial(1, {(1, 0): 0})
+    assert Polynomial(2, {(1, 0): 0}).is_zero
 
 
 def test_polynomial_compose_affine():
