@@ -93,9 +93,9 @@ def integrate_polytope(sigma, a):
         return Fraction(0)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     total = Fraction(0)
+    coords = {v: _vertex_coords(sigma, v) for v in sigma.vertices}
     for simplex in triangulate(sigma):
-        coords = [_vertex_coords(sigma, v) for v in simplex]
-        total += integrate_polynomial_simplex(g, coords)
+        total += integrate_polynomial_simplex(g, [coords[v] for v in simplex])
     return sign * total
 
 

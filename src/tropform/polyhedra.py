@@ -2,17 +2,20 @@
 
 Polyhedra are intersections of halfspaces <u, x> <= c with integer normals u
 and rational constants c.  Conversion between H- and V-representations uses
-an exact double description method; faces and triangulations of a built
-polyhedron come from its vertex-facet incidence without running it again.
-Identity of cells is decided through a canonical key built from the V-data,
-which makes complex validation and deduplication deterministic.
+an exact double description method, which also yields the rows tight at each
+vertex and ray.  A built polyhedron keeps that vertex-facet incidence, as a
+vertex and a ray bitmask per facet: its facets are chosen from it
+combinatorially, and its faces and triangulations are read off it with no
+further double description and no dot products.  Identity of cells is
+decided through a canonical key built from the V-data, which makes complex
+validation and deduplication deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 from .lattice import (
     determinant,
@@ -22,7 +25,6 @@ from .lattice import (
     lattice_from_rows,
     primitive,
     rational_kernel,
-    rational_rank,
     saturate,
     vec_neg,
     vec_sub,
@@ -56,87 +58,99 @@ def _clear_denominators(v):
 # double description: minimal generators of {x : g.x <= 0 for g in rows}
 
 def dual_description(rows, dim):
-    """Minimal generators (lines, rays) of the polyhedral cone cut out by the
-    homogeneous inequalities g.x <= 0, computed exactly."""
+    """Minimal generators of the polyhedral cone cut out by the homogeneous
+    inequalities g.x <= 0, computed exactly, with the rows tight at each.
+
+    Returns (lines, rays, masks): ``masks[i]`` is the set of rows tight at
+    ``rays[i]`` as an int whose bit k stands for the k-th nonzero row (a
+    zero row gets no bit); every line is tight at every row.  The masks are
+    carried along as the rows are added, never recomputed: a ray with value
+    0 on the new row gains its bit, the combination of an adjacent pair gets
+    the pair's common bits and the new one, a ray projected in a line step
+    gains the new bit, and the ray made from the eliminated line gets every
+    earlier bit.  Two rays are adjacent when no third ray's mask contains
+    their common bits (Fukuda & Prodon, "Double description method
+    revisited", 1996)."""
     lines = [tuple(r) for r in identity_matrix(dim)]
-    rays = []
-    processed = []
-
-    def tight_set(r):
-        return frozenset(i for i, g in enumerate(processed) if dot(g, r) == 0)
-
+    rays, masks = [], []
+    bit = 1
     for g in rows:
         g = tuple(g)
         if is_zero_vec(g):
             continue
         vals = [dot(g, l) for l in lines]
-        if any(v != 0 for v in vals):
-            k = next(i for i, v in enumerate(vals) if v != 0)
+        k = next((i for i, v in enumerate(vals) if v != 0), None)
+        if k is not None:
             l0, v0 = lines[k], vals[k]
             if v0 > 0:
                 l0, v0 = vec_neg(l0), -v0
-            new_lines = []
-            for i, l in enumerate(lines):
-                if i == k:
-                    continue
-                # project onto g.x = 0 along l0
-                new_lines.append(primitive([v0 * a - vals[i] * b for a, b in zip(l, l0)]))
-            new_rays = []
-            for r in rays:
-                vr = dot(g, r)
-                new_rays.append(primitive([(-v0) * a + vr * b for a, b in zip(r, l0)]))
-            new_rays.append(primitive(l0))
-            lines, rays = new_lines, new_rays
+            # project onto g.x = 0 along l0
+            lines = [primitive([v0 * a - vals[i] * b for a, b in zip(l, l0)])
+                     for i, l in enumerate(lines) if i != k]
+            rays = [primitive([(-v0) * a + dot(g, r) * b for a, b in zip(r, l0)])
+                    for r in rays]
+            rays.append(primitive(l0))
+            masks = [m | bit for m in masks] + [bit - 1]
         else:
-            neg = [r for r in rays if dot(g, r) < 0]
-            zero = [r for r in rays if dot(g, r) == 0]
-            pos = [r for r in rays if dot(g, r) > 0]
-            if pos:
-                tights = {r: tight_set(r) for r in rays}
-                combos = []
-                for rp in pos:
-                    for rn in neg:
-                        common = tights[rp] & tights[rn]
-                        adjacent = True
-                        for r3 in rays:
-                            if r3 is rp or r3 is rn:
-                                continue
-                            if common <= tights[r3]:
-                                adjacent = False
-                                break
-                        if adjacent:
-                            vp, vn = dot(g, rp), dot(g, rn)
-                            combos.append(primitive([vp * a - vn * b for a, b in zip(rn, rp)]))
-                rays = neg + zero + [c for c in combos if not is_zero_vec(c)]
+            vals = [dot(g, r) for r in rays]
+            if any(v > 0 for v in vals):
+                neg = [i for i, v in enumerate(vals) if v < 0]
+                new = [(rays[i], masks[i]) for i in neg]
+                new += [(r, m | bit) for r, m, v in zip(rays, masks, vals) if v == 0]
+                for p, vp in enumerate(vals):
+                    if vp <= 0:
+                        continue
+                    for n in neg:
+                        common = masks[p] & masks[n]
+                        # adjacent iff no third ray is tight wherever both are
+                        if len([m for m in masks if common & m == common]) > 2:
+                            continue
+                        vn = vals[n]
+                        c = primitive([vp * a - vn * b for a, b in zip(rays[n], rays[p])])
+                        if not is_zero_vec(c):
+                            new.append((c, common | bit))
                 seen = set()
-                rays = [r for r in rays if not (tuple(r) in seen or seen.add(tuple(r)))]
-        processed.append(g)
-    return [tuple(l) for l in lines], [tuple(r) for r in rays]
+                new = [(r, m) for r, m in new if not (r in seen or seen.add(r))]
+                rays, masks = [r for r, _ in new], [m for _, m in new]
+            else:
+                masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
+        bit <<= 1
+    return lines, rays, masks
 
 
 # ---------------------------------------------------------------------------
 # Polyhedron
 
 class Polyhedron:
-    """Nonempty integral Q-affine polyhedron with cached H- and V-data.
+    """Nonempty integral Q-affine polyhedron with cached H- and V-data and
+    its vertex-facet incidence.
 
     Construct through :func:`from_halfspaces` or :func:`from_generators`.
     ``vertices`` are the canonical base points of the minimal faces (reduced
-    modulo the lineality space), ``rays`` the primitive extreme ray
-    representatives, ``lineality`` an HNF basis of the lineality lattice.
+    modulo the lineality space), sorted; ``rays`` the primitive extreme ray
+    representatives, sorted; ``lineality`` an HNF basis of the lineality
+    lattice.  ``facet_vertices[i]`` and ``facet_rays[i]`` are the vertices
+    and rays on the facet ``halfspaces[i]``, as bitmasks over ``vertices``
+    and ``rays`` (bit k stands for index k); every line lies on every facet.
     """
 
     is_empty = False
+    # no per-instance dict: face caches keep many small polyhedra alive
+    __slots__ = ("ambient_dim", "halfspaces", "equalities", "vertices", "rays", "lineality",
+                 "direction_lattice", "facet_vertices", "facet_rays", "dim",
+                 "_faces_by_codim", "_key", "__weakref__")
 
     def __init__(self, ambient_dim, halfspaces, equalities, vertices, rays, lineality,
-                 direction_lattice):
+                 direction_lattice, facet_vertices, facet_rays):
         self.ambient_dim = ambient_dim
         self.halfspaces = tuple(halfspaces)      # canonical facet inequalities
         self.equalities = tuple(equalities)      # canonical affine-hull equations
-        self.vertices = tuple(sorted(vertices))
-        self.rays = tuple(sorted(rays))
+        self.vertices = tuple(vertices)
+        self.rays = tuple(rays)
         self.lineality = tuple(lineality)
         self.direction_lattice = direction_lattice
+        self.facet_vertices = tuple(facet_vertices)
+        self.facet_rays = tuple(facet_rays)
         self.dim = self.direction_lattice.rank
         self._faces_by_codim = {}
         self._key = (ambient_dim, self.lineality, self.vertices, self.rays)
@@ -220,8 +234,6 @@ def _canonical_halfspace(u, c, hull_rows):
     g = 0
     for x in iu:
         g = gcd(g, x)
-    if g == 0:
-        return None
     return (tuple(x // g for x in iu), cc * den / g)
 
 
@@ -235,67 +247,87 @@ def from_halfspaces(halfspaces, ambient_dim):
         den = cf.denominator
         rows.append(tuple(int(x) * den for x in u) + (-cf.numerator,))
     rows.append(tuple([0] * ambient_dim + [-1]))  # t >= 0
-    lines, rays = dual_description(rows, ambient_dim + 1)
+    lines, rays, masks = dual_description(rows, ambient_dim + 1)
+    if not any(r[-1] > 0 for r in rays):
+        return EMPTY
     # lines always have t == 0 (they satisfy -t <= 0 and t unbounded both ways)
     lin_rows = [l[:-1] for l in lines]
-    verts = []
-    rec = []
-    for r in rays:
-        t = r[-1]
-        if t > 0:
-            verts.append(tuple(Fraction(x, t) for x in r[:-1]))
-        else:
-            rec.append(r[:-1])
-    if not verts:
-        return EMPTY
     lin = saturate(lattice_from_rows(lin_rows, ambient_dim)) if lin_rows else zero_lattice(ambient_dim)
     lin_basis = [list(r) for r in lin.basis]
-    verts = sorted(set(_reduce_mod_rows(v, lin_basis) for v in verts))
-    rec = sorted(set(
-        primitive(_clear_denominators(_reduce_mod_rows(r, lin_basis)))
-        for r in rec))
-    rec = [r for r in rec if not is_zero_vec(r)]
-    return _assemble(ambient_dim, halfspaces, verts, rec, lin.basis)
+    # the rows tight at each vertex and ray (generators that are equal
+    # modulo the lineality are tight at the same rows)
+    vert_rows, ray_rows = {}, {}
+    for r, m in zip(rays, masks):
+        t = r[-1]
+        if t > 0:
+            vert_rows[_reduce_mod_rows([Fraction(x, t) for x in r[:-1]], lin_basis)] = m
+        else:
+            d = primitive(_clear_denominators(_reduce_mod_rows(r[:-1], lin_basis)))
+            if not is_zero_vec(d):
+                ray_rows[d] = m
+    verts, rec = sorted(vert_rows), sorted(ray_rows)
+    vert_rows = [vert_rows[v] for v in verts]
+    ray_rows = [ray_rows[r] for r in rec]
+    # each input row's DD bit; a zero row has none and cuts out no facet
+    incidence, bit = [], 1
+    for row in rows[:-1]:
+        if is_zero_vec(row):
+            incidence.append((0, 0))
+            continue
+        incidence.append((_select(vert_rows, bit), _select(ray_rows, bit)))
+        bit <<= 1
+    return _assemble(ambient_dim, halfspaces, incidence, verts, rec, lin.basis)
 
 
-def _assemble(ambient_dim, candidate_halfspaces, verts, rec, lin_basis):
-    """Finish construction: affine hull, canonical facets."""
+def _select(row_masks, bit):
+    """Bitmask of the positions whose row mask has the given bit."""
+    return sum(1 << k for k, m in enumerate(row_masks) if m & bit)
+
+
+def _bits(mask):
+    """Positions of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _restrict(mask, positions):
+    """The bits of mask at the given positions, renumbered 0, 1, ..."""
+    return sum(1 << k for k, p in enumerate(positions) if mask >> p & 1)
+
+
+def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis):
+    """Finish construction: affine hull, canonical facets.
+
+    ``verts`` and ``rec`` are sorted, and ``incidence[j]`` holds the
+    vertices and rays on the hyperplane of ``candidates[j]`` as bitmasks
+    over them.  Every candidate is valid and every facet is cut out by some
+    candidate, so a candidate defines a facet exactly when its face is
+    nonempty, proper and inclusion-maximal among the candidates' faces."""
     v0 = verts[0]
     dirs = [_clear_denominators(vec_sub(v, v0)) for v in verts[1:]] + list(rec) + list(lin_basis)
     dir_lat = saturate(lattice_from_rows(dirs, ambient_dim)) if dirs else zero_lattice(ambient_dim)
-    dim = dir_lat.rank
     # affine hull equalities: integer basis of the orthogonal complement
     comp = _orthogonal_complement(dir_lat, ambient_dim)
     equalities = sorted((tuple(e), Fraction(dot(e, v0))) for e in comp)
-    # facets among the candidate halfspaces
+    everything = ((1 << len(verts)) - 1, (1 << len(rec)) - 1)
+    proper = {}
+    for h, face in zip(candidates, incidence):
+        if face[0] and face != everything:
+            proper.setdefault(face, h)
     facets = {}
-    for u, c in candidate_halfspaces:
-        c = Fraction(c)
-        tv = [v for v in verts if dot(u, v) == c]
-        if not tv:
+    for (vs, rs), (u, c) in proper.items():
+        if any(vs | v2 == v2 and rs | r2 == r2 and (vs, rs) != (v2, r2) for v2, r2 in proper):
             continue
-        all_tight = len(tv) == len(verts)
-        w0 = tv[0]
-        tight_dirs = [_clear_denominators(vec_sub(v, w0)) for v in tv[1:]]
-        for r in rec:
-            if dot(u, r) == 0:
-                tight_dirs.append(r)
-            else:
-                all_tight = False
-        for l in lin_basis:
-            if dot(u, l) == 0:
-                tight_dirs.append(tuple(l))
-            else:
-                all_tight = False
-        if all_tight:
-            continue  # implicit equality, already in the affine hull
-        face_dim = rational_rank(tight_dirs) if tight_dirs else 0
-        if face_dim == dim - 1:
-            ch = _canonical_halfspace(u, c, equalities)
-            if ch is not None:
-                facets[ch[0]] = ch[1]
+        normal, const = _canonical_halfspace(u, c, equalities)
+        facets[normal] = (const, vs, rs)
     hs = sorted(facets.items())
-    return Polyhedron(ambient_dim, hs, equalities, verts, rec, lin_basis, dir_lat)
+    return Polyhedron(ambient_dim, [(u, c) for u, (c, _, _) in hs], equalities, verts, rec,
+                      lin_basis, dir_lat, [vs for _, (_, vs, _) in hs],
+                      [rs for _, (_, _, rs) in hs])
 
 
 def _orthogonal_complement(lat, ambient_dim):
@@ -330,7 +362,7 @@ def from_generators(points, rays=(), lines=(), ambient_dim=None):
         if not is_zero_vec(g):
             gens.append(tuple(g) + (0,))
             gens.append(tuple(-x for x in g) + (0,))
-    dlines, drays = dual_description(gens, ambient_dim + 1)
+    dlines, drays, _ = dual_description(gens, ambient_dim + 1)
     hs = []
     for a in drays:
         hs.append((a[:-1], -Fraction(a[-1])))
@@ -343,9 +375,23 @@ def from_generators(points, rays=(), lines=(), ambient_dim=None):
 
 def intersect(p, q):
     """Intersection of two polyhedra (EMPTY allowed)."""
-    if p.is_empty or q.is_empty:
+    if p.is_empty or q.is_empty or _separated(p, q) or _separated(q, p):
         return EMPTY
     return from_halfspaces(p.all_halfspaces() + q.all_halfspaces(), p.ambient_dim)
+
+
+def _separated(p, q):
+    """True if q lies strictly beyond some halfspace of p: every vertex of q
+    strictly, every ray weakly, the lineality parallel to its hyperplane.
+    A vertex v is compared as the integer vector x = t v, t > 0."""
+    verts = []
+    for v in q.vertices:
+        t = lcm(*(x.denominator for x in v))
+        verts.append(([x.numerator * (t // x.denominator) for x in v], t))
+    return any(all(dot(u, x) * c.denominator > c.numerator * t for x, t in verts)
+               and all(dot(u, r) >= 0 for r in q.rays)
+               and all(dot(u, l) == 0 for l in q.lineality)
+               for u, c in p.all_halfspaces())
 
 
 def affine_image(linear_rows, translate, p):
@@ -371,14 +417,18 @@ def affine_image(linear_rows, translate, p):
 
 def facets(p):
     """Closed faces of codimension 1 (canonical polyhedra), read off the
-    vertices and rays tight at each facet inequality of p."""
+    incidence: the candidates for the facets of a facet F are the facet
+    inequalities of p, tight on F where their masks meet those of F."""
     if p.is_empty or p.dim <= 0:
         return []
     out = []
-    for u, c in p.halfspaces:
-        verts = [v for v in p.vertices if dot(u, v) == c]
-        rec = [r for r in p.rays if dot(u, r) == 0]
-        out.append(_assemble(p.ambient_dim, p.halfspaces, verts, rec, p.lineality))
+    for vs, rs in zip(p.facet_vertices, p.facet_rays):
+        vi, ri = _bits(vs), _bits(rs)
+        incidence = [(_restrict(v2, vi), _restrict(r2, ri))
+                     for v2, r2 in zip(p.facet_vertices, p.facet_rays)]
+        out.append(_assemble(p.ambient_dim, p.halfspaces, incidence,
+                             [p.vertices[k] for k in vi], [p.rays[k] for k in ri],
+                             p.lineality))
     return sorted(out, key=Polyhedron.key)
 
 
@@ -512,31 +562,33 @@ def triangulate(p):
     """Placing triangulation of a polytope from the lexicographically
     smallest vertex; returns simplices as tuples of vertices.
 
-    Purely combinatorial: a face is its set of vertex indices, and the
-    facets of a face F are the inclusion-maximal proper sets F & t, with t
-    the vertex set of a facet of p."""
+    Purely combinatorial: a face is the bitmask of its vertex indices, and
+    the facets of a face F are the inclusion-maximal proper sets F & t, with
+    t the vertex mask of a facet of p."""
     if p.is_empty:
         return []
     if not p.is_bounded:
         raise ValueError("cannot triangulate an unbounded polyhedron")
     verts = p.vertices
-    tight = [frozenset(i for i, v in enumerate(verts) if dot(u, v) == c)
-             for u, c in p.halfspaces]
-
-    def place(face, dim):
-        if len(face) == dim + 1:
-            return [tuple(sorted(face))]
-        cuts = {face & t for t in tight} - {face}
-        sub = sorted(tuple(sorted(g)) for g in cuts if not any(g < h for h in cuts))
-        v0 = min(face)
-        out = []
-        for g in sub:
-            if v0 not in g:
-                out.extend(s + (v0,) for s in place(frozenset(g), dim - 1))
-        return out
-
-    simplices = place(frozenset(range(len(verts))), p.dim)
+    simplices = _place((1 << len(verts)) - 1, p.dim, p.facet_vertices)
     return [tuple(verts[i] for i in s) for s in simplices]
+
+
+def _place(face, dim, tight):
+    """Index tuples of the placing triangulation of a dim-dimensional face
+    from its smallest vertex, each simplex ending with its placed vertices."""
+    if face.bit_count() == dim + 1:
+        return [_bits(face)]
+    cuts = {face & t for t in tight} - {face}
+    sub = sorted((_bits(g), g) for g in cuts
+                 if not any(g | h == h and g != h for h in cuts))
+    v0 = face & -face
+    i0 = v0.bit_length() - 1
+    out = []
+    for _, g in sub:
+        if not g & v0:
+            out.extend(s + (i0,) for s in _place(g, dim - 1, tight))
+    return out
 
 
 def simplex_volume(simplex):

@@ -152,3 +152,16 @@ def test_integrate_polytope_builds_only_what_it_reads(monkeypatch):
                         lambda self, *args: calls.append(args) or compose(self, *args))
     assert integrate_polytope(facet, a) != 0
     assert len(calls) == 1 + len(triangulate(facet))
+
+
+def test_integrate_polytope_solves_each_vertex_once(monkeypatch):
+    from tropform import integrate
+    cube = box(3)
+    a = Superform(3, 3, 3, {((0, 1, 2), (0, 1, 2)): Polynomial(3, {(1, 0, 0): 1})})
+    calls = []
+    solve = integrate.solve_exact
+    monkeypatch.setattr(integrate, "solve_exact",
+                        lambda *args: calls.append(args) or solve(*args))
+    assert integrate_polytope(cube, a) != 0
+    assert len(triangulate(cube)) == 6
+    assert len(calls) == len(cube.vertices) == 8

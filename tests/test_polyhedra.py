@@ -5,12 +5,12 @@ import random
 import weakref
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import box, segment, simplex
 
 from tropform import polyhedra
-from tropform.lattice import vec_neg
+from tropform.lattice import dot, primitive, rational_rank, vec_neg, vec_sub
 from tropform.polyhedra import (
     EMPTY,
     Complex,
@@ -257,3 +257,238 @@ def test_face_caches_hold_no_reference_cycle():
         assert alive() is None
     finally:
         gc.enable()
+
+
+# -- the incidence carried from the double description on -----------------
+
+def _reference_dual_description(rows, dim):
+    """The double description method with tight sets recomputed by dot
+    products at every step."""
+    lines = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    rays, processed = [], []
+
+    def tight_set(r):
+        return frozenset(i for i, g in enumerate(processed) if dot(g, r) == 0)
+
+    for g in rows:
+        g = tuple(g)
+        if not any(g):
+            continue
+        vals = [dot(g, l) for l in lines]
+        if any(vals):
+            k = next(i for i, v in enumerate(vals) if v != 0)
+            l0, v0 = lines[k], vals[k]
+            if v0 > 0:
+                l0, v0 = vec_neg(l0), -v0
+            lines = [primitive([v0 * a - vals[i] * b for a, b in zip(l, l0)])
+                     for i, l in enumerate(lines) if i != k]
+            rays = [primitive([-v0 * a + dot(g, r) * b for a, b in zip(r, l0)])
+                    for r in rays] + [primitive(l0)]
+        else:
+            neg = [r for r in rays if dot(g, r) < 0]
+            zero = [r for r in rays if dot(g, r) == 0]
+            pos = [r for r in rays if dot(g, r) > 0]
+            if pos:
+                tights = [tight_set(r) for r in rays]
+                combos = []
+                for rp in pos:
+                    for rn in neg:
+                        common = tights[rays.index(rp)] & tights[rays.index(rn)]
+                        if any(common <= t for r3, t in zip(rays, tights)
+                               if r3 is not rp and r3 is not rn):
+                            continue
+                        vp, vn = dot(g, rp), dot(g, rn)
+                        combos.append(primitive([vp * a - vn * b for a, b in zip(rn, rp)]))
+                seen = set()
+                rays = [r for r in neg + zero + [c for c in combos if any(c)]
+                        if not (r in seen or seen.add(r))]
+        processed.append(g)
+    return lines, rays
+
+
+def _row_sets():
+    """Homogeneous rows in dimension 2-4 with zero rows, duplicate rows and
+    equality pairs mixed in, so that cones with rays and lines both occur."""
+    def build(dim):
+        row = st.tuples(*[st.integers(-2, 2)] * dim)
+        extra = st.sampled_from(["zero", "duplicate", "negated"])
+        return st.tuples(st.just(dim), st.lists(row, min_size=1, max_size=9),
+                         st.lists(st.tuples(extra, st.integers(0, 6)), max_size=3))
+
+    def mix(case):
+        dim, rows, extras = case
+        rows = list(rows)
+        for kind, i in extras:
+            g = rows[i % len(rows)]
+            rows.insert(i % (len(rows) + 1), {"zero": (0,) * dim, "duplicate": g,
+                                              "negated": vec_neg(g)}[kind])
+        return dim, rows
+    return st.integers(2, 4).flatmap(build).map(mix)
+
+
+ORACLE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@ORACLE_SETTINGS
+@given(_row_sets())
+def test_dual_description_masks_are_the_tight_sets(case):
+    dim, rows = case
+    lines, rays, masks = polyhedra.dual_description(rows, dim)
+    assert (lines, rays) == _reference_dual_description(rows, dim)
+    nonzero = [g for g in rows if any(g)]
+    assert all(dot(g, l) == 0 for g in nonzero for l in lines)
+    assert masks == [sum(1 << k for k, g in enumerate(nonzero) if dot(g, r) == 0)
+                     for r in rays]
+
+
+def _rank_facets(candidates, p):
+    """The facets of p among the candidate inequalities, chosen by the rank
+    of the directions on each candidate's hyperplane."""
+    out = {}
+    for u, c in candidates:
+        c = Fraction(c)
+        tv = [v for v in p.vertices if dot(u, v) == c]
+        tr = [r for r in p.rays if dot(u, r) == 0]
+        tl = [l for l in p.lineality if dot(u, l) == 0]
+        if not tv or (len(tv), len(tr), len(tl)) == \
+                (len(p.vertices), len(p.rays), len(p.lineality)):
+            continue
+        dirs = [vec_sub(v, tv[0]) for v in tv[1:]] + tr + tl
+        if (rational_rank(dirs) if dirs else 0) == p.dim - 1:
+            normal, const = polyhedra._canonical_halfspace(u, c, p.equalities)
+            out[normal] = const
+    return tuple(sorted(out.items()))
+
+
+def _dot_incidence(p):
+    """Vertex and ray masks of every facet of p, by dot products."""
+    return ([sum(1 << k for k, v in enumerate(p.vertices) if dot(u, v) == c)
+             for u, c in p.halfspaces],
+            [sum(1 << k for k, r in enumerate(p.rays) if dot(u, r) == 0)
+             for u, c in p.halfspaces])
+
+
+@st.composite
+def _halfspace_sets(draw):
+    """Random H-descriptions in r = 2, 3 with redundant rows, implicit
+    equalities (a row and its negation), zero rows and unbounded results."""
+    r = draw(st.integers(2, 3))
+    normal = st.tuples(*[st.integers(-2, 2)] * r)
+    const = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
+    hs = draw(st.lists(st.tuples(normal, const), min_size=1, max_size=7))
+    # some or all of the bounds |x_i| <= 3
+    hs += draw(st.lists(st.sampled_from(
+        [(tuple(s if j == i else 0 for j in range(r)), Fraction(3))
+         for i in range(r) for s in (1, -1)]), max_size=2 * r, unique=True))
+    for kind, i in draw(st.lists(st.tuples(st.sampled_from(
+            ["equality", "duplicate", "scaled", "loose", "zero"]), st.integers(0, 6)),
+            max_size=3)):
+        u, c = hs[i % len(hs)]
+        hs.append({"equality": (vec_neg(u), -c), "duplicate": (u, c),
+                   "scaled": (tuple(2 * x for x in u), 2 * c), "loose": (u, c + 1),
+                   "zero": ((0,) * r, Fraction(draw(st.integers(0, 2))))}[kind])
+    p = from_halfspaces(hs, r)
+    assume(not p.is_empty)
+    return hs, p
+
+
+@ORACLE_SETTINGS
+@given(_halfspace_sets())
+def test_facets_chosen_by_incidence_match_rank_test(case):
+    hs, p = case
+    assert p.halfspaces == _rank_facets(hs, p)
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        assert (list(q.facet_vertices), list(q.facet_rays)) == _dot_incidence(q)
+        for f in facets(q):
+            assert f.halfspaces == _rank_facets(q.halfspaces, f)
+            todo.append(f)
+    for codim in range(p.dim + 1):
+        for f in faces(p, codim):
+            assert (list(f.facet_vertices), list(f.facet_rays)) == _dot_incidence(f)
+
+
+def test_polyhedra_are_built_without_rank_computations(monkeypatch):
+    from tropform import lattice
+    calls = []
+    rank = lattice.rational_rank
+    for mod in (lattice, polyhedra):
+        monkeypatch.setattr(mod, "rational_rank",
+                            lambda rows: calls.append(rows) or rank(rows), raising=False)
+    cube = box(3)
+    wedge = from_generators([(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+                            [(0, 0, 1), (1, 1, 1)], [], 3)
+    for p in (cube, wedge):
+        facets(p)
+        all_faces(p)
+    triangulate(cube)
+    assert calls == []
+
+
+def test_triangulate_leaves_no_garbage():
+    cube = box(3)
+    gc.collect()
+    gc.disable()
+    try:
+        triangulate(cube)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# -- intersections of separated polyhedra skip the double description -----
+
+def _pairs():
+    def build(r):
+        pt = st.tuples(*[st.integers(-2, 2)] * r)
+        vec = st.tuples(*[st.integers(-1, 1)] * r)
+        poly = st.builds(lambda pts, rays, lines: from_generators(pts, rays, lines, r),
+                         st.lists(pt, min_size=1, max_size=5), st.lists(vec, max_size=1),
+                         st.lists(vec, max_size=1))
+        random_pair = st.tuples(poly, poly)
+        # unit boxes shifted by a vector in {-1, 0, 1}^r, 2 e_i or far away:
+        # they overlap, share a facet or a vertex, or are apart
+        shifted_boxes = st.builds(
+            lambda t: (from_halfspaces(_box(r, (0,) * r), r), from_halfspaces(_box(r, t), r)),
+            st.one_of(vec, st.just((2,) + (0,) * (r - 1)), st.just((5,) * r)))
+        # segments on one line through a and along d, with integer parameters
+        collinear = st.builds(
+            lambda a, d, s, t: (segment(*[tuple(x + k * y for x, y in zip(a, d)) for k in s]),
+                                segment(*[tuple(x + k * y for x, y in zip(a, d)) for k in t])),
+            pt, vec.filter(any), *[st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+                                   .filter(lambda k: k[0] != k[1])] * 2)
+        return st.one_of(random_pair, shifted_boxes, collinear)
+    return st.integers(2, 3).flatmap(build)
+
+
+def _box(r, t):
+    """Halfspaces of the unit box shifted by t: upper bounds, then lower."""
+    return [(tuple(1 if j == i else 0 for j in range(r)), Fraction(t[i] + 1)) for i in range(r)] \
+        + [(tuple(-1 if j == i else 0 for j in range(r)), Fraction(-t[i])) for i in range(r)]
+
+
+def _canonical_or_empty(p):
+    return ("empty",) if p.is_empty else _canonical(p)
+
+
+@ORACLE_SETTINGS
+@given(_pairs())
+def test_intersect_matches_double_description_of_both_descriptions(pair):
+    p, q = pair
+    both = from_halfspaces(p.all_halfspaces() + q.all_halfspaces(), p.ambient_dim)
+    assert _canonical_or_empty(intersect(p, q)) == _canonical_or_empty(both)
+    assert _canonical_or_empty(intersect(q, p)) == _canonical_or_empty(both)
+
+
+def test_intersect_of_separated_polyhedra_runs_no_double_description(monkeypatch):
+    apart = segment((0, 0), (1, 1)), segment((2, 0), (3, 1))
+    touching = segment((0, 0), (1, 1)), segment((1, 1), (2, 0))
+    calls = []
+    dd = polyhedra.dual_description
+    monkeypatch.setattr(polyhedra, "dual_description",
+                        lambda *args: calls.append(args) or dd(*args))
+    assert intersect(*apart).is_empty
+    assert calls == []
+    assert intersect(*touching).vertices == ((Fraction(1), Fraction(1)),)
+    assert calls
