@@ -206,12 +206,19 @@ def _cmd_faces(args):
     return tio.emit(faces(p, args.codim), kind="polyhedron-list")
 
 
+def _emit_violation(record):
+    """A ``validate_complex`` record with its polyhedra written as trop/1."""
+    emit = tio._emit_polyhedron
+    return {k: v if k == "kind" else [emit(p) for p in v] if k == "cells" else emit(v)
+            for k, v in record.items()}
+
+
 def _cmd_validate(args):
     c = _load(args.complex, "complex")
     violations = validate_complex(c)
     text = _report("validate", {
         "valid": not violations,
-        "violations": [str(v) for v in violations],
+        "violations": [_emit_violation(v) for v in violations],
     })
     if violations:
         raise CheckFailure(text)

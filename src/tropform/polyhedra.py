@@ -178,13 +178,10 @@ class Polyhedron:
         return self.vertices[0]
 
     def contains(self, point):
-        for u, c in self.halfspaces:
-            if dot(u, point) > c:
-                return False
-        for e, c in self.equalities:
-            if dot(e, point) != c:
-                return False
-        return True
+        x, t = _integral(point)
+        return (all(dot(u, x) * c.denominator <= c.numerator * t for u, c in self.halfspaces)
+                and all(dot(e, x) * c.denominator == c.numerator * t
+                        for e, c in self.equalities))
 
     def rel_interior_point(self):
         """A rational point in the relative interior."""
@@ -202,6 +199,12 @@ class Polyhedron:
             hs.append((e, c))
             hs.append((vec_neg(e), -c))
         return hs
+
+
+def _integral(point):
+    """(x, t) with x an integer vector and t > 0 such that point = x / t."""
+    t = lcm(*(x.denominator for x in point))
+    return [x.numerator * (t // x.denominator) for x in point], t
 
 
 def _reduce_mod_rows(point, rows):
@@ -299,6 +302,11 @@ def _restrict(mask, positions):
     return sum(1 << k for k, p in enumerate(positions) if mask >> p & 1)
 
 
+def _maximal(masks):
+    """The masks that no other of the given masks contains."""
+    return [g for g in masks if not any(g | h == h and g != h for h in masks)]
+
+
 def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis):
     """Finish construction: affine hull, canonical facets.
 
@@ -313,17 +321,18 @@ def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis):
     # affine hull equalities: integer basis of the orthogonal complement
     comp = _orthogonal_complement(dir_lat, ambient_dim)
     equalities = sorted((tuple(e), Fraction(dot(e, v0))) for e in comp)
-    everything = ((1 << len(verts)) - 1, (1 << len(rec)) - 1)
+    # a face is one int: its vertex mask, then its ray mask shifted past it
+    nv = len(verts)
+    everything = (1 << (nv + len(rec))) - 1
     proper = {}
-    for h, face in zip(candidates, incidence):
-        if face[0] and face != everything:
+    for h, (vs, rs) in zip(candidates, incidence):
+        face = vs | rs << nv
+        if vs and face != everything:
             proper.setdefault(face, h)
     facets = {}
-    for (vs, rs), (u, c) in proper.items():
-        if any(vs | v2 == v2 and rs | r2 == r2 and (vs, rs) != (v2, r2) for v2, r2 in proper):
-            continue
-        normal, const = _canonical_halfspace(u, c, equalities)
-        facets[normal] = (const, vs, rs)
+    for face in _maximal(proper):
+        normal, const = _canonical_halfspace(*proper[face], equalities)
+        facets[normal] = (const, face & ((1 << nv) - 1), face >> nv)
     hs = sorted(facets.items())
     return Polyhedron(ambient_dim, [(u, c) for u, (c, _, _) in hs], equalities, verts, rec,
                       lin_basis, dir_lat, [vs for _, (_, vs, _) in hs],
@@ -336,10 +345,11 @@ def _orthogonal_complement(lat, ambient_dim):
         return [tuple(row) for row in identity_matrix(ambient_dim)]
     if lat.rank == ambient_dim:
         return []
-    # integer kernel of basis * x^T = 0: solve over Q, then saturate.
+    # integer kernel of basis * x^T = 0: solve over Q, then saturate; one
+    # primitive row, the normal of a hyperplane, spans a saturated lattice
     kern = rational_kernel(lat.basis, ambient_dim)
-    rows = [_clear_denominators(k) for k in kern]
-    return [tuple(r) for r in saturate(lattice_from_rows(rows, ambient_dim)).basis]
+    comp = lattice_from_rows([_clear_denominators(k) for k in kern], ambient_dim)
+    return [tuple(r) for r in (comp if comp.rank == 1 else saturate(comp)).basis]
 
 
 def from_generators(points, rays=(), lines=(), ambient_dim=None):
@@ -384,10 +394,7 @@ def _separated(p, q):
     """True if q lies strictly beyond some halfspace of p: every vertex of q
     strictly, every ray weakly, the lineality parallel to its hyperplane.
     A vertex v is compared as the integer vector x = t v, t > 0."""
-    verts = []
-    for v in q.vertices:
-        t = lcm(*(x.denominator for x in v))
-        verts.append(([x.numerator * (t // x.denominator) for x in v], t))
+    verts = [_integral(v) for v in q.vertices]
     return any(all(dot(u, x) * c.denominator > c.numerator * t for x, t in verts)
                and all(dot(u, r) >= 0 for r in q.rays)
                and all(dot(u, l) == 0 for l in q.lineality)
@@ -506,7 +513,12 @@ def complex_from_cells(cells):
 
 
 def validate_complex(cx):
-    """List of axiom violations; empty iff cx is a valid polyhedral complex."""
+    """List of axiom violations; empty iff cx is a valid polyhedral complex.
+
+    A violation is a record: ``{"kind": "missing-face", "cell": c}`` for a
+    cell with a face that is not a cell, and ``{"kind": "not-a-common-face",
+    "cells": (a, b), "intersection": x}`` for two cells that meet in x,
+    which is not a face of both."""
     violations = []
     cell_list = cx.cells
     keys = set(c.key() for c in cell_list)
@@ -514,18 +526,16 @@ def validate_complex(cx):
     for c in cell_list:
         fs = set(f.key() for f in all_faces(c))
         face_sets[c.key()] = fs
-        for fk in fs:
-            if fk not in keys:
-                violations.append("missing face of cell %r" % (c,))
-                break
+        if not fs <= keys:
+            violations.append({"kind": "missing-face", "cell": c})
     for i, a in enumerate(cell_list):
         for b in cell_list[i + 1:]:
             x = intersect(a, b)
             if x.is_empty:
                 continue
             if x.key() not in face_sets[a.key()] or x.key() not in face_sets[b.key()]:
-                violations.append(
-                    "intersection of %r and %r is not a common face" % (a, b))
+                violations.append({"kind": "not-a-common-face", "cells": (a, b),
+                                   "intersection": x})
     return violations
 
 
@@ -580,8 +590,7 @@ def _place(face, dim, tight):
     if face.bit_count() == dim + 1:
         return [_bits(face)]
     cuts = {face & t for t in tight} - {face}
-    sub = sorted((_bits(g), g) for g in cuts
-                 if not any(g | h == h and g != h for h in cuts))
+    sub = sorted((_bits(g), g) for g in _maximal(cuts))
     v0 = face & -face
     i0 = v0.bit_length() - 1
     out = []

@@ -12,7 +12,7 @@ from tropform import io as tio
 from tropform.cli import main
 from tropform.cycle import WeightedComplex
 from tropform.hypersurface import tropical_polynomial
-from tropform.polyhedra import complex_from_cells, from_generators, from_halfspaces
+from tropform.polyhedra import Complex, complex_from_cells, from_generators, from_halfspaces
 from tropform.superform import AffineMap, Polynomial, basis_form
 
 
@@ -178,6 +178,22 @@ def test_cli_faces_refine_truncate_validate(tmp_path, capsys):
     w = _write(tmp_path, "w.json", box(2, 0, 1))
     assert main(["truncate", cx, w]) == 0
     capsys.readouterr()
+
+
+def test_cli_validate_reports_structured_violations(tmp_path, capsys):
+    # overlapping boxes: after face closure, their intersections with each
+    # other and with each other's faces are not common faces
+    a, b = box(2, 0, 2), box(2, 1, 3)
+    bad = _write(tmp_path, "bad.json", Complex([a, b]))
+    assert main(["validate", bad]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["valid"] is False
+    assert out["violations"]
+    assert {v["kind"] for v in out["violations"]} == {"not-a-common-face"}
+    assert all(sorted(v) == ["cells", "intersection", "kind"] for v in out["violations"])
+    emit = tio._emit_polyhedron
+    assert {"kind": "not-a-common-face", "cells": [emit(a), emit(b)],
+            "intersection": emit(box(2, 1, 2))} in out["violations"]
 
 
 def test_cli_exit_codes(tmp_path, capsys):

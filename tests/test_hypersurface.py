@@ -2,13 +2,17 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from tropform.cycle import check_balancing
-from tropform.hypersurface import corner_locus, tropical_polynomial
-from tropform.lattice import dot
-from tropform.polyhedra import from_generators
+from tropform import io as tio
+from tropform import polyhedra
+from tropform.cycle import WeightedComplex, check_balancing
+from tropform.hypersurface import _lattice_length, corner_locus, tropical_polynomial
+from tropform.lattice import dot, is_zero_vec, vec_neg, vec_sub
+from tropform.polyhedra import from_generators, from_halfspaces
 
 
 def test_tropical_line():
@@ -123,3 +127,78 @@ def test_binomial_locus_is_hyperplane():
     cell, m = cells[0]
     assert m == 1
     assert cell.lineality == ((1, 1),)
+
+
+# -- the hypograph construction against the pairwise one ------------------
+
+def _oracle_corner_locus(tp):
+    """Corner locus built pair by pair: for each pair of monomials, the cell
+    where both attain the minimum, kept when it has codimension 1, with the
+    lattice length between the extreme monomials active at its interior."""
+    r = tp.ambient_dim
+    if tp.convention == "max":
+        terms = [(tuple(-x for x in m), -c) for m, c in tp.terms]
+    else:
+        terms = [(m, Fraction(c)) for m, c in tp.terms]
+    cells = {}
+    for (m1, c1), (m2, c2) in combinations(terms, 2):
+        u = vec_sub(m1, m2)
+        hs = [(u, c2 - c1), (vec_neg(u), c1 - c2)]
+        hs += [(vec_sub(m1, m), c - c1) for m, c in terms if not is_zero_vec(vec_sub(m1, m))]
+        cell = from_halfspaces(hs, r)
+        if not cell.is_empty and cell.dim == r - 1:
+            cells.setdefault(cell.key(), cell)
+    weighted = []
+    for cell in cells.values():
+        x = cell.rel_interior_point()
+        values = [dot(m, x) + c for m, c in terms]
+        active = [m for (m, _), v in zip(terms, values) if v == min(values)]
+        weighted.append((cell, _lattice_length(min(active), max(active))))
+    return WeightedComplex(weighted)
+
+
+@st.composite
+def _tropical_polynomials(draw):
+    """Supports in R^1, R^2, R^3 spanning a line, a plane or everything,
+    with negative exponents and rational coefficients, under both
+    conventions.  A support spanning less than R^r gives a hypograph with
+    lineality."""
+    r = draw(st.integers(1, 3))
+    span = draw(st.integers(1, r))
+    small = st.integers(-2, 2)
+    base = draw(st.tuples(*[small] * r))
+    dirs = draw(st.lists(st.tuples(*[small] * r), min_size=span, max_size=span))
+    steps = draw(st.lists(st.tuples(*[small] * span), min_size=2, max_size=7, unique=True))
+    support = sorted({tuple(b + sum(a * d[i] for a, d in zip(step, dirs))
+                            for i, b in enumerate(base)) for step in steps})
+    assume(len(support) >= 2)
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    return tropical_polynomial([(m, draw(coeff)) for m in support], r,
+                               draw(st.sampled_from(["min", "max"])))
+
+
+def _cells(wc):
+    return [(c.key(), c.halfspaces, c.equalities, c.direction_lattice.basis,
+             c.facet_vertices, c.facet_rays, m) for c, m in wc.weighted_cells()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_tropical_polynomials())
+def test_corner_locus_matches_pairwise_construction(tp):
+    got, want = corner_locus(tp), _oracle_corner_locus(tp)
+    assert tio.emit(got) == tio.emit(want)
+    assert _cells(got) == _cells(want)
+
+
+def test_corner_locus_runs_one_double_description(monkeypatch):
+    # dense r = 2, d = 4: 15 monomials, 105 pairs
+    terms = [(m, sum(x * x for x in m) + Fraction(i % 3, 4))
+             for i, m in enumerate(m for m in product(range(5), repeat=2) if sum(m) <= 4)]
+    tp = tropical_polynomial(terms, 2)
+    calls = []
+    dd = polyhedra.dual_description
+    monkeypatch.setattr(polyhedra, "dual_description",
+                        lambda *args: calls.append(args) or dd(*args))
+    wc = corner_locus(tp)
+    assert len(calls) == 1
+    assert check_balancing(wc) == []

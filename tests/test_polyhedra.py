@@ -492,3 +492,57 @@ def test_intersect_of_separated_polyhedra_runs_no_double_description(monkeypatch
     assert calls == []
     assert intersect(*touching).vertices == ((Fraction(1), Fraction(1)),)
     assert calls
+
+
+# -- membership in integer arithmetic ----------------------------------------
+
+def _fraction_contains(p, point):
+    """Membership tested with rational dot products."""
+    return (all(dot(u, point) <= c for u, c in p.halfspaces)
+            and all(dot(e, point) == c for e, c in p.equalities))
+
+
+@st.composite
+def _polyhedra_and_points(draw):
+    """A polyhedron spanned by points and rays in an affine subspace of
+    dimension 0..r of R^r, so that most have equalities, and points inside
+    it, on its boundary, and outside it and its affine hull."""
+    r = draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+    base = draw(st.tuples(*[small] * r))
+    dirs = draw(st.lists(st.tuples(*[small] * r), max_size=r))
+    steps = st.tuples(*[small] * len(dirs))
+
+    def move(point, step):
+        return tuple(x + sum(a * d[i] for a, d in zip(step, dirs)) for i, x in enumerate(point))
+    pts = [move(base, s) for s in draw(st.lists(steps, min_size=1, max_size=5))]
+    rays = [move((0,) * r, s) for s in draw(st.lists(steps, max_size=1))]
+    p = from_generators(pts, [d for d in rays if any(d)], [], r)
+    frac = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 4))
+    points = list(p.vertices) + [p.rel_interior_point()]
+    # along lines through two vertices: on the segment, then beyond it
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(p.vertices)), draw(st.sampled_from(p.vertices))
+        t = draw(frac)
+        points.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+    # off the affine hull, or just outside a facet
+    for _ in range(draw(st.integers(0, 3))):
+        v = draw(st.sampled_from(points))
+        points.append(tuple(x + draw(frac) for x in v))
+    return p, points
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_polyhedra_and_points())
+def test_contains_matches_rational_arithmetic(case):
+    p, points = case
+    for x in points:
+        assert p.contains(x) == _fraction_contains(p, x)
+
+
+def test_validate_complex_reports_records():
+    assert validate_complex(Complex([box(2)])) == [{"kind": "missing-face", "cell": box(2)}]
+    a, b = box(2, 0, 2), box(2, 1, 3)
+    assert validate_complex(Complex([a, b])) == [
+        {"kind": "missing-face", "cell": a}, {"kind": "missing-face", "cell": b},
+        {"kind": "not-a-common-face", "cells": (a, b), "intersection": box(2, 1, 2)}]
