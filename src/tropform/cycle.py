@@ -1,7 +1,11 @@
 """Weighted complexes, tropical cycles, Dirac supercurrents, push-forward.
 
-The balancing condition at a codimension-1 face rho reads
-sum_{sigma > rho} m_sigma w_{rho,sigma} in N_rho; a weighted complex is a
+A weighted complex represents a tropical cycle, which is a class modulo
+refinement; its cells need not form a polyhedral complex, and two cells of
+different affine hulls may meet in part of a face.  The balancing condition
+at a point x in the relative interior of a codimension-1 face reads
+sum m_sigma w_{rho,sigma} in N_rho over the pairs (sigma, rho) with rho a
+facet of sigma whose relative interior holds x; a weighted complex is a
 tropical cycle iff it holds everywhere, which is also exactly when the
 associated Dirac supercurrent is d'-closed (and d''-closed).
 """
@@ -9,7 +13,6 @@ associated Dirac supercurrent is d'-closed (and d''-closed).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .lattice import (
     dot,
@@ -33,8 +36,10 @@ from .integrate import integrate_complex, integrate_polytope, outward_vector
 
 
 class WeightedComplex:
-    """Pure-dimensional polyhedral complex with integer weights on the
-    maximal cells.  The empty weighted complex is the tropical zero cycle."""
+    """Pure-dimensional polyhedra with integer weights, representing a
+    tropical cycle up to refinement: the cells need not form a polyhedral
+    complex, and may meet in part of a face.  The empty weighted complex is
+    the tropical zero cycle."""
 
     def __init__(self, weighted_cells):
         """weighted_cells: iterable of (polyhedron, integer weight), all of
@@ -71,11 +76,13 @@ class WeightedComplex:
 
     def truncated(self, box):
         """Weighted complex of intersections with a bounded window; pieces of
-        full dimension inherit the weight of their cell."""
+        full dimension inherit the weight of their cell.  A bounded cell with
+        every vertex in the window is its own intersection."""
         check_window(box)
         pieces = []
         for c, m in self.weighted_cells():
-            x = intersect(c, box)
+            inside = c.is_bounded and all(box.contains(v) for v in c.vertices)
+            x = c if inside else intersect(c, box)
             if not x.is_empty and x.dim == self.dim:
                 pieces.append((x, m))
         return WeightedComplex(pieces)
@@ -85,26 +92,69 @@ def zero_cycle():
     return WeightedComplex([])
 
 
+def _split(p, u, c):
+    """The closed halves of p on either side of the hyperplane u.x = c when
+    it crosses the relative interior of p; otherwise p itself."""
+    vals = [dot(u, v) - c for v in p.vertices] + [dot(u, r) for r in p.rays]
+    vals += [x for l in p.lineality for x in (dot(u, l), -dot(u, l))]
+    if not min(vals) < 0 < max(vals):
+        return [p]
+    return [from_halfspaces(p.all_halfspaces() + [cut], p.ambient_dim)
+            for cut in ((u, c), (vec_neg(u), -c))]
+
+
+def _overlay(entries):
+    """Overlay of weighted polyhedra (cell, value) that share one affine
+    hull: each cell cut by the facet hyperplanes of the others where they
+    cross its relative interior.  Yields (cell, piece, values) for each
+    piece of each cell, with the values of the cells that contain it."""
+    if len(entries) == 1:
+        (cell, value), = entries
+        yield cell, cell, [value]
+        return
+    cuts = sorted({h for cell, _ in entries for h in cell.halfspaces})
+    for cell, _ in entries:
+        parts = [cell]
+        for u, c in cuts:
+            parts = [half for p in parts for half in _split(p, u, c)]
+        for p in parts:
+            x = p.rel_interior_point()
+            yield cell, p, [v for other, v in entries if other.contains(x)]
+
+
 def _excess_by_face(wc):
-    """Codimension-1 faces rho of the support of wc, sorted by key, each
-    with the weighted outward sum sum_{sigma > rho} m_sigma w_{rho,sigma}."""
+    """Codimension-1 faces rho of the cells of wc, sorted by key, each with
+    the weighted outward sum sum m_sigma w_{rho,sigma} at a piece of rho.
+
+    The sums are taken per affine hull: the faces rho that share a hull are
+    overlaid, and each piece of a face receives the sums of every face that
+    contains it.  A face is reported once per distinct sum over its pieces;
+    on a polyhedral complex that is once, with its own sum."""
     if wc.dim < 1:
         return []
-    found = {}
+    hulls = {}
     for sigma, m in wc.weighted_cells():
         if m == 0:
             continue
         for rho in faces(sigma, 1):
-            _, excess = found.setdefault(rho.key(), (rho, [0] * rho.ambient_dim))
+            _, excess = hulls.setdefault(rho.equalities, {}).setdefault(
+                rho.key(), (rho, [0] * rho.ambient_dim))
             for i, x in enumerate(outward_vector(sigma, rho)):
                 excess[i] += m * x
-    return [found[k] for k in sorted(found)]
+    reports = {}
+    for found in hulls.values():
+        for rho, _, sums in _overlay(list(found.values())):
+            total = [sum(xs) for xs in zip(*sums)]
+            reports[rho.key(), tuple(total)] = (rho, total)
+    return [reports[k] for k in sorted(reports)]
 
 
 def check_balancing(wc):
     """Violations of the balancing condition: list of (face, excess) where the
     excess is the canonical representative modulo N_rho of
-    sum m_sigma w_{rho,sigma}; empty iff wc is a tropical cycle."""
+    sum m_sigma w_{rho,sigma}; empty iff wc is a tropical cycle.  The verdict
+    belongs to the cycle: it is the same for every refinement of wc, also
+    when the cells are not a polyhedral complex."""
     return [(rho, reduce_mod_lattice(excess, rho.direction_lattice))
             for rho, excess in _excess_by_face(wc)
             if not member(excess, rho.direction_lattice)]
@@ -197,65 +247,37 @@ def _image_lattice(f, lat):
     return lattice_from_rows(rows, f.codomain_dim)
 
 
-def _split(p, u, c):
-    """The closed halves of p on either side of the hyperplane u.x = c when
-    it crosses the relative interior of p; otherwise p itself."""
-    vals = [dot(u, v) - c for v in p.vertices] + [dot(u, r) for r in p.rays]
-    vals += [x for l in p.lineality for x in (dot(u, l), -dot(u, l))]
-    if not min(vals) < 0 < max(vals):
-        return [p]
-    return [from_halfspaces(p.all_halfspaces() + [cut], p.ambient_dim)
-            for cut in ((u, c), (vec_neg(u), -c))]
-
-
 def pushforward(f, wc):
-    """Push-forward of a weighted complex along an integral affine map.
+    """Push-forward of a weighted complex along an integral affine map, as a
+    cycle represented up to refinement.
 
-    The n-dimensional images of the maximal cells are cut into pieces.
-    Each image is cut by the cut set of its affine hull: the facet
-    hyperplanes of every image in that hull, and the affine-hull equations
-    of every nonempty intersection of such an image with another image.  A
-    hyperplane cuts a piece only where it crosses the piece's relative
-    interior.  Each piece receives the weight
+    The n-dimensional images of the maximal cells are grouped by affine
+    hull and overlaid within each hull: an image is cut by the facet
+    hyperplanes of the images that share its hull, only where one crosses
+    the relative interior.  Each piece receives the weight
     sum [N_piece : F(N_cell)] * m_cell over the cells whose image covers it.
-    Cells with rank F(N_cell) < n have lower-dimensional image and are
-    dropped; the result may be the zero cycle.  For n >= 2 the pieces can
-    meet in part of a face, and the result then need not be balanced."""
+    Pieces of different hulls are not cut against each other, so they may
+    meet in part of a face.  Cells with rank F(N_cell) < n have
+    lower-dimensional image and are dropped; the result may be the zero
+    cycle."""
     cells = wc.maximal_cells()
     if cells and cells[0].ambient_dim != f.domain_dim:
         raise ValueError("map domain is R^%d but the cycle lies in R^%d"
                          % (f.domain_dim, cells[0].ambient_dim))
-    sources = []
+    hulls = {}
     for cell, m in wc.weighted_cells():
         if m == 0:
             continue
         sub = _image_lattice(f, cell.direction_lattice)
         if sub.rank == wc.dim:
-            sources.append((m, sub, affine_image(f.linear, f.translate, cell)))
-    cuts = {}
-    for _, _, img in sources:
-        cuts.setdefault(img.equalities, set()).update(img.halfspaces)
-    for (_, _, a), (_, _, b) in combinations(sources, 2):
-        x = intersect(a, b)
-        if not x.is_empty:
-            cuts[a.equalities].update(x.equalities)
-            cuts[b.equalities].update(x.equalities)
+            img = affine_image(f.linear, f.translate, cell)
+            weight = m * lattice_index(sub, img.direction_lattice)
+            hulls.setdefault(img.equalities, []).append((img, weight))
     pieces = {}
-    for _, _, img in sources:
-        parts = [img]
-        for u, c in sorted(cuts[img.equalities]):
-            parts = [half for p in parts for half in _split(p, u, c)]
-        for p in parts:
-            pieces.setdefault(p.key(), p)
-    weighted = []
-    for key in sorted(pieces):
-        piece = pieces[key]
-        x = piece.rel_interior_point()
-        total = sum(m * lattice_index(sub, piece.direction_lattice)
-                    for m, sub, img in sources if img.contains(x))
-        if total:
-            weighted.append((piece, total))
-    return WeightedComplex(weighted)
+    for group in hulls.values():
+        for _, piece, weights in _overlay(group):
+            pieces[piece.key()] = (piece, sum(weights))
+    return WeightedComplex([(p, m) for p, m in pieces.values() if m])
 
 
 def preimage_polyhedron(f, p):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from tropform.polyhedra import from_halfspaces
 from tropform.superform import Polynomial, Superform, basis_form, zero_form
@@ -35,6 +35,13 @@ def segment(a, b, r=None):
     """Segment from point a to point b (rational coordinate tuples)."""
     from tropform.polyhedra import from_generators
     return from_generators([a, b], [], [], r if r is not None else len(a))
+
+
+def dense_terms(rng, r, d):
+    """Terms of a dense tropical polynomial: every exponent m of total degree
+    at most d, with coefficient |m|^2 plus a seeded multiple of 1/4."""
+    return [(m, Fraction(sum(x * x for x in m)) + Fraction(rng.randint(0, 3), 4))
+            for m in product(range(d + 1), repeat=r) if sum(m) <= d]
 
 
 def rand_poly(rng, r, deg=3, terms=3, coeff=6):

@@ -275,8 +275,32 @@ def test_criterion_06_pushforward_balanced(capsys):
     if pushforward(gf, wc1).weighted_cells() != \
             pushforward(g, pushforward(f, wc1)).weighted_cells():
         failures += 1
+    # functoriality in r = 2 on sums of two corner loci, whose cells cross:
+    # (g f)_* C and g_* f_* C are one cycle exactly when the push-forward of
+    # (g f)_* C + (-1) g_* f_* C along the identity is the zero cycle
+    identity = AffineMap([[1, 0], [0, 1]], [Fraction(0), Fraction(0)])
+    composites = 0
+    while composites < 5:
+        cells = []
+        for _ in range(2):
+            terms = [(e, Fraction(rng.randint(-4, 4), 2))
+                     for e in rng.sample(list(product(range(3), repeat=2)), 4)]
+            cells += corner_locus(tropical_polynomial(terms, 2)).weighted_cells()
+        f, g = [AffineMap([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)],
+                          [Fraction(rng.randint(-1, 1)) for _ in range(2)])
+                for _ in range(2)]
+        if _det(f.linear) == 0 or _det(g.linear) == 0:
+            continue
+        wc = WeightedComplex(cells)
+        a = pushforward(g.compose(f), wc)
+        b = pushforward(g, pushforward(f, wc))
+        diff = WeightedComplex(a.weighted_cells() + [(c, -m) for c, m in b.weighted_cells()])
+        if a.is_zero or not pushforward(identity, diff).is_zero:
+            failures += 1
+        composites += 1
     _verdict(capsys, failures == 0, "criterion 6 (pushforward balanced)",
-             "%d (map, cycle) pairs stay balanced; composite agrees" % count)
+             "%d (map, cycle) pairs stay balanced; %d composites agree"
+             % (count, composites + 1))
 
 
 def test_criterion_07_calculus_identities(capsys):

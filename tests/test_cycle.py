@@ -5,13 +5,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import box, rand_form, segment
+from conftest import box, dense_terms, rand_form, segment
 
 from tropform import io as tio
 from tropform import polyhedra
 from tropform.cycle import (
     Current,
     WeightedComplex,
+    _split,
     check_balancing,
     closedness_witness,
     current_eval,
@@ -21,7 +22,7 @@ from tropform.cycle import (
 )
 from tropform.hypersurface import corner_locus, tropical_polynomial
 from tropform.integrate import integrate_complex, integrate_polytope
-from tropform.lattice import lattice_from_rows, lattice_index, vec_neg
+from tropform.lattice import determinant, dot, lattice_from_rows, lattice_index, vec_neg
 from tropform.polyhedra import affine_image, from_halfspaces, intersect
 from tropform.superform import AffineMap, Polynomial, basis_form, d_prime
 
@@ -300,9 +301,12 @@ _EXPONENTS = [(i, j) for i in range(3) for j in range(3)]
 def _cycle_and_map(draw):
     """The sum of one or two corner loci of random tropical polynomials in
     r = 2, so that cells may cross, and a random 2x2 integer affine map,
-    singular and rank-1 maps included."""
+    singular and rank-1 maps included.  The flag is set for one locus under
+    an invertible map: its images form a polyhedral complex, so no image
+    crosses the relative interior of another."""
     cells = []
-    for _ in range(draw(st.integers(1, 2))):
+    loci = draw(st.integers(1, 2))
+    for _ in range(loci):
         exps = draw(st.lists(st.sampled_from(_EXPONENTS), min_size=2, max_size=5,
                              unique=True))
         coeffs = draw(st.lists(st.integers(-6, 6), min_size=len(exps),
@@ -312,14 +316,128 @@ def _cycle_and_map(draw):
     entry = st.integers(-2, 2)
     linear = draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2))
     shift = draw(st.lists(st.integers(-1, 1), min_size=2, max_size=2))
-    return WeightedComplex(cells), AffineMap(linear, [Fraction(t) for t in shift])
+    invertible = linear[0][0] * linear[1][1] != linear[0][1] * linear[1][0]
+    return (WeightedComplex(cells), AffineMap(linear, [Fraction(t) for t in shift]),
+            loci == 1 and invertible)
+
+
+def _equal_up_to_refinement(fine, coarse):
+    """True when the weighted complex fine refines coarse within each affine
+    hull and both represent one cycle: at the relative interior point of
+    every cell of fine, the weights of the cells of coarse in its hull that
+    contain the point sum to its weight, and every cell of coarse contains
+    the relative interior point of some cell of fine in its hull."""
+    coarse_cells = coarse.weighted_cells()
+    points = []
+    for p, m in fine.weighted_cells():
+        x = p.rel_interior_point()
+        points.append((p.equalities, x))
+        if sum(w for q, w in coarse_cells if q.equalities == p.equalities and q.contains(x)) != m:
+            return False
+    return all(any(e == q.equalities and q.contains(x) for e, x in points)
+               for q, _ in coarse_cells)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_cycle_and_map())
 def test_pushforward_matches_pairwise_refinement(case):
-    wc, f = case
-    assert tio.emit(pushforward(f, wc)) == tio.emit(_oracle_pushforward(f, wc))
+    wc, f, no_crossing = case
+    new, oracle = pushforward(f, wc), _oracle_pushforward(f, wc)
+    # the oracle also cuts each image where an image of another hull meets
+    # it, so its pieces refine the new ones; without crossings they agree
+    if no_crossing:
+        assert tio.emit(new) == tio.emit(oracle)
+    assert _equal_up_to_refinement(oracle, new)
+
+
+def test_equal_up_to_refinement_tells_cycles_apart():
+    whole = WeightedComplex([(segment((0,), (2,)), 1)])
+    halves = WeightedComplex([(segment((0,), (1,)), 1), (segment((1,), (2,)), 1)])
+    assert _equal_up_to_refinement(halves, whole)
+    assert not _equal_up_to_refinement(
+        WeightedComplex([(segment((0,), (1,)), 1), (segment((1,), (2,)), 2)]), whole)
+    assert not _equal_up_to_refinement(
+        halves, WeightedComplex([(segment((0,), (2,)), 1), (segment((3,), (4,)), 1)]))
+
+
+def _mutations(wc):
+    """Copies of wc with one weight raised by 1, one per cell."""
+    cells = wc.weighted_cells()
+    return [WeightedComplex([(c, m + (i == k)) for i, (c, m) in enumerate(cells)])
+            for k in range(len(cells))]
+
+
+def test_balancing_overlays_faces_that_share_a_line():
+    # a rectangle below half of the edge [0, 2] x {0} of the top one: on the
+    # x-axis the sums differ between the two halves of that edge
+    top = from_halfspaces([((1, 0), 2), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)], 2)
+    edge, right = ((0, 0), (2, 0)), ((1, 0), (2, 0))
+    for lo, m, want in ((0, 1, [(edge, (0, -1))]),
+                        (1, 2, [(edge, (0, -1)), (edge, (0, 1)), (right, (0, 1))])):
+        bottom = from_halfspaces([((1, 0), lo + 1), ((-1, 0), -lo), ((0, 1), 0),
+                                  ((0, -1), 1)], 2)
+        bad = check_balancing(WeightedComplex([(top, 1), (bottom, m)]))
+        assert [(rho.vertices, tuple(t)) for rho, t in bad
+                if all(v[1] == 0 for v in rho.vertices)] == want
+
+
+def test_pushforward_r3_is_balanced():
+    # in-hull cuts leave pieces that meet cells of other planes in part of
+    # an edge; balancing is read off the overlay of the edges on each line
+    wc = corner_locus(tropical_polynomial(dense_terms(random.Random(5), 3, 2), 3))
+    assert check_balancing(wc) == []
+    rng = random.Random(3)
+    while True:
+        linear = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        if determinant(linear) != 0:
+            break
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    for lin in (identity, linear):
+        pf = pushforward(AffineMap(lin, [Fraction(1), Fraction(0), Fraction(-1, 2)]), wc)
+        assert check_balancing(pf) == []
+        assert all(check_balancing(m) for m in _mutations(pf))
+
+
+_CUT_AT = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+
+
+@st.composite
+def _locus_and_refinement(draw):
+    """A corner locus in r = 2 or 3 of a random subset of the dense
+    exponents (supports on a line or a plane give cells with lineality),
+    optionally with the weight of a cell with a facet raised by 1, and a
+    random refinement of it: cells cut by random hyperplanes through their
+    relative interior, keeping their weights."""
+    r = draw(st.sampled_from([2, 3]))
+    d = 2 if r == 3 else draw(st.integers(2, 3))
+    terms = dense_terms(random.Random(draw(st.integers(0, 1 << 16))), r, d)
+    keep = draw(st.sets(st.integers(0, len(terms) - 1), min_size=2))
+    cells = corner_locus(tropical_polynomial([terms[i] for i in sorted(keep)], r)) \
+        .weighted_cells()
+    # raising the weight of a cell with a facet unbalances the locus there
+    k = draw(st.integers(0, len(cells) - 1))
+    mutated = draw(st.booleans()) and bool(cells[k][0].halfspaces)
+    if mutated:
+        cells[k] = (cells[k][0], cells[k][1] + 1)
+    locus = WeightedComplex(cells)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(cells) - 1))
+        cell, m = cells[i]
+        u = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+        v = cell.vertices[draw(st.integers(0, len(cell.vertices) - 1))]
+        t = draw(st.sampled_from(_CUT_AT))
+        x = [a + t * (b - a) for a, b in zip(cell.rel_interior_point(), v)]
+        cells[i:i + 1] = [(half, m) for half in _split(cell, u, dot(u, x))]
+    return locus, WeightedComplex(cells), mutated
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_locus_and_refinement())
+def test_balancing_is_invariant_under_refinement(case):
+    locus, refined, mutated = case
+    assert bool(check_balancing(locus)) == mutated
+    assert bool(check_balancing(refined)) == mutated
+    assert bool(closedness_witness(refined)) == mutated
 
 
 def test_weighted_complex_and_pushforward_build_only_what_they_read(monkeypatch):
@@ -338,3 +456,17 @@ def test_weighted_complex_and_pushforward_build_only_what_they_read(monkeypatch)
     # neither facet hyperplane crosses the segment
     assert pushforward(ident, one).weighted_cells() == one.weighted_cells()
     assert len(dd_calls) == 2
+
+
+def test_truncated_keeps_cells_inside_the_window(monkeypatch):
+    inside, crossing = segment((0, 0), (1, 2)), segment((1, 2), (5, 2))
+    wc = WeightedComplex([(inside, 1), (crossing, 2)])
+    window, cut = box(2, -1, 3), segment((1, 2), (3, 2))
+    dd_calls = []
+    dd = polyhedra.dual_description
+    monkeypatch.setattr(polyhedra, "dual_description",
+                        lambda *args: dd_calls.append(args) or dd(*args))
+    out = wc.truncated(window)
+    assert out.weighted_cells() == [(inside, 1), (cut, 2)]
+    # only the crossing cell is intersected with the window
+    assert len(dd_calls) == 1
