@@ -25,6 +25,7 @@ from .lattice import (
     vec_neg,
 )
 from .polyhedra import (
+    _integral,
     affine_image,
     check_window,
     faces,
@@ -46,17 +47,18 @@ class WeightedComplex:
         one dimension in one ambient space.  These are the maximal cells;
         their faces are not stored, and weights of equal cells add up."""
         self._weights = {}
-        self._top = {}
+        top = {}
         for c, m in weighted_cells:
             if c.is_empty:
                 continue
             key = c.key()
             self._weights[key] = self._weights.get(key, 0) + int(m)
-            self._top[key] = c
-        cells = self._top.values()
-        if len(set(c.ambient_dim for c in cells)) > 1:
+            top[key] = c
+        # sorted once: the cells never change after construction
+        self._cells = [(c, self._weights[k]) for k, c in sorted(top.items())]
+        if len(set(c.ambient_dim for c in top.values())) > 1:
             raise ValueError("weighted cells must lie in one ambient space")
-        dims = set(c.dim for c in cells)
+        dims = set(c.dim for c in top.values())
         if len(dims) > 1:
             raise ValueError("weighted cells must have equal dimension")
         self.dim = dims.pop() if dims else -1
@@ -66,10 +68,10 @@ class WeightedComplex:
         return self.dim < 0
 
     def weighted_cells(self):
-        return [(self._top[k], self._weights[k]) for k in sorted(self._top)]
+        return list(self._cells)
 
     def maximal_cells(self):
-        return [self._top[k] for k in sorted(self._top)]
+        return [c for c, _ in self._cells]
 
     def weight(self, cell):
         return self._weights.get(cell.key(), 0)
@@ -95,7 +97,10 @@ def zero_cycle():
 def _split(p, u, c):
     """The closed halves of p on either side of the hyperplane u.x = c when
     it crosses the relative interior of p; otherwise p itself."""
-    vals = [dot(u, v) - c for v in p.vertices] + [dot(u, r) for r in p.rays]
+    # the sign of <u, v> - c, for v = x / t, is that of <u, x> d - n t
+    n, d = c.numerator, c.denominator
+    vals = [dot(u, x) * d - n * t for x, t in map(_integral, p.vertices)]
+    vals += [dot(u, r) for r in p.rays]
     vals += [x for l in p.lineality for x in (dot(u, l), -dot(u, l))]
     if not min(vals) < 0 < max(vals):
         return [p]

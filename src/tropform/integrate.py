@@ -18,7 +18,7 @@ from functools import cache
 from math import factorial
 
 from .lattice import determinant, dot, primitive_outward, solve_exact, transpose, vec_sub
-from .polyhedra import faces, triangulate
+from .polyhedra import _integral, faces, triangulate
 from .superform import AffineMap, Polynomial, contract
 
 
@@ -102,8 +102,9 @@ def integrate_polytope(sigma, a):
 def outward_vector(sigma, rho):
     """Canonical primitive lattice vector in N_sigma generating
     N_sigma / N_rho and pointing out of sigma across its facet rho."""
+    verts = [_integral(v) for v in rho.vertices]
     for u, c in sigma.halfspaces:
-        tight = all(dot(u, v) == c for v in rho.vertices) \
+        tight = all(dot(u, x) * c.denominator == c.numerator * t for x, t in verts) \
             and all(dot(u, r) == 0 for r in rho.rays) \
             and all(dot(u, l) == 0 for l in rho.lineality)
         if tight:

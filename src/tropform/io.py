@@ -324,12 +324,15 @@ def parse(text, expect=None):
     expect, if given, is the tuple of kinds accepted; any other kind is
     rejected before its parser runs. Raises SchemaError (naming the
     offending field) for schema violations and ValueError with position
-    information for malformed JSON."""
+    information for malformed JSON, or for JSON nested too deeply for the
+    parser."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError("syntax error at line %d column %d: %s"
                          % (e.lineno, e.colno, e.msg))
+    except RecursionError:
+        raise ValueError("document nested too deeply to parse")
     if not isinstance(obj, dict):
         raise SchemaError("$: top-level value must be an object")
     fmt = _get(obj, "format", "$")

@@ -3,10 +3,14 @@
 Polyhedra are intersections of halfspaces <u, x> <= c with integer normals u
 and rational constants c.  Conversion between H- and V-representations uses
 an exact double description method, which also yields the rows tight at each
-vertex and ray.  A built polyhedron keeps that vertex-facet incidence, as a
-vertex and a ray bitmask per facet: its facets are chosen from it
-combinatorially, and its faces and triangulations are read off it with no
-further double description and no dot products.  Identity of cells is
+vertex and ray; either conversion runs it once.  A built polyhedron keeps
+that vertex-facet incidence, as a vertex and a ray bitmask per facet: its
+facets are chosen from it combinatorially, and its faces and triangulations
+are read off it with no further double description and no dot products.
+Cells are assembled on integers, a vertex v taken as x / t with x integer
+and t > 0 (as lrs and cdd do): directions, the affine hull and the canonical
+facet inequalities need no rational arithmetic, and Fractions are built
+only for the stored vertices, keys and constants.  Identity of cells is
 decided through a canonical key built from the V-data, which makes complex
 validation and deduplication deterministic.
 """
@@ -14,18 +18,18 @@ validation and deduplication deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 
 from .lattice import (
     determinant,
+    hnf,
     identity_matrix,
     dot,
     is_zero_vec,
     lattice_from_rows,
     primitive,
-    rational_kernel,
     saturate,
+    transpose,
     vec_neg,
     vec_sub,
     zero_lattice,
@@ -50,8 +54,7 @@ EMPTY = EmptyPolyhedron()
 
 def _clear_denominators(v):
     """Scale a rational vector to a primitive integer vector (same ray)."""
-    den = reduce(lambda a, b: a * b // gcd(a, b), (Fraction(x).denominator for x in v), 1)
-    return primitive([int(Fraction(x) * den) for x in v])
+    return primitive(_integral(v)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -221,65 +224,79 @@ def _reduce_mod_rows(point, rows):
 
 def _canonical_halfspace(u, c, hull_rows):
     """Reduce a facet normal modulo the affine-hull equality normals and make
-    it primitive; the constant is adjusted to keep the same restriction."""
-    # u and the equality normals are integer; reduce over Q then clear.
-    uu = [Fraction(x) for x in u]
-    cc = Fraction(c)
+    it primitive; the constant is adjusted to keep the same restriction.
+
+    Fraction-free: the step u <- |e_p| u - sgn(e_p) u_p e zeroes the pivot p
+    of e and is a positive multiple of the rational step u - (u_p / e_p) e,
+    so the primitive result is the same; the constant, kept as num / den,
+    is scaled alike."""
+    uu = list(u)
+    num, den = c.numerator, c.denominator
     for e, ec in hull_rows:
         p = next(i for i, x in enumerate(e) if x != 0)
-        f = uu[p] / e[p]
+        f = uu[p]
         if f:
-            for i in range(len(uu)):
-                uu[i] -= f * e[i]
-            cc -= f * ec
-    den = reduce(lambda a, b: a * b // gcd(a, b), (x.denominator for x in uu), 1)
-    iu = [int(x * den) for x in uu]
-    g = 0
-    for x in iu:
-        g = gcd(g, x)
-    return (tuple(x // g for x in iu), cc * den / g)
+            a, s = abs(e[p]), (f if e[p] > 0 else -f)
+            uu = [a * x - s * y for x, y in zip(uu, e)]
+            num = a * num * ec.denominator - s * ec.numerator * den
+            den *= ec.denominator
+    g = gcd(*uu)
+    return tuple(x // g for x in uu), Fraction(num, den * g)
 
 
 def from_halfspaces(halfspaces, ambient_dim):
     """Polyhedron from inequalities <u, x> <= c; returns EMPTY if infeasible."""
-    rows = []
+    candidates, rows = [], []
     for u, c in halfspaces:
         if len(u) != ambient_dim:
             raise ValueError("normal length does not match ambient dimension")
-        cf = Fraction(c)
-        den = cf.denominator
-        rows.append(tuple(int(x) * den for x in u) + (-cf.numerator,))
+        u, c = tuple(int(x) for x in u), Fraction(c)
+        candidates.append((u, c))
+        rows.append(tuple(x * c.denominator for x in u) + (-c.numerator,))
     rows.append(tuple([0] * ambient_dim + [-1]))  # t >= 0
     lines, rays, masks = dual_description(rows, ambient_dim + 1)
     if not any(r[-1] > 0 for r in rays):
         return EMPTY
     # lines always have t == 0 (they satisfy -t <= 0 and t unbounded both ways)
-    lin_rows = [l[:-1] for l in lines]
-    lin = saturate(lattice_from_rows(lin_rows, ambient_dim)) if lin_rows else zero_lattice(ambient_dim)
+    lin = _lineality([l[:-1] for l in lines], ambient_dim)
+    # each input row's DD bit; a zero row has none and cuts out no facet
+    bits, bit = [], 1
+    for row in rows[:-1]:
+        if is_zero_vec(row):
+            bits.append(0)
+            continue
+        bits.append(bit)
+        bit <<= 1
+    return _from_incidence(ambient_dim, candidates, bits, zip(rays, masks), lin)
+
+
+def _lineality(rows, ambient_dim):
+    """Saturated lattice of the lineality space spanned by integer rows."""
+    return saturate(lattice_from_rows(rows, ambient_dim)) if rows else zero_lattice(ambient_dim)
+
+
+def _from_incidence(ambient_dim, candidates, bits, tight, lin):
+    """Assemble from pairs (g, m) in ``tight``: g = (x, t) a homogeneous
+    generator of a minimal face, t > 0 for a vertex x / t and t == 0 for a
+    ray, and m the bitmask of the candidates tight at g (candidate j has bit
+    ``bits[j]``).  Vertices and rays are reduced modulo the lineality
+    ``lin``; generators equal modulo the lineality are tight at the same
+    candidates."""
     lin_basis = [list(r) for r in lin.basis]
-    # the rows tight at each vertex and ray (generators that are equal
-    # modulo the lineality are tight at the same rows)
     vert_rows, ray_rows = {}, {}
-    for r, m in zip(rays, masks):
-        t = r[-1]
+    for g, m in tight:
+        t = g[-1]
         if t > 0:
-            vert_rows[_reduce_mod_rows([Fraction(x, t) for x in r[:-1]], lin_basis)] = m
+            vert_rows[_reduce_mod_rows([Fraction(x, t) for x in g[:-1]], lin_basis)] = m
         else:
-            d = primitive(_clear_denominators(_reduce_mod_rows(r[:-1], lin_basis)))
+            d = _clear_denominators(_reduce_mod_rows(g[:-1], lin_basis))
             if not is_zero_vec(d):
                 ray_rows[d] = m
     verts, rec = sorted(vert_rows), sorted(ray_rows)
     vert_rows = [vert_rows[v] for v in verts]
     ray_rows = [ray_rows[r] for r in rec]
-    # each input row's DD bit; a zero row has none and cuts out no facet
-    incidence, bit = [], 1
-    for row in rows[:-1]:
-        if is_zero_vec(row):
-            incidence.append((0, 0))
-            continue
-        incidence.append((_select(vert_rows, bit), _select(ray_rows, bit)))
-        bit <<= 1
-    return _assemble(ambient_dim, halfspaces, incidence, verts, rec, lin.basis)
+    incidence = [(_select(vert_rows, b), _select(ray_rows, b)) for b in bits]
+    return _assemble(ambient_dim, candidates, incidence, verts, rec, lin.basis)
 
 
 def _select(row_masks, bit):
@@ -308,19 +325,22 @@ def _maximal(masks):
 
 
 def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis):
-    """Finish construction: affine hull, canonical facets.
+    """Finish construction: affine hull, canonical facets, computed on
+    integers; Fractions are built only for the equality and facet constants.
 
     ``verts`` and ``rec`` are sorted, and ``incidence[j]`` holds the
     vertices and rays on the hyperplane of ``candidates[j]`` as bitmasks
     over them.  Every candidate is valid and every facet is cut out by some
     candidate, so a candidate defines a facet exactly when its face is
     nonempty, proper and inclusion-maximal among the candidates' faces."""
-    v0 = verts[0]
-    dirs = [_clear_denominators(vec_sub(v, v0)) for v in verts[1:]] + list(rec) + list(lin_basis)
+    # v - v0 is a positive multiple of x t0 - x0 t for v = x / t, v0 = x0 / t0
+    x0, t0 = _integral(verts[0])
+    dirs = [primitive([a * t0 - b * t for a, b in zip(x, x0)])
+            for x, t in map(_integral, verts[1:])] + list(rec) + list(lin_basis)
     dir_lat = saturate(lattice_from_rows(dirs, ambient_dim)) if dirs else zero_lattice(ambient_dim)
     # affine hull equalities: integer basis of the orthogonal complement
     comp = _orthogonal_complement(dir_lat, ambient_dim)
-    equalities = sorted((tuple(e), Fraction(dot(e, v0))) for e in comp)
+    equalities = sorted((e, Fraction(dot(e, x0), t0)) for e in comp)
     # a face is one int: its vertex mask, then its ray mask shifted past it
     nv = len(verts)
     everything = (1 << (nv + len(rec))) - 1
@@ -340,29 +360,40 @@ def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis):
 
 
 def _orthogonal_complement(lat, ambient_dim):
-    """HNF basis of {u in Z^r : <u, v> = 0 for v in lat}."""
+    """HNF basis of {u in Z^r : <u, v> = 0 for v in lat}, on integers.
+
+    With B the basis of lat (rank k) and U unimodular such that U B^T is in
+    Hermite form, the rows of U B^T past the k-th are zero, and U's rows
+    past the k-th span this kernel: it is saturated, being cut out of Z^r
+    by a subspace, and U maps Z^r onto Z^r."""
     if lat.rank == 0:
         return [tuple(row) for row in identity_matrix(ambient_dim)]
     if lat.rank == ambient_dim:
         return []
-    # integer kernel of basis * x^T = 0: solve over Q, then saturate; one
-    # primitive row, the normal of a hyperplane, spans a saturated lattice
-    kern = rational_kernel(lat.basis, ambient_dim)
-    comp = lattice_from_rows([_clear_denominators(k) for k in kern], ambient_dim)
-    return [tuple(r) for r in (comp if comp.rank == 1 else saturate(comp)).basis]
+    _, u = hnf(transpose(lat.basis))
+    return list(lattice_from_rows(u[lat.rank:], ambient_dim).basis)
 
 
 def from_generators(points, rays=(), lines=(), ambient_dim=None):
-    """Polyhedron as conv(points) + cone(rays) + span(lines)."""
+    """Polyhedron as conv(points) + cone(rays) + span(lines), with integer or
+    Fraction coordinates.
+
+    One double description turns the homogeneous generators (x, t) of the
+    cone over the polyhedron (a point x / t, t > 0; a ray or a line, t == 0,
+    a line both ways) into the dual rays, the facet normals of the cone,
+    with the generators tight at each.  The rest is read off these masks
+    (Fukuda & Prodon, 1996).  A generator tight at every dual ray lies in
+    the lineality.  A generator is extreme when its set of tight dual rays
+    is inclusion-maximal among the sets that are not full: it spans a
+    minimal face of the cone beyond the lineality, a vertex when t > 0 and
+    an extreme ray when t == 0.  The candidate facets are the dual rays with
+    a nonzero normal part; the dual lines are equalities and never cut out a
+    facet."""
     if ambient_dim is None:
         ambient_dim = len(points[0])
     if not points:
         return EMPTY
-    gens = []
-    for p in points:
-        cf = [Fraction(x) for x in p]
-        den = reduce(lambda a, b: a * b // gcd(a, b), (x.denominator for x in cf), 1)
-        gens.append(tuple(int(x * den) for x in cf) + (den,))
+    gens = [tuple(x) + (t,) for x, t in map(_integral, points)]
     for r in rays:
         g = primitive(r)
         if not is_zero_vec(g):
@@ -371,16 +402,18 @@ def from_generators(points, rays=(), lines=(), ambient_dim=None):
         g = primitive(l)
         if not is_zero_vec(g):
             gens.append(tuple(g) + (0,))
-            gens.append(tuple(-x for x in g) + (0,))
-    dlines, drays, _ = dual_description(gens, ambient_dim + 1)
-    hs = []
-    for a in drays:
-        hs.append((a[:-1], -Fraction(a[-1])))
-    for a in dlines:
-        hs.append((a[:-1], -Fraction(a[-1])))
-        hs.append((vec_neg(a[:-1]), Fraction(a[-1])))
-    hs = [(u, c) for u, c in hs if not is_zero_vec(u)]
-    return from_halfspaces(hs, ambient_dim)
+            gens.append(vec_neg(g) + (0,))
+    _, drays, masks = dual_description(gens, ambient_dim + 1)
+    # no generator is zero, so generator k has DD bit k; tight[k] holds the
+    # dual rays at which it is tight
+    tight = [_select(masks, 1 << k) for k in range(len(gens))]
+    full = (1 << len(drays)) - 1
+    lin = _lineality([g[:-1] for g, m in zip(gens, tight) if m == full], ambient_dim)
+    extreme = set(_maximal({m for m in tight if m != full}))
+    cand = [i for i, a in enumerate(drays) if not is_zero_vec(a[:-1])]
+    return _from_incidence(ambient_dim, [(drays[i][:-1], -drays[i][-1]) for i in cand],
+                           [1 << i for i in cand],
+                           [(g, m) for g, m in zip(gens, tight) if m in extreme], lin)
 
 
 def intersect(p, q):

@@ -239,7 +239,7 @@ def _mixed_ambient_doc(tmp_path):
                                    "truncate-weighted-unbounded",
                                    "pushforward-domain-r1", "pushforward-domain-r3",
                                    "projection-check-domain-r1",
-                                   "check-balancing-mixed-ambient"])
+                                   "check-balancing-mixed-ambient", "deep-nesting"])
 def test_cli_library_value_errors_exit_2(tmp_path, capsys, probe):
     half_plane = from_halfspaces([((1, 0), Fraction(1))], 2)
     planar = WeightedComplex([(segment((0, 0), (1, 1)), 1)])
@@ -272,6 +272,11 @@ def test_cli_library_value_errors_exit_2(tmp_path, capsys, probe):
                 _write(tmp_path, "wc.json", planar),
                 _write(tmp_path, "a.json", basis_form(1, (0,), (0,))),
                 "--window", _write(tmp_path, "w.json", box(1, 0, 2))]
+    elif probe == "deep-nesting":
+        # deeper than the JSON parser's recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        argv = ["faces", str(path), "1"]
     else:
         argv = ["check-balancing", _mixed_ambient_doc(tmp_path)]
     assert main(argv) == 2

@@ -452,10 +452,10 @@ def test_weighted_complex_and_pushforward_build_only_what_they_read(monkeypatch)
                         lambda *args: dd_calls.append(args) or dd(*args))
     WeightedComplex([(a, 1), (b, 1)])
     assert facet_calls == []
-    # the image is built once (generators to halfspaces and back), and
-    # neither facet hyperplane crosses the segment
+    # the image is built with one double description, and neither facet
+    # hyperplane crosses the segment
     assert pushforward(ident, one).weighted_cells() == one.weighted_cells()
-    assert len(dd_calls) == 2
+    assert len(dd_calls) == 1
 
 
 def test_truncated_keeps_cells_inside_the_window(monkeypatch):

@@ -4,13 +4,23 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import box, segment, simplex
 
 from tropform import polyhedra
-from tropform.lattice import dot, primitive, rational_rank, vec_neg, vec_sub
+from tropform.lattice import (
+    dot,
+    lattice_from_rows,
+    primitive,
+    rational_kernel,
+    rational_rank,
+    saturate,
+    vec_neg,
+    vec_sub,
+)
 from tropform.polyhedra import (
     EMPTY,
     Complex,
@@ -546,3 +556,156 @@ def test_validate_complex_reports_records():
     assert validate_complex(Complex([a, b])) == [
         {"kind": "missing-face", "cell": a}, {"kind": "missing-face", "cell": b},
         {"kind": "not-a-common-face", "cells": (a, b), "intersection": box(2, 1, 2)}]
+
+
+# -- integer assembly, and one double description per V-description ---------
+
+def _two_dd_from_generators(points, rays, lines, r):
+    """from_generators through two double descriptions: generators to
+    halfspaces, then from_halfspaces recovers the V-data."""
+    gens = []
+    for p in points:
+        cf = [Fraction(x) for x in p]
+        den = lcm(*(x.denominator for x in cf))
+        gens.append(tuple(int(x * den) for x in cf) + (den,))
+    for d in list(rays) + list(lines) + [vec_neg(l) for l in lines]:
+        if any(d):
+            gens.append(primitive(d) + (0,))
+    dlines, drays, _ = polyhedra.dual_description(gens, r + 1)
+    hs = [(a[:-1], -Fraction(a[-1])) for a in drays]
+    for a in dlines:
+        hs += [(a[:-1], -Fraction(a[-1])), (vec_neg(a[:-1]), Fraction(a[-1]))]
+    return from_halfspaces([(u, c) for u, c in hs if any(u)], r)
+
+
+@st.composite
+def _generator_sets(draw):
+    """V-descriptions in r = 1..4 on an affine subspace of dimension 0..r,
+    with duplicate points, rational points inside the hull, non-extreme
+    rays (sums of two rays), opposite rays that make a line, and lines."""
+    r = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    base = draw(st.tuples(*[small] * r))
+    dirs = draw(st.lists(st.tuples(*[small] * r), max_size=r))
+
+    def move(point, step):
+        return tuple(x + sum(a * d[i] for a, d in zip(step, dirs)) for i, x in enumerate(point))
+    steps = st.tuples(*[small] * len(dirs))
+    pts = [move(base, s) for s in draw(st.lists(steps, min_size=1, max_size=5))]
+    rays = [move((0,) * r, s) for s in draw(st.lists(steps, max_size=2))]
+    lines = [move((0,) * r, s) for s in draw(st.lists(steps, max_size=1))]
+    for kind in draw(st.lists(st.sampled_from(["duplicate", "inside", "sum", "opposite"]),
+                              max_size=3)):
+        if kind == "duplicate":
+            pts.append(draw(st.sampled_from(pts)))
+        elif kind == "inside":
+            some = draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3))
+            pts.append(tuple(sum(Fraction(x) for x in col) / len(some) for col in zip(*some)))
+        elif kind == "sum" and rays:
+            a, b = draw(st.sampled_from(rays)), draw(st.sampled_from(rays))
+            rays.append(tuple(x + y for x, y in zip(a, b)))
+        elif kind == "opposite" and rays:
+            rays.append(vec_neg(draw(st.sampled_from(rays))))
+    return pts, rays, lines, r
+
+
+def _canonical_with_incidence(p):
+    return _canonical(p) + (p.facet_vertices, p.facet_rays)
+
+
+@ORACLE_SETTINGS
+@given(_generator_sets())
+def test_from_generators_matches_two_double_descriptions(case):
+    assert _canonical_with_incidence(from_generators(*case)) == \
+        _canonical_with_incidence(_two_dd_from_generators(*case))
+
+
+def test_from_generators_runs_one_double_description(monkeypatch):
+    calls = []
+    dd = polyhedra.dual_description
+    monkeypatch.setattr(polyhedra, "dual_description",
+                        lambda *args: calls.append(args) or dd(*args))
+    monkeypatch.setattr(polyhedra, "from_halfspaces", None)
+    wedge = from_generators([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 0)],
+                            [(0, 0, 1), (1, 1, 1), (1, 1, 2)], [(1, -1, 0)], 3)
+    assert len(calls) == 1
+    # modulo the line, a duplicate point and the ray (1, 1, 2) between the
+    # rays (0, 0, 1) and (1, 1, 1) are not extreme
+    assert wedge.lineality == ((1, -1, 0),)
+    assert wedge.vertices == ((0, 0, 0), (0, 1, 0))
+    assert wedge.rays == ((0, 0, 1), (0, 2, 1))
+
+
+def _lattices():
+    def build(r):
+        rows = st.lists(st.tuples(*[st.integers(-3, 3)] * r), max_size=r + 1)
+        return st.builds(lambda rows: lattice_from_rows(rows, r), rows)
+    return st.integers(1, 4).flatmap(build)
+
+
+def _kernel_complement(lat, r):
+    """Saturated integer kernel from the rational kernel, as HNF rows."""
+    if lat.rank == 0:
+        return [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    kern = [polyhedra._clear_denominators(k) for k in rational_kernel(lat.basis, r)]
+    return list(saturate(lattice_from_rows(kern, r)).basis) if kern else []
+
+
+@ORACLE_SETTINGS
+@given(_lattices())
+def test_orthogonal_complement_matches_rational_kernel(lat):
+    r = lat.ambient_rank
+    assert polyhedra._orthogonal_complement(lat, r) == _kernel_complement(lat, r)
+
+
+def test_orthogonal_complement_runs_no_elimination(monkeypatch):
+    from tropform import lattice
+    calls = []
+    gj = lattice.gauss_jordan
+    for mod in (lattice, polyhedra):
+        monkeypatch.setattr(mod, "gauss_jordan",
+                            lambda *args: calls.append(args) or gj(*args), raising=False)
+    lat = lattice_from_rows([(1, 2, 3), (0, 1, 1)], 3)
+    assert polyhedra._orthogonal_complement(lat, 3) == [(1, 1, -1)]
+    # the kernel of x + 2y + 3w, with (1, 1, 0, -1) and (0, 3, 0, -2) a basis
+    # of its (x, y, w) part
+    assert polyhedra._orthogonal_complement(lattice_from_rows([(2, 4, 0, 6)], 4), 4) == \
+        [(1, 1, 0, -1), (0, 3, 0, -2), (0, 0, 1, 0)]
+    assert calls == []
+
+
+def _fraction_canonical_halfspace(u, c, hull_rows):
+    """The reduction modulo the equality normals over Fraction."""
+    uu, cc = [Fraction(x) for x in u], Fraction(c)
+    for e, ec in hull_rows:
+        p = next(i for i, x in enumerate(e) if x != 0)
+        f = uu[p] / e[p]
+        if f:
+            uu = [x - f * y for x, y in zip(uu, e)]
+            cc -= f * ec
+    den = lcm(*(x.denominator for x in uu))
+    iu = [int(x * den) for x in uu]
+    g = gcd(*iu)
+    return tuple(x // g for x in iu), cc * den / g
+
+
+@st.composite
+def _halfspaces_modulo_hulls(draw):
+    """A normal and constant with the equalities of a random affine hull in
+    r = 1..4: HNF normals, some negated, in any order, with rational
+    constants; the normal lies outside their span."""
+    r = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-4, 4)] * r)
+    hull = saturate(lattice_from_rows(draw(st.lists(vec, max_size=r - 1)), r))
+    frac = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    rows = [(vec_neg(e) if draw(st.booleans()) else e, draw(frac))
+            for e in draw(st.permutations(hull.basis))]
+    u = draw(vec)
+    assume(rational_rank([u] + list(hull.basis)) > hull.rank)
+    return u, draw(frac), rows
+
+
+@ORACLE_SETTINGS
+@given(_halfspaces_modulo_hulls())
+def test_canonical_halfspace_matches_fraction_reduction(case):
+    assert polyhedra._canonical_halfspace(*case) == _fraction_canonical_halfspace(*case)
