@@ -22,11 +22,11 @@ from itertools import combinations
 from math import gcd
 
 from .cycle import WeightedComplex
-from .lattice import lattice_from_rows, vec_sub
+from .lattice import lattice_from_rows, primitive, reduce_echelon, vec_sub
 from .polyhedra import (
     _assemble,
     _bits,
-    _clear_denominators,
+    _integral,
     _maximal,
     _reduce_mod_rows,
     _restrict,
@@ -93,8 +93,8 @@ def corner_locus(tp):
     # the projection is injective on the lineality lattice of Gamma, and its
     # image, Z^r cut by a subspace, is saturated
     lin = lattice_from_rows([l[:-1] for l in gamma.lineality], r).basis
-    verts = [_reduce_mod_rows(v[:-1], lin) for v in gamma.vertices]
-    rays = [_clear_denominators(_reduce_mod_rows(d[:-1], lin)) for d in gamma.rays]
+    verts = [_reduce_mod_rows(*_integral(v[:-1]), lin) for v in gamma.vertices]
+    rays = [primitive(reduce_echelon(d[:-1], lin)[1]) for d in gamma.rays]
     # a face of Gamma is one int: its vertex mask, then its ray mask
     nv = len(verts)
     all_verts = (1 << nv) - 1

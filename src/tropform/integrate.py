@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .lattice import determinant, dot, primitive_outward, solve_exact, transpose, vec_sub
+from .lattice import coords_in_basis, determinant, dot, primitive_outward, vec_sub
 from .polyhedra import _integral, faces, triangulate
 from .superform import AffineMap, Polynomial, contract
 
@@ -33,9 +33,7 @@ def _intrinsic_map(sigma):
 
 def _vertex_coords(sigma, point):
     """Coordinates of an ambient point in the intrinsic chart of sigma."""
-    basis = sigma.direction_lattice.basis
-    rhs = vec_sub(point, sigma.base_point)
-    sol = solve_exact(transpose([list(b) for b in basis]), list(rhs))
+    sol = coords_in_basis(sigma.direction_lattice.basis, vec_sub(point, sigma.base_point))
     if sol is None:
         raise ValueError("point does not lie in the affine hull")
     return tuple(sol)

@@ -203,7 +203,8 @@ def _parse_polyhedron(obj, path):
     hs = _get(obj, "halfspaces", path, list)
     rows = [_parse_halfspace(h, "%s.halfspaces[%d]" % (path, i), r)
             for i, h in enumerate(hs)]
-    for i, e in enumerate(obj.get("equalities", [])):
+    eqs = _get(obj, "equalities", path, list) if "equalities" in obj else []
+    for i, e in enumerate(eqs):
         u, c = _parse_halfspace(e, "%s.equalities[%d]" % (path, i), r)
         rows.append((u, c))
         rows.append((vec_neg(u), -c))
@@ -338,7 +339,7 @@ def parse(text, expect=None):
     fmt = _get(obj, "format", "$")
     if fmt != FORMAT:
         _fail("$.format", "unsupported format %r (expected %r)" % (fmt, FORMAT))
-    kind = _get(obj, "kind", "$")
+    kind = _get(obj, "kind", "$", str)
     if kind not in _PARSERS:
         _fail("$.kind", "unknown kind %r" % (kind,))
     if expect is not None and kind not in expect:

@@ -3,7 +3,10 @@
 Everything here is over Z or Q; no floating point is used anywhere so that
 downstream residuals (Stokes, Green, balancing) come out exactly zero.
 Lattices are sublattices of Z^r given by basis rows kept in Hermite normal
-form, so equal lattices have identical representations.
+form, so equal lattices have identical representations.  That basis is
+echelon: reductions and coordinates in it use :func:`reduce_echelon` and
+:func:`coords_in_basis`.  General elimination is left only for the Gram
+system of :func:`reduce_mod_lattice` and for :func:`in_span`.
 """
 
 from __future__ import annotations
@@ -311,20 +314,32 @@ def zero_lattice(r):
     return Lattice(r, ())
 
 
+def reduce_echelon(v, rows):
+    """Reduce the integer vector v at the pivots of echelon rows (an HNF
+    basis, say), fraction-free: (s, w) with s > 0 and w = s v - sum mu_k
+    rows[k] zero at every pivot.  In pivot order no step refills a cleared
+    pivot, so w / s is the one such vector in v + span(rows).  A step scales
+    w by |a| / gcd(a, f), a the pivot entry and f the entry of w there, so
+    s == 1 exactly when every step subtracted an integer multiple."""
+    s, w = 1, list(v)
+    for row in rows:
+        p = next(i for i, x in enumerate(row) if x)
+        f = w[p]
+        if f:
+            a = row[p]
+            g = gcd(a, f)
+            m, q = abs(a) // g, (f if a > 0 else -f) // g
+            w = [m * x - q * y for x, y in zip(w, row)]
+            s *= m
+    return s, w
+
+
 def member(v, lat):
     """Exact membership test v in lat, via the HNF basis."""
     if len(v) != lat.ambient_rank:
         raise ValueError("vector length does not match ambient rank")
-    w = list(map(int, v))
-    for row in lat.basis:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        if w[p] % row[p] != 0:
-            return False
-        q = w[p] // row[p]
-        if q:
-            for i in range(len(w)):
-                w[i] -= q * row[i]
-    return is_zero_vec(w)
+    s, w = reduce_echelon(map(int, v), lat.basis)
+    return s == 1 and is_zero_vec(w)
 
 
 def saturate(lat):
@@ -344,14 +359,12 @@ def lattice_index(sub, sup):
     if sub.ambient_rank != sup.ambient_rank:
         raise ValueError("ambient rank mismatch")
     coords = []
-    supt = transpose([list(r) for r in sup.basis])
     for b in sub.basis:
-        sol = solve_exact(supt, list(b)) if sup.rank else (None if not is_zero_vec(b) else [])
+        sol = coords_in_basis(sup.basis, b)
         if sol is None:
             raise ValueError("sub is not contained in the span of sup")
-        for x in sol:
-            if x.denominator != 1:
-                raise ValueError("sub is not a sublattice of sup")
+        if any(x.denominator != 1 for x in sol):
+            raise ValueError("sub is not a sublattice of sup")
         coords.append([int(x) for x in sol])
     if sub.rank < sup.rank:
         return None
@@ -362,10 +375,17 @@ def lattice_index(sub, sup):
 
 
 def coords_in_basis(basis_rows, v):
-    """Rational coordinates of v in the given independent rows, or None."""
-    if not basis_rows:
-        return [] if is_zero_vec(v) else None
-    return solve_exact(transpose([list(r) for r in basis_rows]), list(v))
+    """Rational coordinates of v in echelon rows, by substitution in pivot
+    order as in :func:`reduce_echelon`, or None when v is off their span."""
+    w = [Fraction(x) for x in v]
+    coords = []
+    for row in basis_rows:
+        p = next(i for i, x in enumerate(row) if x)
+        c = w[p] / row[p]
+        if c:
+            w = [x - c * y for x, y in zip(w, row)]
+        coords.append(c)
+    return None if any(w) else coords
 
 
 def reduce_mod_lattice(v, lat):
@@ -393,32 +413,19 @@ def primitive_outward(n_sigma, n_rho, outward_functional):
     """Primitive generator of n_sigma / n_rho pointing outwards.
 
     ``outward_functional`` is an integer vector u with <u, .> constant on the
-    facet and <u, x> smaller on the cell, i.e. the facet's inequality normal;
-    the result w satisfies <u, w> > 0.  The representative is canonicalized
-    modulo n_rho (reduction coefficients in [0, 1))."""
+    facet and <u, x> smaller on the cell, i.e. the facet's inequality normal.
+    Requires n_rho = n_sigma cap u^perp, true for saturated lattices such as
+    direction lattices; n_rho outside n_sigma or u^perp raises ValueError.
+    Then v -> <u, v> maps n_sigma onto g Z with kernel n_rho, so the Bezout
+    combination w of the basis with <u, w> = g > 0, read off row 0 of the
+    transform of the HNF of the column (<u, b>)_b, generates the quotient.
+    It is canonicalized modulo n_rho (reduction coefficients in [0, 1))."""
     if n_rho.rank != n_sigma.rank - 1:
         raise ValueError("rho is not of codimension one in sigma")
-    n = n_sigma.rank
-    bs = [list(r) for r in n_sigma.basis]
-    coords = []
-    for b in n_rho.basis:
-        sol = coords_in_basis(bs, b)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise ValueError("n_rho is not a sublattice of n_sigma")
-        coords.append([int(x) for x in sol])
-    if coords:
-        _, _, vinv = snf_transform(coords)
-        w_coords = vinv[n - 1]
-    else:
-        w_coords = [1]
-    omega = [0] * n_sigma.ambient_rank
-    for c, row in zip(w_coords, bs):
-        for i in range(len(omega)):
-            omega[i] += c * row[i]
-    s = dot(outward_functional, omega)
-    if s == 0:
+    if not all(member(b, n_sigma) and dot(outward_functional, b) == 0 for b in n_rho.basis):
+        raise ValueError("n_rho is not a sublattice of n_sigma on the facet hyperplane")
+    h, u = hnf([[dot(outward_functional, b)] for b in n_sigma.basis])
+    if h[0][0] == 0:
         raise ValueError("outward functional does not separate across the facet")
-    if s < 0:
-        omega = [-x for x in omega]
-    red = reduce_mod_lattice(omega, n_rho)
-    return tuple(int(x) for x in red)
+    omega = [dot(u[0], col) for col in zip(*n_sigma.basis)]
+    return tuple(int(x) for x in reduce_mod_lattice(omega, n_rho))

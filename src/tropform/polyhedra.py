@@ -28,6 +28,7 @@ from .lattice import (
     is_zero_vec,
     lattice_from_rows,
     primitive,
+    reduce_echelon,
     saturate,
     transpose,
     vec_neg,
@@ -50,11 +51,6 @@ class EmptyPolyhedron:
 
 
 EMPTY = EmptyPolyhedron()
-
-
-def _clear_denominators(v):
-    """Scale a rational vector to a primitive integer vector (same ray)."""
-    return primitive(_integral(v)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -210,38 +206,25 @@ def _integral(point):
     return [x.numerator * (t // x.denominator) for x in point], t
 
 
-def _reduce_mod_rows(point, rows):
-    """Zero out the pivot coordinates of ``rows`` (an HNF basis) in point."""
-    pt = [Fraction(x) for x in point]
-    for row in rows:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        f = pt[p] / row[p]
-        if f:
-            for i in range(len(pt)):
-                pt[i] -= f * row[i]
-    return tuple(pt)
+def _reduce_mod_rows(x, t, rows):
+    """The point x / t (x integer, t > 0) with the pivot coordinates of
+    ``rows`` (an HNF basis) zeroed by a rational combination of them."""
+    s, w = reduce_echelon(x, rows)
+    return tuple(Fraction(a, s * t) for a in w)
 
 
-def _canonical_halfspace(u, c, hull_rows):
-    """Reduce a facet normal modulo the affine-hull equality normals and make
-    it primitive; the constant is adjusted to keep the same restriction.
+def _canonical_halfspace(u, c, hull):
+    """Canonical form of the facet inequality <u, x> <= c on an affine hull.
 
-    Fraction-free: the step u <- |e_p| u - sgn(e_p) u_p e zeroes the pivot p
-    of e and is a positive multiple of the rational step u - (u_p / e_p) e,
-    so the primitive result is the same; the constant, kept as num / den,
-    is scaled alike."""
-    uu = list(u)
-    num, den = c.numerator, c.denominator
-    for e, ec in hull_rows:
-        p = next(i for i, x in enumerate(e) if x != 0)
-        f = uu[p]
-        if f:
-            a, s = abs(e[p]), (f if e[p] > 0 else -f)
-            uu = [a * x - s * y for x, y in zip(uu, e)]
-            num = a * num * ec.denominator - s * ec.numerator * den
-            den *= ec.denominator
-    g = gcd(*uu)
-    return tuple(x // g for x in uu), Fraction(num, den * g)
+    ``hull`` holds the integer row (d.den e, d.num) of each hull equality
+    <e, x> = d, in the pivot order of the HNF basis of the normals e.  The
+    row (c.den u, c.num) reduced at their pivots is a row w that states the
+    same inequality on the hull and depends only on the facet, not on the
+    row that cut it out; with g the gcd of its normal part, the result is
+    (w[:-1] / g, w[-1] / g)."""
+    _, w = reduce_echelon([x * c.denominator for x in u] + [c.numerator], hull)
+    g = gcd(*w[:-1])
+    return tuple(x // g for x in w[:-1]), Fraction(w[-1], g)
 
 
 def from_halfspaces(halfspaces, ambient_dim):
@@ -271,7 +254,8 @@ def from_halfspaces(halfspaces, ambient_dim):
 
 
 def _lineality(rows, ambient_dim):
-    """Saturated lattice of the lineality space spanned by integer rows."""
+    """Saturated lattice of the space spanned by integer rows: the lineality
+    of a polyhedron, or the direction lattice of a cell."""
     return saturate(lattice_from_rows(rows, ambient_dim)) if rows else zero_lattice(ambient_dim)
 
 
@@ -282,14 +266,13 @@ def _from_incidence(ambient_dim, candidates, bits, tight, lin):
     ``bits[j]``).  Vertices and rays are reduced modulo the lineality
     ``lin``; generators equal modulo the lineality are tight at the same
     candidates."""
-    lin_basis = [list(r) for r in lin.basis]
     vert_rows, ray_rows = {}, {}
     for g, m in tight:
-        t = g[-1]
+        x, t = g[:-1], g[-1]
         if t > 0:
-            vert_rows[_reduce_mod_rows([Fraction(x, t) for x in g[:-1]], lin_basis)] = m
+            vert_rows[_reduce_mod_rows(x, t, lin.basis)] = m
         else:
-            d = _clear_denominators(_reduce_mod_rows(g[:-1], lin_basis))
+            d = primitive(reduce_echelon(x, lin.basis)[1])
             if not is_zero_vec(d):
                 ray_rows[d] = m
     verts, rec = sorted(vert_rows), sorted(ray_rows)
@@ -337,10 +320,13 @@ def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis):
     x0, t0 = _integral(verts[0])
     dirs = [primitive([a * t0 - b * t for a, b in zip(x, x0)])
             for x, t in map(_integral, verts[1:])] + list(rec) + list(lin_basis)
-    dir_lat = saturate(lattice_from_rows(dirs, ambient_dim)) if dirs else zero_lattice(ambient_dim)
-    # affine hull equalities: integer basis of the orthogonal complement
+    dir_lat = _lineality(dirs, ambient_dim)
+    # affine hull equalities: integer basis of the orthogonal complement,
+    # stored sorted; facets are reduced by their rows in HNF order
     comp = _orthogonal_complement(dir_lat, ambient_dim)
-    equalities = sorted((e, Fraction(dot(e, x0), t0)) for e in comp)
+    consts = [Fraction(dot(e, x0), t0) for e in comp]
+    hull = [[x * c.denominator for x in e] + [c.numerator] for e, c in zip(comp, consts)]
+    equalities = sorted(zip(comp, consts))
     # a face is one int: its vertex mask, then its ray mask shifted past it
     nv = len(verts)
     everything = (1 << (nv + len(rec))) - 1
@@ -351,7 +337,7 @@ def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis):
             proper.setdefault(face, h)
     facets = {}
     for face in _maximal(proper):
-        normal, const = _canonical_halfspace(*proper[face], equalities)
+        normal, const = _canonical_halfspace(*proper[face], hull)
         facets[normal] = (const, face & ((1 << nv) - 1), face >> nv)
     hs = sorted(facets.items())
     return Polyhedron(ambient_dim, [(u, c) for u, (c, _, _) in hs], equalities, verts, rec,
@@ -389,10 +375,10 @@ def from_generators(points, rays=(), lines=(), ambient_dim=None):
     an extreme ray when t == 0.  The candidate facets are the dual rays with
     a nonzero normal part; the dual lines are equalities and never cut out a
     facet."""
-    if ambient_dim is None:
-        ambient_dim = len(points[0])
     if not points:
         return EMPTY
+    if ambient_dim is None:
+        ambient_dim = len(points[0])
     gens = [tuple(x) + (t,) for x, t in map(_integral, points)]
     for r in rays:
         g = primitive(r)
@@ -417,8 +403,12 @@ def from_generators(points, rays=(), lines=(), ambient_dim=None):
 
 
 def intersect(p, q):
-    """Intersection of two polyhedra (EMPTY allowed)."""
-    if p.is_empty or q.is_empty or _separated(p, q) or _separated(q, p):
+    """Intersection of two polyhedra (EMPTY allowed) in the same ambient space."""
+    if p.is_empty or q.is_empty:
+        return EMPTY
+    if p.ambient_dim != q.ambient_dim:
+        raise ValueError("polyhedra in different ambient spaces do not intersect")
+    if _separated(p, q) or _separated(q, p):
         return EMPTY
     return from_halfspaces(p.all_halfspaces() + q.all_halfspaces(), p.ambient_dim)
 

@@ -239,7 +239,10 @@ def _mixed_ambient_doc(tmp_path):
                                    "truncate-weighted-unbounded",
                                    "pushforward-domain-r1", "pushforward-domain-r3",
                                    "projection-check-domain-r1",
-                                   "check-balancing-mixed-ambient", "deep-nesting"])
+                                   "check-balancing-mixed-ambient", "deep-nesting",
+                                   "refine-2d-whole-r3", "kind-not-a-string",
+                                   "equalities-number", "equalities-true",
+                                   "equalities-null"])
 def test_cli_library_value_errors_exit_2(tmp_path, capsys, probe):
     half_plane = from_halfspaces([((1, 0), Fraction(1))], 2)
     planar = WeightedComplex([(segment((0, 0), (1, 1)), 1)])
@@ -249,6 +252,23 @@ def test_cli_library_value_errors_exit_2(tmp_path, capsys, probe):
         argv = ["refine",
                 _write(tmp_path, "c2.json", complex_from_cells([box(2)])),
                 _write(tmp_path, "c3.json", complex_from_cells([box(3)]))]
+    elif probe == "refine-2d-whole-r3":
+        # a cell of R^3 with no halfspaces cuts nothing, yet is not in R^2
+        whole = from_halfspaces([], 3)
+        argv = ["refine",
+                _write(tmp_path, "c2.json", complex_from_cells([box(2)])),
+                _write(tmp_path, "c3.json", complex_from_cells([whole]))]
+    elif probe == "kind-not-a-string":
+        path = tmp_path / "kind.json"
+        path.write_text(json.dumps({"format": "trop/1", "kind": []}))
+        argv = ["faces", str(path), "0"]
+    elif probe.startswith("equalities-"):
+        value = {"number": 3, "true": True, "null": None}[probe.split("-")[1]]
+        path = tmp_path / "eq.json"
+        path.write_text(json.dumps({"format": "trop/1", "kind": "polyhedron",
+                                    "ambient_dim": 1, "halfspaces": [],
+                                    "equalities": value}))
+        argv = ["faces", str(path), "0"]
     elif probe == "truncate-unbounded":
         argv = ["truncate",
                 _write(tmp_path, "cx.json", complex_from_cells([box(2)])),

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-definition of the library is referenced somewhere.
+"""Every name a library module imports is used in that module, every
+definition of the library is referenced somewhere, and every function the
+perfbench tracer wraps by name is defined.
 
 Stdlib-only scans with ``ast``.  An imported name counts as used when it
 appears as a name anywhere in its module.  A top-level function or class,
@@ -90,3 +91,20 @@ def test_library_has_no_unreferenced_definitions():
                     for line, qual, name in _definitions(path.read_text(encoding="utf-8"))
                     if name not in used]
     assert unreferenced == []
+
+
+def test_traced_names_are_library_functions():
+    """perfbench/tracer.py wraps the functions named in its TRACED table by
+    looking them up in their module, so each must stay a top-level function
+    of that tropform module; a deleted one would break ``--trace 1``."""
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tracer.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    assert traced
+    missing = []
+    for module, names in traced.items():
+        tree = ast.parse((PACKAGE / (module + ".py")).read_text(encoding="utf-8"))
+        defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+        missing += ["%s.%s" % (module, name) for name in names if name not in defined]
+    assert missing == []

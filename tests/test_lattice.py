@@ -7,6 +7,10 @@ for indices and grid-point enumeration for saturation/membership.
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tropform.lattice import (
     coords_in_basis,
@@ -18,7 +22,9 @@ from tropform.lattice import (
     member,
     primitive,
     primitive_outward,
+    rational_kernel,
     rational_rank,
+    reduce_echelon,
     reduce_mod_lattice,
     saturate,
     snf,
@@ -26,6 +32,7 @@ from tropform.lattice import (
     solve_exact,
     full_lattice,
     mat_mul,
+    transpose,
 )
 
 
@@ -178,3 +185,172 @@ def test_solve_exact():
     sol = solve_exact([[2, 0], [0, 4]], [1, 2])
     assert sol == [Fraction(1, 2), Fraction(1, 2)]
     assert solve_exact([[1, 1], [2, 2]], [1, 3]) is None
+
+
+# -- echelon reduction against the elimination and Smith-form paths --------
+
+ORACLE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _hnf_lattices(min_rank=0):
+    """HNF lattices in r = 1..4 of every rank from min_rank up; basis rows
+    are scaled now and then, so that some lattices are not saturated."""
+    def build(r):
+        row = st.tuples(st.integers(1, 3), st.tuples(*[st.integers(-3, 3)] * r))
+        rows = st.lists(row.map(lambda kv: [kv[0] * x for x in kv[1]]), max_size=r + 1)
+        return rows.map(lambda rows: lattice_from_rows(rows, r)).filter(
+            lambda lat: lat.rank >= min_rank)
+    return st.integers(1, 4).flatmap(build)
+
+
+@st.composite
+def _lattice_and_vector(draw):
+    """A lattice and a vector of it, of its saturation, of its rational
+    span (with Fraction entries), or anywhere."""
+    lat = draw(_hnf_lattices())
+    r = lat.ambient_rank
+    kind = draw(st.sampled_from(["lattice", "saturation", "rational", "any"]))
+    if kind == "any" or not lat.rank:
+        return lat, draw(st.tuples(*[st.integers(-6, 6)] * r))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=lat.rank, max_size=lat.rank))
+    den = draw(st.integers(2, 3)) if kind == "rational" else 1
+    v = tuple(sum(Fraction(c, den) * b[i] for c, b in zip(coeffs, lat.basis)) for i in range(r))
+    if kind == "rational":
+        return lat, v
+    v = tuple(int(x) for x in v)
+    return lat, tuple(primitive(v)) if kind == "saturation" else v
+
+
+def _elimination_coords(rows, v):
+    """Coordinates by Gauss-Jordan elimination on the transposed basis."""
+    if not rows:
+        return [] if not any(v) else None
+    return solve_exact(transpose([list(r) for r in rows]), list(v))
+
+
+def _quotient_member(v, lat):
+    """Membership by integer quotients at the HNF pivots."""
+    w = list(v)
+    for row in lat.basis:
+        p = next(i for i, x in enumerate(row) if x != 0)
+        if w[p] % row[p] != 0:
+            return False
+        q = w[p] // row[p]
+        w = [a - q * b for a, b in zip(w, row)]
+    return not any(w)
+
+
+@ORACLE_SETTINGS
+@given(_lattice_and_vector())
+def test_coords_in_basis_matches_elimination(case):
+    lat, v = case
+    assert coords_in_basis(lat.basis, v) == _elimination_coords(lat.basis, v)
+
+
+@ORACLE_SETTINGS
+@given(_lattice_and_vector())
+def test_member_and_reduce_echelon_match_pivot_quotients(case):
+    lat, v = case
+    assume(all(isinstance(x, int) for x in v))
+    assert member(v, lat) == _quotient_member(v, lat)
+    s, w = reduce_echelon(v, lat.basis)
+    assert s > 0
+    assert all(w[next(i for i, x in enumerate(b) if x)] == 0 for b in lat.basis)
+    # w / s is v minus a rational combination of the basis
+    assert _elimination_coords(lat.basis, [Fraction(x, s) - y for x, y in zip(w, v)]) is not None
+
+
+def _smith_lattice_index(sub, sup):
+    """Index by Gauss-Jordan coordinates and the Smith form."""
+    coords = []
+    for b in sub.basis:
+        sol = _elimination_coords(sup.basis, b)
+        if sol is None:
+            raise ValueError("sub is not contained in the span of sup")
+        if any(x.denominator != 1 for x in sol):
+            raise ValueError("sub is not a sublattice of sup")
+        coords.append([int(x) for x in sol])
+    if sub.rank < sup.rank:
+        return None
+    idx = 1
+    for d in snf(coords):
+        idx *= d
+    return idx
+
+
+@st.composite
+def _lattice_pairs(draw):
+    """sup and a lattice of integer combinations of its basis, of any rank,
+    or sup and any lattice in the same ambient rank."""
+    sup = draw(_hnf_lattices())
+    r = sup.ambient_rank
+    if sup.rank and draw(st.booleans()):
+        coeffs = st.lists(st.integers(-3, 3), min_size=sup.rank, max_size=sup.rank)
+        rows = [[sum(c * b[i] for c, b in zip(cs, sup.basis)) for i in range(r)]
+                for cs in draw(st.lists(coeffs, max_size=sup.rank + 1))]
+    else:
+        rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * r), max_size=r))
+    return lattice_from_rows(rows, r), sup
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@ORACLE_SETTINGS
+@given(_lattice_pairs())
+def test_lattice_index_matches_elimination_and_smith_form(pair):
+    assert _outcome(lattice_index, *pair) == _outcome(_smith_lattice_index, *pair)
+
+
+def _smith_primitive_outward(n_sigma, n_rho, u):
+    """Outward generator from the Smith form of n_rho's coordinates in
+    n_sigma: the last row of V^{-1}, its sign chosen by u."""
+    bs = n_sigma.basis
+    coords = [[int(x) for x in _elimination_coords(bs, b)] for b in n_rho.basis]
+    w_coords = snf_transform(coords)[2][n_sigma.rank - 1] if coords else [1]
+    omega = [dot(w_coords, col) for col in zip(*bs)]
+    if dot(u, omega) < 0:
+        omega = [-x for x in omega]
+    return tuple(int(x) for x in reduce_mod_lattice(omega, n_rho))
+
+
+@st.composite
+def _facet_lattices(draw):
+    """A saturated n_sigma of any rank >= 1, a functional u not zero on it,
+    and n_rho = n_sigma cap u^perp, by rational kernel and saturation."""
+    n_sigma = saturate(draw(_hnf_lattices(min_rank=1)))
+    r = n_sigma.ambient_rank
+    u = draw(st.tuples(*[st.integers(-3, 3)] * r))
+    values = [dot(u, b) for b in n_sigma.basis]
+    assume(any(values))
+    rows = []
+    for k in rational_kernel([values], n_sigma.rank):
+        t = lcm(*(x.denominator for x in k))
+        rows.append([dot([int(x * t) for x in k], col) for col in zip(*n_sigma.basis)])
+    return n_sigma, saturate(lattice_from_rows(rows, r)), u
+
+
+@ORACLE_SETTINGS
+@given(_facet_lattices())
+def test_primitive_outward_matches_smith_form(case):
+    n_sigma, n_rho, u = case
+    w = primitive_outward(n_sigma, n_rho, u)
+    assert w == _smith_primitive_outward(n_sigma, n_rho, u)
+    assert dot(u, w) > 0
+    if n_rho.rank:
+        # move one basis vector of n_rho off u^perp, inside n_sigma
+        moved = [tuple(x + y for x, y in zip(n_rho.basis[0], w))] + list(n_rho.basis[1:])
+        with pytest.raises(ValueError, match="facet hyperplane"):
+            primitive_outward(n_sigma, lattice_from_rows(moved, n_sigma.ambient_rank), u)
+
+
+def test_primitive_outward_rejects_sublattices_off_the_facet():
+    with pytest.raises(ValueError, match="facet hyperplane"):
+        primitive_outward(full_lattice(2), lattice_from_rows([[1, 1]], 2), (1, 0))
+    with pytest.raises(ValueError, match="facet hyperplane"):
+        primitive_outward(lattice_from_rows([[1, 0], [0, 2]], 2),
+                          lattice_from_rows([[0, 1]], 2), (1, 0))

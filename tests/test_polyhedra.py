@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import box, segment, simplex
 
-from tropform import polyhedra
+from tropform import io as tio, polyhedra
 from tropform.lattice import (
     dot,
     lattice_from_rows,
@@ -169,6 +169,7 @@ def test_empty_marker():
     assert EMPTY.is_empty
     assert EMPTY.dim == -1
     assert all_faces(box(1)) is not None
+    assert from_generators([]) is EMPTY
 
 
 # -- faces and triangulations from the incidence, against the DD path ------
@@ -365,7 +366,7 @@ def _rank_facets(candidates, p):
             continue
         dirs = [vec_sub(v, tv[0]) for v in tv[1:]] + tr + tl
         if (rational_rank(dirs) if dirs else 0) == p.dim - 1:
-            normal, const = polyhedra._canonical_halfspace(u, c, p.equalities)
+            normal, const = _fraction_canonical_halfspace(u, c, p.equalities)
             out[normal] = const
     return tuple(sorted(out.items()))
 
@@ -647,7 +648,7 @@ def _kernel_complement(lat, r):
     """Saturated integer kernel from the rational kernel, as HNF rows."""
     if lat.rank == 0:
         return [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    kern = [polyhedra._clear_denominators(k) for k in rational_kernel(lat.basis, r)]
+    kern = [primitive(polyhedra._integral(k)[0]) for k in rational_kernel(lat.basis, r)]
     return list(saturate(lattice_from_rows(kern, r)).basis) if kern else []
 
 
@@ -674,10 +675,21 @@ def test_orthogonal_complement_runs_no_elimination(monkeypatch):
     assert calls == []
 
 
+def _pivot_order(hull_rows):
+    """Equalities (e, c) of an HNF basis sorted by the pivot of e."""
+    return sorted(hull_rows, key=lambda row: next(i for i, x in enumerate(row[0]) if x))
+
+
+def _integer_rows(hull_rows):
+    """The rows (c.den e, c.num) that _canonical_halfspace reduces by."""
+    return [[x * c.denominator for x in e] + [c.numerator] for e, c in _pivot_order(hull_rows)]
+
+
 def _fraction_canonical_halfspace(u, c, hull_rows):
-    """The reduction modulo the equality normals over Fraction."""
+    """The reduction modulo the equality normals over Fraction, in pivot
+    order, so that the result is zero at every pivot."""
     uu, cc = [Fraction(x) for x in u], Fraction(c)
-    for e, ec in hull_rows:
+    for e, ec in _pivot_order(hull_rows):
         p = next(i for i, x in enumerate(e) if x != 0)
         f = uu[p] / e[p]
         if f:
@@ -708,4 +720,66 @@ def _halfspaces_modulo_hulls(draw):
 @ORACLE_SETTINGS
 @given(_halfspaces_modulo_hulls())
 def test_canonical_halfspace_matches_fraction_reduction(case):
-    assert polyhedra._canonical_halfspace(*case) == _fraction_canonical_halfspace(*case)
+    u, c, rows = case
+    assert polyhedra._canonical_halfspace(u, c, _integer_rows(rows)) == \
+        _fraction_canonical_halfspace(u, c, rows)
+
+
+def test_facet_inequalities_do_not_depend_on_the_cutting_row():
+    # the segment (0,0,0)-(1,2,3) on the line 2x = y, 3x = z, cut out by
+    # 0 <= x <= 1 or by 0 <= y <= 2
+    line = [((2, -1, 0), 0), ((-2, 1, 0), 0), ((3, 0, -1), 0), ((-3, 0, 1), 0)]
+    by_x = from_halfspaces(line + [((1, 0, 0), 1), ((-1, 0, 0), 0)], 3)
+    by_y = from_halfspaces(line + [((0, 1, 0), 2), ((0, -1, 0), 0)], 3)
+    assert by_x.key() == by_y.key()
+    assert by_x.halfspaces == by_y.halfspaces
+    assert tio.emit(by_x) == tio.emit(by_y)
+
+
+@st.composite
+def _redescribed(draw):
+    """A polyhedron in r = 3, 4 whose affine hull has at least two
+    equalities, and another H-description of it: each facet row scaled and
+    shifted by integer multiples of the equality rows, the equalities mixed
+    unimodularly and negated, loosened and duplicated rows added, and all
+    rows shuffled."""
+    r = draw(st.integers(3, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * r)
+    dirs = draw(st.lists(vec, max_size=r - 2))
+    frac = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+    base = draw(st.tuples(*[frac] * r))
+    combos = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(dirs)), min_size=1, max_size=5))
+    pts = [tuple(b + sum(c * d[i] for c, d in zip(cs, dirs)) for i, b in enumerate(base))
+           for cs in combos]
+    rays = draw(st.lists(st.sampled_from(dirs), max_size=1)) if dirs else []
+    p = from_generators(pts, rays, [], r)
+    assume(len(p.equalities) >= 2)
+    eqs = [list(e) + [c] for e, c in p.equalities]
+    k = len(eqs)
+    for i, j, m in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1),
+                                           st.integers(-2, 2)), max_size=4)):
+        if i != j:
+            eqs[i] = [a + m * b for a, b in zip(eqs[i], eqs[j])]
+    rows = []
+    for row in eqs:
+        row = [-x for x in row] if draw(st.booleans()) else row
+        rows += [(tuple(row[:-1]), row[-1]), (tuple(-x for x in row[:-1]), -row[-1])]
+    for u, c in p.halfspaces:
+        shift = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        scale = draw(st.integers(1, 2))
+        row = [scale * x for x in list(u) + [c]]
+        row = [x + sum(m * e[i] for m, e in zip(shift, eqs)) for i, x in enumerate(row)]
+        rows.append((tuple(row[:-1]), row[-1]))
+        extra = draw(st.sampled_from(["none", "loose", "duplicate"]))
+        if extra != "none":
+            rows.append((tuple(row[:-1]), row[-1] + (extra == "loose")))
+    return p, draw(st.permutations(rows)), r
+
+
+@ORACLE_SETTINGS
+@given(_redescribed())
+def test_equal_polyhedra_emit_the_same_document(case):
+    p, rows, r = case
+    q = from_halfspaces(rows, r)
+    assert q.key() == p.key()
+    assert tio.emit(q) == tio.emit(p)
