@@ -22,7 +22,7 @@ from itertools import combinations
 from math import gcd
 
 from .cycle import WeightedComplex
-from .lattice import lattice_from_rows, primitive, reduce_echelon, vec_sub
+from .lattice import integer_row, lattice_from_rows, primitive, reduce_echelon, vec_sub
 from .polyhedra import (
     _assemble,
     _bits,
@@ -60,7 +60,7 @@ class TropicalPolynomial:
 def tropical_polynomial(terms, ambient_dim, convention="min"):
     return TropicalPolynomial(
         ambient_dim,
-        tuple((tuple(int(x) for x in m), Fraction(c)) for m, c in terms),
+        tuple((tuple(integer_row(m)), Fraction(c)) for m, c in terms),
         convention,
     )
 

@@ -5,15 +5,19 @@ downstream residuals (Stokes, Green, balancing) come out exactly zero.
 Lattices are sublattices of Z^r given by basis rows kept in Hermite normal
 form, so equal lattices have identical representations.  That basis is
 echelon: reductions and coordinates in it use :func:`reduce_echelon` and
-:func:`coords_in_basis`.  General elimination is left only for the Gram
-system of :func:`reduce_mod_lattice` and for :func:`in_span`.
+:func:`coords_in_basis`.  The Hermite form is the only integer elimination:
+orthogonal complements are read off its transform, a saturation is the
+complement of the complement, an index is the product of its diagonal, and
+the Smith form alternates row and column Hermite forms.  General rational
+elimination is left only for the Gram system of :func:`reduce_mod_lattice`
+and for :func:`in_span`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +47,14 @@ def primitive(v):
     if g == 0:
         return tuple(v)
     return tuple(x // g for x in v)
+
+
+def integer_row(v):
+    """The entries of v as a list of ints; ValueError if one is not integral."""
+    row = list(map(int, v))
+    if row != list(v):
+        raise ValueError("non-integral entry in (%s)" % ", ".join(map(str, v)))
+    return row
 
 
 def identity_matrix(n):
@@ -152,7 +164,7 @@ def in_span(rows, v):
 
 
 # ---------------------------------------------------------------------------
-# Hermite and Smith normal forms
+# Hermite and Smith normal forms, orthogonal complements
 
 def hnf(m):
     """Row-style Hermite normal form.
@@ -161,7 +173,7 @@ def hnf(m):
     entries above each pivot are reduced into [0, pivot), zero rows come
     last.  The form is canonical: hnf(w*m) == hnf(m) for unimodular w.
     """
-    rows = [list(map(int, r)) for r in m]
+    rows = [integer_row(r) for r in m]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     u = identity_matrix(nr)
@@ -192,93 +204,57 @@ def hnf(m):
     return rows, u
 
 
+def orthogonal_complement(rows, r):
+    """HNF basis of {u in Z^r : <u, v> = 0 for every row v}, on integers.
+
+    The rows may be dependent or unsaturated: the complement of a lattice
+    is that of its saturation.  With U unimodular such that U B^T is in
+    Hermite form, B the rows as a matrix of rank k, the rows of U B^T past
+    the k-th are zero, and U's rows past the k-th span this kernel: it is
+    saturated, being cut out of Z^r by a subspace, and U maps Z^r onto Z^r.
+    Those rows are independent, so their Hermite form has no zero row.
+    """
+    h, u = hnf([[row[i] for row in rows] for i in range(r)])
+    k = sum(1 for row in h if any(row))
+    return tuple(map(tuple, hnf(u[k:])[0]))
+
+
 def snf_transform(m):
-    """Smith normal form with transforms.
+    """Smith normal form with transforms, built on Hermite forms (Kannan &
+    Bachem, SIAM J. Comput. 8, 1979).
 
     Returns (d, u, vinv) where u*m*v == d is diagonal with the divisibility
     chain d[0][0] | d[1][1] | ..., u and v unimodular, and vinv == v^{-1}.
+    Row and column Hermite forms alternate until the matrix is diagonal.
+    Where d_i does not divide a later d_j, column j is added to column i,
+    and the next row form puts gcd(d_i, d_j) at (i, i).  (A row addition
+    would be undone by that row form.)
     """
-    a = [list(map(int, r)) for r in m]
+    a = [list(r) for r in m]
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    u = identity_matrix(nr)
-    vinv = identity_matrix(nc)
-
-    def row_addmul(i, j, q):
-        _addmul(a[i], a[j], q)
-        _addmul(u[i], u[j], q)
-
-    def col_addmul(j, i, q):
-        # column j += q * column i; vinv row i -= q * vinv row j
-        for r in range(nr):
-            a[r][j] += q * a[r][i]
-        _addmul(vinv[i], vinv[j], -q)
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in range(nr):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    t = 0
-    while t < min(nr, nc):
-        # locate a nonzero entry of minimal absolute value in a[t:, t:]
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
-        while True:
-            done = True
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_addmul(i, t, -q)
-                    if a[i][t] != 0:
-                        row_swap(t, i)
-                        done = False
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_addmul(j, t, -q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        done = False
-            if done and all(a[i][t] == 0 for i in range(t + 1, nr)) \
-                    and all(a[t][j] == 0 for j in range(t + 1, nc)):
-                break
-        # enforce divisibility of the remaining block by a[t][t]
-        fixed = False
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    row_addmul(t, i, 1)
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
+    u, v = identity_matrix(nr), identity_matrix(nc)
+    while nr and nc:
+        a, w = hnf(a)
+        u = mat_mul(w, u)
+        h, w = hnf(transpose(a))
+        a, v = transpose(h), mat_mul(v, transpose(w))
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
             continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return a, u, vinv
+        d = [a[i][i] for i in range(min(nr, nc)) if a[i][i]]
+        split = next(((i, j) for j in range(len(d)) for i in range(j) if d[j] % d[i]), None)
+        if split is None:
+            break
+        i, j = split
+        for row in a + v:  # column i += column j, in a and in v
+            row[i] += row[j]
+    return a, u, hnf(v)[1]
 
 
 def snf(m):
     """Elementary divisors d_1 | d_2 | ... | d_k with k = min(rows, cols)."""
-    if not m or not m[0]:
-        return []
-    d, _, _ = snf_transform(m)
-    return [d[i][i] for i in range(min(len(d), len(d[0])))]
+    d = snf_transform(m)[0]
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +286,6 @@ def full_lattice(r):
     return Lattice(r, tuple(tuple(row) for row in identity_matrix(r)))
 
 
-def zero_lattice(r):
-    return Lattice(r, ())
-
-
 def reduce_echelon(v, rows):
     """Reduce the integer vector v at the pivots of echelon rows (an HNF
     basis, say), fraction-free: (s, w) with s > 0 and w = s v - sum mu_k
@@ -335,27 +307,32 @@ def reduce_echelon(v, rows):
 
 
 def member(v, lat):
-    """Exact membership test v in lat, via the HNF basis."""
+    """Exact membership test v in lat, via the HNF basis; a vector with a
+    non-integral entry is in no lattice."""
     if len(v) != lat.ambient_rank:
         raise ValueError("vector length does not match ambient rank")
-    s, w = reduce_echelon(map(int, v), lat.basis)
+    iv = list(map(int, v))
+    if iv != list(v):
+        return False
+    s, w = reduce_echelon(iv, lat.basis)
     return s == 1 and is_zero_vec(w)
 
 
 def saturate(lat):
-    """Saturation span_R(lat) cap Z^r; idempotent."""
-    if lat.rank == 0:
+    """Saturation span_R(lat) cap Z^r, the orthogonal complement of the
+    orthogonal complement of lat; idempotent."""
+    if lat.rank == 0:  # the lineality of most polyhedra: skip four HNFs
         return lat
-    _, _, vinv = snf_transform([list(r) for r in lat.basis])
-    rows = [vinv[i] for i in range(lat.rank)]
-    return lattice_from_rows(rows, lat.ambient_rank)
+    r = lat.ambient_rank
+    return Lattice(r, orthogonal_complement(orthogonal_complement(lat.basis, r), r))
 
 
 def lattice_index(sub, sup):
-    """Index of sub inside sup: the product of the elementary divisors of the
-    matrix of sub's basis in a basis of sup.  Returns None (infinite) when
-    rank(sub) < rank(sup).  Requires span(sub) subseteq span(sup) and sub to
-    be an actual sublattice of sup."""
+    """Index of sub inside sup: |det| of the integer matrix of sub's basis
+    coordinates in sup's basis, the product of the diagonal of its Hermite
+    form.  Returns None (infinite) when rank(sub) < rank(sup).  Requires
+    span(sub) subseteq span(sup) and sub to be an actual sublattice of
+    sup."""
     if sub.ambient_rank != sup.ambient_rank:
         raise ValueError("ambient rank mismatch")
     coords = []
@@ -368,10 +345,8 @@ def lattice_index(sub, sup):
         coords.append([int(x) for x in sol])
     if sub.rank < sup.rank:
         return None
-    idx = 1
-    for d in snf(coords):
-        idx *= d
-    return idx
+    h, _ = hnf(coords)
+    return prod(h[i][i] for i in range(sub.rank))
 
 
 def coords_in_basis(basis_rows, v):

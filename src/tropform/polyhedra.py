@@ -10,9 +10,11 @@ are read off it with no further double description and no dot products.
 Cells are assembled on integers, a vertex v taken as x / t with x integer
 and t > 0 (as lrs and cdd do): directions, the affine hull and the canonical
 facet inequalities need no rational arithmetic, and Fractions are built
-only for the stored vertices, keys and constants.  Identity of cells is
-decided through a canonical key built from the V-data, which makes complex
-validation and deduplication deterministic.
+only for the stored vertices, keys and constants.  The hull equalities are
+the orthogonal complement of the raw directions, and the direction lattice
+is the complement of those, both read off Hermite forms with no Smith form.
+Identity of cells is decided through a canonical key built from the V-data,
+which makes complex validation and deduplication deterministic.
 """
 
 from __future__ import annotations
@@ -21,19 +23,19 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .lattice import (
+    Lattice,
     determinant,
-    hnf,
     identity_matrix,
     dot,
+    integer_row,
     is_zero_vec,
     lattice_from_rows,
+    orthogonal_complement,
     primitive,
     reduce_echelon,
     saturate,
-    transpose,
     vec_neg,
     vec_sub,
-    zero_lattice,
 )
 
 
@@ -233,7 +235,7 @@ def from_halfspaces(halfspaces, ambient_dim):
     for u, c in halfspaces:
         if len(u) != ambient_dim:
             raise ValueError("normal length does not match ambient dimension")
-        u, c = tuple(int(x) for x in u), Fraction(c)
+        u, c = tuple(integer_row(u)), Fraction(c)
         candidates.append((u, c))
         rows.append(tuple(x * c.denominator for x in u) + (-c.numerator,))
     rows.append(tuple([0] * ambient_dim + [-1]))  # t >= 0
@@ -241,7 +243,7 @@ def from_halfspaces(halfspaces, ambient_dim):
     if not any(r[-1] > 0 for r in rays):
         return EMPTY
     # lines always have t == 0 (they satisfy -t <= 0 and t unbounded both ways)
-    lin = _lineality([l[:-1] for l in lines], ambient_dim)
+    lin = saturate(lattice_from_rows([l[:-1] for l in lines], ambient_dim))
     # each input row's DD bit; a zero row has none and cuts out no facet
     bits, bit = [], 1
     for row in rows[:-1]:
@@ -251,12 +253,6 @@ def from_halfspaces(halfspaces, ambient_dim):
         bits.append(bit)
         bit <<= 1
     return _from_incidence(ambient_dim, candidates, bits, zip(rays, masks), lin)
-
-
-def _lineality(rows, ambient_dim):
-    """Saturated lattice of the space spanned by integer rows: the lineality
-    of a polyhedron, or the direction lattice of a cell."""
-    return saturate(lattice_from_rows(rows, ambient_dim)) if rows else zero_lattice(ambient_dim)
 
 
 def _from_incidence(ambient_dim, candidates, bits, tight, lin):
@@ -320,10 +316,11 @@ def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis):
     x0, t0 = _integral(verts[0])
     dirs = [primitive([a * t0 - b * t for a, b in zip(x, x0)])
             for x, t in map(_integral, verts[1:])] + list(rec) + list(lin_basis)
-    dir_lat = _lineality(dirs, ambient_dim)
-    # affine hull equalities: integer basis of the orthogonal complement,
-    # stored sorted; facets are reduced by their rows in HNF order
-    comp = _orthogonal_complement(dir_lat, ambient_dim)
+    # affine hull equalities: HNF basis of the orthogonal complement of the
+    # directions, stored sorted; facets are reduced by their rows in HNF
+    # order.  The direction lattice is the complement of the complement.
+    comp = orthogonal_complement(dirs, ambient_dim)
+    dir_lat = Lattice(ambient_dim, orthogonal_complement(comp, ambient_dim))
     consts = [Fraction(dot(e, x0), t0) for e in comp]
     hull = [[x * c.denominator for x in e] + [c.numerator] for e, c in zip(comp, consts)]
     equalities = sorted(zip(comp, consts))
@@ -343,21 +340,6 @@ def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis):
     return Polyhedron(ambient_dim, [(u, c) for u, (c, _, _) in hs], equalities, verts, rec,
                       lin_basis, dir_lat, [vs for _, (_, vs, _) in hs],
                       [rs for _, (_, _, rs) in hs])
-
-
-def _orthogonal_complement(lat, ambient_dim):
-    """HNF basis of {u in Z^r : <u, v> = 0 for v in lat}, on integers.
-
-    With B the basis of lat (rank k) and U unimodular such that U B^T is in
-    Hermite form, the rows of U B^T past the k-th are zero, and U's rows
-    past the k-th span this kernel: it is saturated, being cut out of Z^r
-    by a subspace, and U maps Z^r onto Z^r."""
-    if lat.rank == 0:
-        return [tuple(row) for row in identity_matrix(ambient_dim)]
-    if lat.rank == ambient_dim:
-        return []
-    _, u = hnf(transpose(lat.basis))
-    return list(lattice_from_rows(u[lat.rank:], ambient_dim).basis)
 
 
 def from_generators(points, rays=(), lines=(), ambient_dim=None):
@@ -394,7 +376,8 @@ def from_generators(points, rays=(), lines=(), ambient_dim=None):
     # dual rays at which it is tight
     tight = [_select(masks, 1 << k) for k in range(len(gens))]
     full = (1 << len(drays)) - 1
-    lin = _lineality([g[:-1] for g, m in zip(gens, tight) if m == full], ambient_dim)
+    lin = saturate(lattice_from_rows([g[:-1] for g, m in zip(gens, tight) if m == full],
+                                     ambient_dim))
     extreme = set(_maximal({m for m in tight if m != full}))
     cand = [i for i, a in enumerate(drays) if not is_zero_vec(a[:-1])]
     return _from_incidence(ambient_dim, [(drays[i][:-1], -drays[i][-1]) for i in cand],

@@ -14,7 +14,7 @@ from functools import cache
 from itertools import combinations
 from math import lcm, prod
 
-from .lattice import determinant
+from .lattice import determinant, integer_row
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +445,7 @@ class AffineMap:
     __slots__ = ("linear", "translate")
 
     def __init__(self, linear, translate):
-        self.linear = tuple(tuple(int(x) for x in row) for row in linear)
+        self.linear = tuple(tuple(integer_row(row)) for row in linear)
         self.translate = tuple(Fraction(x) for x in translate)
         if len(self.linear) != len(self.translate):
             raise ValueError("linear part and translate disagree on codomain")

@@ -37,6 +37,7 @@ from tropform.integrate import (
 )
 from tropform.lattice import (
     full_lattice,
+    in_span,
     lattice_from_rows,
     lattice_index,
     member,
@@ -366,6 +367,13 @@ def test_criterion_08_lattice_oracle(capsys):
                  for i in range(r)]
             if not member(v, sub) or not member(v, sup):
                 failures += 1
+        # oracle 3, by brute force: every integer point of a box in the
+        # span of sub is in the saturation, whose basis lies in that span
+        for v in product(range(-2, 3), repeat=r):
+            if in_span(sub.basis, v) and not member(v, sup):
+                failures += 1
+        if not all(in_span(sub.basis, b) for b in sup.basis):
+            failures += 1
         checked += 1
     # full-rank indices against |det|
     for _ in range(10):

@@ -22,7 +22,14 @@ from tropform.cycle import (
 )
 from tropform.hypersurface import corner_locus, tropical_polynomial
 from tropform.integrate import integrate_complex, integrate_polytope
-from tropform.lattice import determinant, dot, lattice_from_rows, lattice_index, vec_neg
+from tropform.lattice import (
+    determinant,
+    dot,
+    full_lattice,
+    lattice_from_rows,
+    lattice_index,
+    vec_neg,
+)
 from tropform.polyhedra import affine_image, from_halfspaces, intersect
 from tropform.superform import AffineMap, Polynomial, basis_form, d_prime
 
@@ -470,3 +477,25 @@ def test_truncated_keeps_cells_inside_the_window(monkeypatch):
     assert out.weighted_cells() == [(inside, 1), (cut, 2)]
     # only the crossing cell is intersected with the window
     assert len(dd_calls) == 1
+
+
+def test_construction_runs_no_smith_form(monkeypatch):
+    from tropform import lattice
+    calls = []
+    snf_transform = lattice.snf_transform
+    monkeypatch.setattr(lattice, "snf_transform",
+                        lambda *args: calls.append(args) or snf_transform(*args))
+    wedge = polyhedra.from_generators([(0, 0, 0), (1, 2, 0)], [(1, 0, 0)], [(0, 1, 3)], 3)
+    image = affine_image([[1, 1, 0], [0, 2, 1]], [0, Fraction(1, 2)], box(3))
+    for p in (from_halfspaces([((2, 1, 0), 4), ((-1, 0, 0), 0), ((0, -1, 0), 0)], 3),
+              wedge, image, box(3)):
+        for codim in range(p.dim + 1):
+            polyhedra.faces(p, codim)
+    rng = random.Random(5)
+    plane, space = (corner_locus(tropical_polynomial(dense_terms(rng, r, 2), r))
+                    for r in (2, 3))
+    assert check_balancing(space) == []
+    pushed = pushforward(AffineMap([[2, 1], [0, 1]], [0, 0]), plane)
+    assert check_balancing(pushed) == []
+    assert lattice_index(lattice_from_rows([[2, 0], [1, 3]], 2), full_lattice(2)) == 6
+    assert calls == []

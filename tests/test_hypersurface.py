@@ -46,6 +46,12 @@ def test_duplicate_exponent_rejected():
         tropical_polynomial([((1, 0), 0)], 2)
 
 
+def test_non_integral_exponent_rejected():
+    with pytest.raises(ValueError, match="non-integral"):
+        tropical_polynomial([((Fraction(1, 2),), 0), ((1,), 1)], 1)
+    assert tropical_polynomial([((Fraction(2),), 0), ((1,), 1)], 1).terms[0][0] == (2,)
+
+
 def test_min_oracle_sampling(seed=51):
     # the locus is exactly where the min is attained at least twice
     rng = random.Random(seed)

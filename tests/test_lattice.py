@@ -10,10 +10,11 @@ from itertools import product
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tropform.lattice import (
     coords_in_basis,
+    determinant,
     dot,
     hnf,
     in_span,
@@ -31,7 +32,9 @@ from tropform.lattice import (
     snf_transform,
     solve_exact,
     full_lattice,
+    identity_matrix,
     mat_mul,
+    orthogonal_complement,
     transpose,
 )
 
@@ -78,9 +81,9 @@ def _random_unimodular(rng, n):
 def test_snf_example():
     d, u, vinv = snf_transform([[2, 4], [6, 8]])
     diag = [d[i][i] for i in range(2)]
-    assert diag == [2, 4] or diag == [1, 8] or diag == [2, 4]
-    assert diag[0] > 0 and diag[1] % diag[0] == 0
+    assert diag == [2, 4]
     # u m v = d, with vinv tracking v^{-1}
+    assert mat_mul(mat_mul(u, [[2, 4], [6, 8]]), hnf(vinv)[1]) == d
     assert snf([[2, 4], [6, 8]]) == diag
 
 
@@ -117,6 +120,18 @@ def test_index_against_coset_enumeration(seed=11):
             residues.add(tuple(reduce_mod_lattice(list(pt), sub)))
         assert len(residues) == idx
         checked += 1
+
+
+def test_member_rejects_rational_vectors():
+    assert not member((Fraction(1, 2), 0), full_lattice(2))
+    assert not member((Fraction(3, 2),), lattice_from_rows([[1]], 1))
+    assert member((Fraction(2), 0), full_lattice(2))
+
+
+def test_lattice_from_rows_rejects_non_integral_rows():
+    with pytest.raises(ValueError, match="non-integral"):
+        lattice_from_rows([[Fraction(1, 2), 0]], 2)
+    assert lattice_from_rows([[Fraction(2), 0]], 2).basis == ((2, 0),)
 
 
 def test_member_and_coords():
@@ -192,15 +207,21 @@ def test_solve_exact():
 ORACLE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
-def _hnf_lattices(min_rank=0):
-    """HNF lattices in r = 1..4 of every rank from min_rank up; basis rows
-    are scaled now and then, so that some lattices are not saturated."""
+def _raw_rows():
+    """Up to r + 1 integer rows in r = 1..4, scaled now and then, so that
+    they are often dependent and often span an unsaturated lattice."""
     def build(r):
         row = st.tuples(st.integers(1, 3), st.tuples(*[st.integers(-3, 3)] * r))
         rows = st.lists(row.map(lambda kv: [kv[0] * x for x in kv[1]]), max_size=r + 1)
-        return rows.map(lambda rows: lattice_from_rows(rows, r)).filter(
-            lambda lat: lat.rank >= min_rank)
+        return rows.map(lambda rows: (rows, r))
     return st.integers(1, 4).flatmap(build)
+
+
+def _hnf_lattices(min_rank=0):
+    """HNF lattices in r = 1..4 of every rank from min_rank up, some of them
+    not saturated."""
+    return _raw_rows().map(lambda case: lattice_from_rows(*case)).filter(
+        lambda lat: lat.rank >= min_rank)
 
 
 @st.composite
@@ -251,8 +272,9 @@ def test_coords_in_basis_matches_elimination(case):
 @given(_lattice_and_vector())
 def test_member_and_reduce_echelon_match_pivot_quotients(case):
     lat, v = case
-    assume(all(isinstance(x, int) for x in v))
+    # the quotients are exact on rational vectors too
     assert member(v, lat) == _quotient_member(v, lat)
+    assume(all(isinstance(x, int) for x in v))
     s, w = reduce_echelon(v, lat.basis)
     assert s > 0
     assert all(w[next(i for i, x in enumerate(b) if x)] == 0 for b in lat.basis)
@@ -354,3 +376,87 @@ def test_primitive_outward_rejects_sublattices_off_the_facet():
     with pytest.raises(ValueError, match="facet hyperplane"):
         primitive_outward(lattice_from_rows([[1, 0], [0, 2]], 2),
                           lattice_from_rows([[0, 1]], 2), (1, 0))
+
+
+# -- Hermite-form complements and saturation, Smith form, against oracles --
+
+def _smith_saturate(lat):
+    """Saturation by a Smith form u B v = d: rows of B are combinations of
+    the first rank(B) rows of v^{-1}, which extend to a unimodular basis."""
+    vinv = snf_transform([list(b) for b in lat.basis])[2]
+    return lattice_from_rows(vinv[:lat.rank], lat.ambient_rank)
+
+
+def _kernel_complement(rows, r):
+    """Saturated integer kernel from the rational kernel, as HNF rows."""
+    kern = []
+    for k in rational_kernel(rows, r):
+        t = lcm(*(x.denominator for x in k))
+        kern.append([int(x * t) for x in k])
+    return _smith_saturate(lattice_from_rows(kern, r)).basis
+
+
+@ORACLE_SETTINGS
+@given(_raw_rows())
+def test_orthogonal_complement_matches_rational_kernel(case):
+    rows, r = case
+    assert orthogonal_complement(rows, r) == _kernel_complement(rows, r)
+
+
+def test_orthogonal_complement_runs_no_elimination(monkeypatch):
+    from tropform import lattice
+    calls = []
+    gj = lattice.gauss_jordan
+    monkeypatch.setattr(lattice, "gauss_jordan", lambda *args: calls.append(args) or gj(*args))
+    assert orthogonal_complement([(1, 2, 3), (0, 1, 1)], 3) == ((1, 1, -1),)
+    # dependent and unsaturated rows have the complement of their span
+    assert orthogonal_complement([(2, 4, 6), (0, 2, 2), (1, 3, 4)], 3) == ((1, 1, -1),)
+    # the kernel of x + 2y + 3w, with (1, 1, 0, -1) and (0, 3, 0, -2) a basis
+    # of its (x, y, w) part
+    assert orthogonal_complement([(2, 4, 0, 6)], 4) == \
+        ((1, 1, 0, -1), (0, 3, 0, -2), (0, 0, 1, 0))
+    assert orthogonal_complement([], 2) == ((1, 0), (0, 1))
+    assert orthogonal_complement([(0, 3), (2, 0)], 2) == ()
+    assert calls == []
+
+
+@ORACLE_SETTINGS
+@given(_hnf_lattices())
+def test_saturate_matches_smith_form(lat):
+    assert saturate(lat) == _smith_saturate(lat)
+
+
+def _matrices():
+    """Integer matrices of up to 4 x 4, with some rows and columns zeroed."""
+    def build(shape):
+        nr, nc = shape
+        entries = st.lists(st.lists(st.integers(-6, 6), min_size=nc, max_size=nc),
+                           min_size=nr, max_size=nr)
+        zero_rows = st.sets(st.integers(0, nr - 1))
+        zero_cols = st.sets(st.integers(0, nc - 1))
+        return st.builds(lambda m, zr, zc: [[0 if i in zr or j in zc else x
+                                              for j, x in enumerate(row)]
+                                             for i, row in enumerate(m)],
+                         entries, zero_rows, zero_cols)
+    return st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(build)
+
+
+@ORACLE_SETTINGS
+@given(_matrices())
+@example([[3, 0], [3, 1]])
+@example([[0, 0], [0, 0], [0, 0]])
+@example([[0, 2, 0], [0, 0, 0]])
+@example([[-2]])
+def test_snf_transform_transforms(m):
+    d, u, vinv = snf_transform(m)
+    v = hnf(vinv)[1]
+    nr, nc = len(m), len(m[0])
+    assert mat_mul(mat_mul(u, m), v) == d
+    assert mat_mul(vinv, v) == identity_matrix(nc)
+    assert abs(determinant(u)) == 1 and abs(determinant(vinv)) == 1
+    assert all(x == 0 for i, row in enumerate(d) for j, x in enumerate(row) if i != j)
+    diag = [d[i][i] for i in range(min(nr, nc))]
+    assert all(x >= 0 for x in diag)
+    # d_1 | d_2 | ...: zeros last, each nonzero entry divides the next
+    assert all(b == 0 if a == 0 else b % a == 0 for a, b in zip(diag, diag[1:]))
+    assert snf(m) == diag

@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import box, segment, simplex
@@ -15,7 +16,6 @@ from tropform.lattice import (
     dot,
     lattice_from_rows,
     primitive,
-    rational_kernel,
     rational_rank,
     saturate,
     vec_neg,
@@ -637,42 +637,11 @@ def test_from_generators_runs_one_double_description(monkeypatch):
     assert wedge.rays == ((0, 0, 1), (0, 2, 1))
 
 
-def _lattices():
-    def build(r):
-        rows = st.lists(st.tuples(*[st.integers(-3, 3)] * r), max_size=r + 1)
-        return st.builds(lambda rows: lattice_from_rows(rows, r), rows)
-    return st.integers(1, 4).flatmap(build)
-
-
-def _kernel_complement(lat, r):
-    """Saturated integer kernel from the rational kernel, as HNF rows."""
-    if lat.rank == 0:
-        return [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    kern = [primitive(polyhedra._integral(k)[0]) for k in rational_kernel(lat.basis, r)]
-    return list(saturate(lattice_from_rows(kern, r)).basis) if kern else []
-
-
-@ORACLE_SETTINGS
-@given(_lattices())
-def test_orthogonal_complement_matches_rational_kernel(lat):
-    r = lat.ambient_rank
-    assert polyhedra._orthogonal_complement(lat, r) == _kernel_complement(lat, r)
-
-
-def test_orthogonal_complement_runs_no_elimination(monkeypatch):
-    from tropform import lattice
-    calls = []
-    gj = lattice.gauss_jordan
-    for mod in (lattice, polyhedra):
-        monkeypatch.setattr(mod, "gauss_jordan",
-                            lambda *args: calls.append(args) or gj(*args), raising=False)
-    lat = lattice_from_rows([(1, 2, 3), (0, 1, 1)], 3)
-    assert polyhedra._orthogonal_complement(lat, 3) == [(1, 1, -1)]
-    # the kernel of x + 2y + 3w, with (1, 1, 0, -1) and (0, 3, 0, -2) a basis
-    # of its (x, y, w) part
-    assert polyhedra._orthogonal_complement(lattice_from_rows([(2, 4, 0, 6)], 4), 4) == \
-        [(1, 1, 0, -1), (0, 3, 0, -2), (0, 0, 1, 0)]
-    assert calls == []
+def test_from_halfspaces_rejects_non_integral_normals():
+    with pytest.raises(ValueError, match="non-integral"):
+        from_halfspaces([((Fraction(1, 2),), 1), ((-1,), 0)], 1)
+    # an integral Fraction is accepted: 0 <= x <= 2
+    assert from_halfspaces([((Fraction(2),), 4), ((-1,), 0)], 1).vertices == ((0,), (2,))
 
 
 def _pivot_order(hull_rows):

@@ -46,6 +46,12 @@ def test_polynomial_rejects_malformed_exponents():
     assert Polynomial(2, {(1, 0): 0}).is_zero
 
 
+def test_affine_map_rejects_non_integral_linear_part():
+    with pytest.raises(ValueError, match="non-integral"):
+        AffineMap([[Fraction(1, 2)]], [0])
+    assert AffineMap([[Fraction(2), 1.0]], [0]).linear == ((2, 1),)
+
+
 def test_polynomial_compose_affine():
     f = P(1, {(2,): 1})  # x^2
     # substitute x = 2t + 1
