@@ -30,7 +30,7 @@ from .integrate import (
     integrate_polytope,
     stokes_residual,
 )
-from .polyhedra import faces, refine, truncate, validate_complex
+from .polyhedra import faces, intersect, refine, truncate, validate_complex
 
 
 class InputError(Exception):
@@ -76,7 +76,6 @@ def _maybe_truncate(domain, args):
     box = _load(window, "polyhedron")
     if hasattr(domain, "truncated"):
         return domain.truncated(box)
-    from .polyhedra import intersect
     return intersect(domain, box)
 
 
@@ -101,23 +100,15 @@ def _cmd_check_balancing(args):
 
 
 def _cmd_integrate(args):
+    """``integrate`` and ``integrate-boundary``, told apart by args.command."""
     domain = _maybe_truncate(_load(args.domain, "polyhedron", "weighted-complex"), args)
     form = _load(args.form, "superform")
-    if hasattr(domain, "weighted_cells"):
-        value = integrate_complex(domain, form)
+    if args.command == "integrate":
+        cell, cells = integrate_polytope, integrate_complex
     else:
-        value = integrate_polytope(domain, form)
-    return _report("integrate", {"value": tio.rational_str(value)})
-
-
-def _cmd_integrate_boundary(args):
-    domain = _maybe_truncate(_load(args.domain, "polyhedron", "weighted-complex"), args)
-    form = _load(args.form, "superform")
-    if hasattr(domain, "weighted_cells"):
-        value = integrate_complex_boundary(domain, form)
-    else:
-        value = integrate_boundary(domain, form)
-    return _report("integrate-boundary", {"value": tio.rational_str(value)})
+        cell, cells = integrate_boundary, integrate_complex_boundary
+    value = (cells if hasattr(domain, "weighted_cells") else cell)(domain, form)
+    return _report(args.command, {"value": tio.rational_str(value)})
 
 
 def _cmd_stokes(args):
@@ -256,7 +247,7 @@ def build_parser():
     sp.add_argument("domain")
     sp.add_argument("form")
     _add_window(sp)
-    sp.set_defaults(func=_cmd_integrate_boundary)
+    sp.set_defaults(func=_cmd_integrate)
 
     sp = sub.add_parser("stokes", help="Stokes residuals (must be zero)")
     sp.add_argument("domain")

@@ -45,14 +45,18 @@ class WeightedComplex:
     def __init__(self, weighted_cells):
         """weighted_cells: iterable of (polyhedron, integer weight), all of
         one dimension in one ambient space.  These are the maximal cells;
-        their faces are not stored, and weights of equal cells add up."""
+        their faces are not stored, and weights of equal cells add up.  A
+        weight that is not an integer raises ValueError."""
         self._weights = {}
         top = {}
         for c, m in weighted_cells:
             if c.is_empty:
                 continue
+            w = int(m)
+            if w != m:
+                raise ValueError("weight %s is not an integer" % m)
             key = c.key()
-            self._weights[key] = self._weights.get(key, 0) + int(m)
+            self._weights[key] = self._weights.get(key, 0) + w
             top[key] = c
         # sorted once: the cells never change after construction
         self._cells = [(c, self._weights[k]) for k, c in sorted(top.items())]

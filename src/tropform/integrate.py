@@ -1,11 +1,10 @@
 """Exact integration of superforms over integral affine polytopes.
 
 An (n, n)-form a is integrated over an n-dimensional polytope in intrinsic
-coordinates given by a Z-basis B of the polytope's direction lattice.  The
-top coefficient of the pullback is read off the chart's minors: in ambient
-coordinates it is sum_{I,J} det(B_I) det(B_J) a_IJ, with B_I the rows I of
-B, and this one polynomial is composed with the chart once, not each
-component of a.  The sign (-1)^{n(n-1)/2} makes
+coordinates given by a Z-basis B of the polytope's direction lattice: the
+integrand is the top coefficient of the pullback of a along the chart,
+which ``pullback`` builds as sum_{I,J} det(B_I) det(B_J) a_IJ (B_I the rows
+I of B) composed with the chart once.  The sign (-1)^{n(n-1)/2} makes
 d'x_1 ^ d''x_1 ^ ... ^ d'x_n ^ d''x_n positive, and the polynomial is
 integrated over a placing triangulation with the closed-form
 monomial-over-simplex formula.  Everything is over Q.
@@ -14,12 +13,19 @@ monomial-over-simplex formula.  Everything is over Q.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import factorial
 
 from .lattice import coords_in_basis, determinant, dot, primitive_outward, vec_sub
 from .polyhedra import _integral, faces, triangulate
-from .superform import AffineMap, Polynomial, contract
+from .superform import (
+    AffineMap,
+    contract,
+    d_prime,
+    d_second,
+    is_symmetric,
+    pullback,
+    wedge,
+)
 
 
 def _intrinsic_map(sigma):
@@ -81,12 +87,8 @@ def integrate_polytope(sigma, a):
     if n == 0:
         poly = a.coefficient((), ())
         return poly.evaluate(sigma.vertices[0])
-    phi = _intrinsic_map(sigma)
-    minor = cache(lambda rows: determinant([phi.linear[i] for i in rows]))
-    g = Polynomial(sigma.ambient_dim)
-    for (I, J), poly in a.components.items():
-        g = g + poly.scale(minor(I) * minor(J))
-    g = g.compose_affine(phi.linear, phi.translate, n)
+    top = tuple(range(n))
+    g = pullback(_intrinsic_map(sigma), a).coefficient(top, top)
     if g.is_zero:
         return Fraction(0)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
@@ -133,62 +135,40 @@ def integrate_boundary(sigma, eta):
     return total
 
 
-def _check_weighted(wc):
-    n = wc.dim
-    for cell in wc.maximal_cells():
-        if cell.dim != n:
-            raise ValueError("weighted complex is not of pure dimension")
-        if not cell.is_bounded:
-            raise ValueError("truncate the complex before integrating")
-    return n
+def _weighted_sum(wc, integral, form):
+    """sum_sigma m_sigma integral(sigma, form) over the maximal cells of wc,
+    which must all be bounded."""
+    cells = wc.weighted_cells()
+    if not all(cell.is_bounded for cell, _ in cells):
+        raise ValueError("truncate the complex before integrating")
+    return sum((m * integral(cell, form) for cell, m in cells if m), Fraction(0))
 
 
 def integrate_complex(wc, a):
     """Weighted integral sum_sigma m_sigma int_sigma a over the maximal cells."""
-    if wc.is_zero:
-        return Fraction(0)
-    _check_weighted(wc)
-    total = Fraction(0)
-    for cell, m in wc.weighted_cells():
-        if m:
-            total += m * integrate_polytope(cell, a)
-    return total
+    return _weighted_sum(wc, integrate_polytope, a)
 
 
 def integrate_complex_boundary(wc, eta):
     """Weighted boundary integral sum_sigma m_sigma int_{boundary sigma} eta."""
-    if wc.is_zero:
-        return Fraction(0)
-    _check_weighted(wc)
-    total = Fraction(0)
-    for cell, m in wc.weighted_cells():
-        if m:
-            total += m * integrate_boundary(cell, eta)
-    return total
+    return _weighted_sum(wc, integrate_boundary, eta)
 
 
 def stokes_residual(domain, eta_prime, eta_second):
     """(int d'eta' - int_boundary eta', int d''eta'' - int_boundary eta'');
     both are exactly zero by Stokes' formula.  ``domain`` is a bounded
     polyhedron or a weighted complex of bounded cells."""
-    from .superform import d_prime, d_second
     if hasattr(domain, "weighted_cells"):
-        r1 = integrate_complex(domain, d_prime(eta_prime)) \
-            - integrate_complex_boundary(domain, eta_prime)
-        r2 = integrate_complex(domain, d_second(eta_second)) \
-            - integrate_complex_boundary(domain, eta_second)
+        whole, boundary = integrate_complex, integrate_complex_boundary
     else:
-        r1 = integrate_polytope(domain, d_prime(eta_prime)) \
-            - integrate_boundary(domain, eta_prime)
-        r2 = integrate_polytope(domain, d_second(eta_second)) \
-            - integrate_boundary(domain, eta_second)
-    return (r1, r2)
+        whole, boundary = integrate_polytope, integrate_boundary
+    return tuple(whole(domain, d(eta)) - boundary(domain, eta)
+                 for d, eta in ((d_prime, eta_prime), (d_second, eta_second)))
 
 
 def green_residual(sigma, alpha, beta):
     """int_sigma (alpha ^ d'd''beta - beta ^ d'd''alpha)
     - int_boundary (alpha ^ d''beta - beta ^ d''alpha); exactly zero."""
-    from .superform import d_prime, d_second, is_symmetric, wedge
     if not is_symmetric(alpha) or not is_symmetric(beta):
         raise ValueError("Green's formula needs symmetric forms")
     n = sigma.dim

@@ -20,7 +20,7 @@ which makes complex validation and deduplication deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .lattice import (
     Lattice,
@@ -608,7 +608,6 @@ def _place(face, dim, tight):
 
 def simplex_volume(simplex):
     """Euclidean volume of a full-dimensional simplex (vertex tuple)."""
-    from math import factorial
     v0 = simplex[0]
     rows = [list(vec_sub(v, v0)) for v in simplex[1:]]
     n = len(rows)

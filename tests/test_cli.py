@@ -12,6 +12,7 @@ from tropform import io as tio
 from tropform.cli import main
 from tropform.cycle import WeightedComplex
 from tropform.hypersurface import tropical_polynomial
+from tropform.integrate import integrate_boundary, integrate_complex_boundary
 from tropform.polyhedra import Complex, complex_from_cells, from_generators, from_halfspaces
 from tropform.superform import AffineMap, Polynomial, basis_form
 
@@ -119,6 +120,21 @@ def test_cli_integrate_and_window(tmp_path, capsys):
     w = _write(tmp_path, "w.json", box(1, -5, 5))
     assert main(["integrate", c, a, "--window", w]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == "2"
+
+
+def test_cli_integrate_boundary_on_a_cell_and_a_complex(tmp_path, capsys):
+    eta = rand_form(random.Random(5), 2, 1, 2, deg=2)
+    e = _write(tmp_path, "eta.json", eta)
+    square = box(2)
+    wc = WeightedComplex([(square, 2), (box(2, 1, 3), -1)])
+    for domain, want in ((square, integrate_boundary(square, eta)),
+                         (wc, integrate_complex_boundary(wc, eta))):
+        assert want != 0
+        d = _write(tmp_path, "d.json", domain)
+        assert main(["integrate-boundary", d, e]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["command"], out["value"]) == ("integrate-boundary",
+                                                  tio.rational_str(want))
 
 
 def test_cli_pushforward_and_out(tmp_path, capsys):

@@ -1,8 +1,12 @@
-"""Polynomial composition and polytope integration against the earlier
-polynomial-arithmetic implementations, kept here as exact oracles."""
+"""Polynomial composition, d'', contraction, pullback and polytope
+integration against their earlier implementations, kept here as exact
+oracles: composition by polynomial arithmetic, d'' and the d''-slot
+contraction written out on the d'' block, and pullback composing every
+component before summing."""
 
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from hypothesis import assume, given, settings, strategies as st
@@ -15,8 +19,18 @@ from tropform.integrate import (
     integrate_polynomial_simplex,
     integrate_polytope,
 )
+from tropform.lattice import determinant
 from tropform.polyhedra import all_faces, faces, from_halfspaces, triangulate
-from tropform.superform import Polynomial, Superform, pullback
+from tropform.superform import (
+    AffineMap,
+    Polynomial,
+    Superform,
+    _accumulate,
+    contract,
+    d_second,
+    insert_sign,
+    pullback,
+)
 
 
 def _oracle_compose_affine(self, linear_rows, translate, new_nvars):
@@ -64,16 +78,100 @@ def _oracle_composition():
         Polynomial.compose_affine = kernel
 
 
+def _oracle_d_second(a):
+    """d'': insert d''x_j in front; it passes the p generators of the d'
+    block, contributing (-1)^p, then shuffles into J."""
+    r = a.ambient_dim
+    if a.q == r:
+        return Superform(r, a.p, r)
+    out = {}
+    for (I, J), f in a.components.items():
+        block = -1 if len(I) % 2 else 1
+        for j in range(r):
+            if j in J:
+                continue
+            df = f.partial(j)
+            if df.is_zero:
+                continue
+            sign = block * insert_sign(j, J)
+            _accumulate(out, (I, tuple(sorted(J + (j,)))), df.scale(sign))
+    return Superform(r, a.p, a.q + 1, out)
+
+
+def _oracle_insert_one(a, v, pos):
+    """Insert v at 1-based slot pos, each block expanded on its own: a d'
+    slot t signs the term at place k of I by (-1)^{k+t+p}, a d'' slot t the
+    term at place k of J by (-1)^{k+t}."""
+    r = a.ambient_dim
+    if not 1 <= pos <= a.p + a.q:
+        raise ValueError("contraction position out of range")
+    out = {}
+    if pos <= a.p:
+        t = pos
+        for (I, J), f in a.components.items():
+            for k, i in enumerate(I, start=1):
+                coeff = Fraction(v[i])
+                if not coeff:
+                    continue
+                sign = -1 if (k + t + a.p) % 2 else 1
+                key = (tuple(x for x in I if x != i), J)
+                _accumulate(out, key, f.scale(sign * coeff))
+        return Superform(r, a.p - 1, a.q, out)
+    t = pos - a.p
+    for (I, J), f in a.components.items():
+        for k, j in enumerate(J, start=1):
+            coeff = Fraction(v[j])
+            if not coeff:
+                continue
+            sign = -1 if (k + t) % 2 else 1
+            key = (I, tuple(x for x in J if x != j))
+            _accumulate(out, key, f.scale(sign * coeff))
+    return Superform(r, a.p, a.q - 1, out)
+
+
+def _oracle_pullback(f, a):
+    """Every coefficient of a composed with f, then spread over the output
+    components with the minors of the linear part."""
+    if a.ambient_dim != f.codomain_dim:
+        raise ValueError("form does not live on the codomain of the map")
+    rin = f.domain_dim
+    rows = f.linear
+
+    @cache
+    def minor(row_idx, col_idx):
+        return determinant([[rows[i][j] for j in col_idx] for i in row_idx])
+
+    out = {}
+    index_sets_p = list(combinations(range(rin), a.p))
+    index_sets_q = list(combinations(range(rin), a.q))
+    for (I, J), poly in a.components.items():
+        newpoly = poly.compose_affine(rows, f.translate, rin)
+        if newpoly.is_zero:
+            continue
+        for K in index_sets_p:
+            dI = minor(I, K)
+            if not dI:
+                continue
+            for L in index_sets_q:
+                dJ = minor(J, L)
+                if not dJ:
+                    continue
+                _accumulate(out, (K, L), newpoly.scale(dI * dJ))
+    if a.p > rin or a.q > rin:
+        return Superform(rin, min(a.p, rin), min(a.q, rin))
+    return Superform(rin, a.p, a.q, out)
+
+
 def _oracle_integrate_polytope(sigma, a):
-    """Every component of a pulled back to the chart, then the top
-    coefficient integrated over each simplex, all by the oracle
-    composition."""
+    """Every component of a pulled back to the chart by the oracle pullback,
+    then the top coefficient integrated over each simplex, all by the
+    oracle composition."""
     n = sigma.dim
     if n == 0:
         return a.coefficient((), ()).evaluate(sigma.vertices[0])
     with _oracle_composition():
         top = tuple(range(n))
-        g = pullback(_intrinsic_map(sigma), a).coefficient(top, top)
+        g = _oracle_pullback(_intrinsic_map(sigma), a).coefficient(top, top)
         if g.is_zero:
             return Fraction(0)
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
@@ -165,3 +263,83 @@ def test_integrate_polytope_solves_each_vertex_once(monkeypatch):
     assert integrate_polytope(cube, a) != 0
     assert len(triangulate(cube)) == 6
     assert len(calls) == len(cube.vertices) == 8
+
+
+def _form(data, r, p, q):
+    """A nonzero (p, q)-form on R^r with up to three components of low
+    degree and rational coefficients, drawn from data."""
+    keys = [(I, J) for I in combinations(range(r), p) for J in combinations(range(r), q)]
+    chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+    exponent = st.tuples(*[st.integers(0, 2)] * r)
+    poly = st.dictionaries(exponent, _RATIONAL.filter(bool), min_size=1, max_size=3)
+    return Superform(r, p, q, {k: Polynomial(r, data.draw(poly)) for k in chosen})
+
+
+def _bidegrees(r):
+    return [(p, q) for p in range(r + 1) for q in range(r + 1)]
+
+
+CALCULUS_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                             database=None)
+
+
+@CALCULUS_SETTINGS
+@given(st.integers(1, 4), st.data())
+def test_d_second_matches_the_d_second_block_expansion(r, data):
+    for p, q in _bidegrees(r):
+        a = _form(data, r, p, q)
+        assert d_second(a) == _oracle_d_second(a)
+
+
+@CALCULUS_SETTINGS
+@given(st.integers(1, 4), st.data())
+def test_contract_matches_the_blockwise_expansion_at_every_slot(r, data):
+    vector = st.lists(st.one_of(st.integers(-3, 3), _RATIONAL), min_size=r, max_size=r)
+    for p, q in _bidegrees(r):
+        a = _form(data, r, p, q)
+        for pos in range(1, p + q + 1):
+            v = data.draw(vector)
+            assert contract(a, [v], [pos]) == _oracle_insert_one(a, v, pos)
+        if p + q >= 2:
+            pos = data.draw(st.lists(st.integers(1, p + q), min_size=2, max_size=2,
+                                     unique=True))
+            vs = [data.draw(vector) for _ in pos]
+            want = a
+            for t, v in sorted(zip(pos, vs), key=lambda x: -x[0]):
+                want = _oracle_insert_one(want, v, t)
+            assert contract(a, vs, pos) == want
+
+
+def _map(data, r, k, deficient):
+    """An integral affine map R^k -> R^r with a rational shift, drawn from
+    data.  Its linear part is arbitrary, or, if deficient, C B for C of
+    shape r x s and B of shape s x k with s < min(r, k)."""
+    def matrix(rows, cols):
+        row = st.lists(st.integers(-2, 2), min_size=cols, max_size=cols)
+        return data.draw(st.lists(row, min_size=rows, max_size=rows))
+
+    if deficient:
+        s = data.draw(st.integers(0, min(r, k) - 1))
+        c, b = matrix(r, s), matrix(s, k)
+        linear = [[sum(c[i][t] * b[t][j] for t in range(s)) for j in range(k)]
+                  for i in range(r)]
+    else:
+        linear = matrix(r, k)
+    return AffineMap(linear, data.draw(st.lists(_RATIONAL, min_size=r, max_size=r)))
+
+
+@CALCULUS_SETTINGS
+@given(st.integers(1, 4), st.data())
+def test_pullback_matches_composing_each_component(r, data):
+    """Every bidegree on R^r, pulled back from R^k, k in 1..4, along an
+    arbitrary and a rank-deficient map."""
+    k = data.draw(st.integers(1, 4))
+    for deficient in (False, True):
+        f = _map(data, r, k, deficient)
+        for p, q in _bidegrees(r):
+            a = _form(data, r, p, q)
+            got, want = pullback(f, a), _oracle_pullback(f, a)
+            assert got.bidegree == want.bidegree
+            assert got == want
+            assert all(type(c) is Fraction for poly in got.components.values()
+                       for c in poly.terms.values())

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import box, dense_terms, rand_form, segment
@@ -50,6 +51,16 @@ def ray(direction, apex=None):
 def tropical_line():
     return WeightedComplex([(ray((1, 0)), 1), (ray((0, 1)), 1),
                             (ray((-1, -1)), 1)])
+
+
+def test_weights_must_be_integers():
+    seg = segment((0,), (1,))
+    for weight in (Fraction(1, 2), 1.5, Fraction(-7, 3)):
+        with pytest.raises(ValueError, match="not an integer"):
+            WeightedComplex([(seg, weight)])
+    wc = WeightedComplex([(seg, Fraction(4, 2)), (seg, 1.0), (seg, -1)])
+    assert [(c.key(), m) for c, m in wc.weighted_cells()] == [(seg.key(), 2)]
+    assert type(wc.weighted_cells()[0][1]) is int
 
 
 def test_balanced_line():

@@ -1,6 +1,7 @@
-"""Every name a library module imports is used in that module, every
-definition of the library is referenced somewhere, and every function the
-perfbench tracer wraps by name is defined.
+"""Every name a library module imports is used in that module, no library
+module imports inside a function body, every definition of the library is
+referenced somewhere, and every function the perfbench tracer wraps by name
+is defined.
 
 Stdlib-only scans with ``ast``.  An imported name counts as used when it
 appears as a name anywhere in its module.  A top-level function or class,
@@ -44,6 +45,33 @@ def test_library_has_no_unused_imports():
               for path in modules
               for line, name in _unused_imports(path.read_text(encoding="utf-8"))]
     assert unused == []
+
+
+def _nested_imports(source):
+    """(line, function name) of every import statement inside a function
+    body, nested functions included."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update((node.lineno, fn.name) for node in ast.walk(fn)
+                         if isinstance(node, (ast.Import, ast.ImportFrom)))
+    return sorted(found)
+
+
+def test_checker_flags_an_import_inside_a_function():
+    source = ("import os\n"
+              "def top():\n    import sys\n    return sys\n"
+              "class A:\n    from math import pi\n"
+              "    def method(self):\n        def inner():\n"
+              "            from math import tau\n        return inner\n")
+    assert _nested_imports(source) == [(3, "top"), (9, "inner"), (9, "method")]
+
+
+def test_library_imports_only_at_module_level():
+    nested = ["%s:%d in %s" % (path.name, line, name)
+              for path in sorted(PACKAGE.glob("*.py"))
+              for line, name in _nested_imports(path.read_text(encoding="utf-8"))]
+    assert nested == []
 
 
 def _definitions(source):
