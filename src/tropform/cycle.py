@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .lattice import (
     dot,
-    in_span,
     is_zero_vec,
     lattice_from_rows,
     lattice_index,
@@ -131,14 +130,18 @@ def _overlay(entries):
             yield cell, p, [v for other, v in entries if other.contains(x)]
 
 
-def _excess_by_face(wc):
-    """Codimension-1 faces rho of the cells of wc, sorted by key, each with
-    the weighted outward sum sum m_sigma w_{rho,sigma} at a piece of rho.
+def check_balancing(wc):
+    """Violations of the balancing condition: list of (face, excess), sorted
+    by face key, where the excess is the canonical representative modulo
+    N_rho of sum m_sigma w_{rho,sigma}; empty iff wc is a tropical cycle.
 
-    The sums are taken per affine hull: the faces rho that share a hull are
-    overlaid, and each piece of a face receives the sums of every face that
-    contains it.  A face is reported once per distinct sum over its pieces;
-    on a polyhedral complex that is once, with its own sum."""
+    The sums are taken per affine hull: the codimension-1 faces rho that
+    share a hull are overlaid, and each piece of a face receives the sums of
+    every face that contains it.  A face is reported once per distinct
+    violating sum over its pieces; on a polyhedral complex that is once,
+    with its own sum.  The verdict belongs to the cycle: it is the same for
+    every refinement of wc, also when the cells are not a polyhedral
+    complex."""
     if wc.dim < 1:
         return []
     hulls = {}
@@ -150,37 +153,14 @@ def _excess_by_face(wc):
                 rho.key(), (rho, [0] * rho.ambient_dim))
             for i, x in enumerate(outward_vector(sigma, rho)):
                 excess[i] += m * x
-    reports = {}
+    totals = {}
     for found in hulls.values():
         for rho, _, sums in _overlay(list(found.values())):
             total = [sum(xs) for xs in zip(*sums)]
-            reports[rho.key(), tuple(total)] = (rho, total)
-    return [reports[k] for k in sorted(reports)]
-
-
-def check_balancing(wc):
-    """Violations of the balancing condition: list of (face, excess) where the
-    excess is the canonical representative modulo N_rho of
-    sum m_sigma w_{rho,sigma}; empty iff wc is a tropical cycle.  The verdict
-    belongs to the cycle: it is the same for every refinement of wc, also
-    when the cells are not a polyhedral complex."""
-    return [(rho, reduce_mod_lattice(excess, rho.direction_lattice))
-            for rho, excess in _excess_by_face(wc)
-            if not member(excess, rho.direction_lattice)]
-
-
-def closedness_witness(wc):
-    """Faces certifying that the Dirac supercurrent is not d'-closed.
-
-    For each codimension-1 face, decompose the weighted outward sum as
-    l + t with l in the real span of N_rho; a nonzero transversal part t
-    makes some test form's contraction restrict nontrivially to rho.  An
-    integer sum inside the span of the saturated N_rho is a member, and no
-    smooth test form detects it (an alternating n-linear map on an
-    (n-1)-dimensional space vanishes).  Empty iff no witness exists."""
-    return [(rho, reduce_mod_lattice(excess, rho.direction_lattice))
-            for rho, excess in _excess_by_face(wc)
-            if not in_span([list(b) for b in rho.direction_lattice.basis], tuple(excess))]
+            totals[rho.key(), tuple(total)] = (rho, total)
+    return [(rho, reduce_mod_lattice(total, rho.direction_lattice))
+            for rho, total in (totals[k] for k in sorted(totals))
+            if not member(total, rho.direction_lattice)]
 
 
 # ---------------------------------------------------------------------------

@@ -66,10 +66,7 @@ def tropical_polynomial(terms, ambient_dim, convention="min"):
 
 
 def _lattice_length(a, b):
-    g = 0
-    for x in vec_sub(b, a):
-        g = gcd(g, x)
-    return abs(g)
+    return gcd(*vec_sub(b, a))
 
 
 def corner_locus(tp):

@@ -84,9 +84,6 @@ def integrate_polytope(sigma, a):
         raise ValueError("form bidegree %r does not match dim %d" % (a.bidegree, n))
     if a.ambient_dim != sigma.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if n == 0:
-        poly = a.coefficient((), ())
-        return poly.evaluate(sigma.vertices[0])
     top = tuple(range(n))
     g = pullback(_intrinsic_map(sigma), a).coefficient(top, top)
     if g.is_zero:

@@ -19,16 +19,6 @@ from .lattice import vec_neg
 
 FORMAT = "trop/1"
 
-KINDS = (
-    "polyhedron",
-    "polyhedron-list",
-    "complex",
-    "weighted-complex",
-    "superform",
-    "map",
-    "tropical-polynomial",
-)
-
 
 class SchemaError(ValueError):
     """A document violates the trop/1 schema; the message names the field."""

@@ -10,7 +10,8 @@ orthogonal complements are read off its transform, a saturation is the
 complement of the complement, an index is the product of its diagonal, and
 the Smith form alternates row and column Hermite forms.  General rational
 elimination is left only for the Gram system of :func:`reduce_mod_lattice`
-and for :func:`in_span`.
+and for :func:`in_span`, which no longer has a caller in the library; the
+tests and the perfbench tracer still name it.
 """
 
 from __future__ import annotations
@@ -41,9 +42,7 @@ def is_zero_vec(a):
 
 def primitive(v):
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         return tuple(v)
     return tuple(x // g for x in v)

@@ -340,13 +340,6 @@ def wedge(a, b):
 
 def swap(a):
     """The involution J^{p,q}: switch the tensor factors, (I, J) -> (J, I)."""
-    return _swap(a)
-
-
-def _swap(a):
-    """swap for the mirrored kernels, d'' and the d''-slot contraction; they
-    call this, not swap, so that perfbench's count of swap calls stays the
-    count of swaps that callers ask for."""
     return Superform(a.ambient_dim, a.q, a.p,
                      {(J, I): poly for (I, J), poly in a.components.items()})
 
@@ -382,7 +375,7 @@ def d_second(a):
     """d'' = (-1)^p J d' J on (p, q)-forms: d''x_j, inserted in front, passes
     the p generators of the d' block and shuffles into J, which the swap J
     moves to the front."""
-    return _swap(_d_front(_swap(a), -1 if a.p % 2 else 1))
+    return swap(_d_front(swap(a), -1 if a.p % 2 else 1))
 
 
 def _insert_front(a, v, t, extra):
@@ -415,7 +408,7 @@ def _insert_one(a, v, pos):
         raise ValueError("contraction position out of range")
     if pos <= a.p:
         return _insert_front(a, v, pos, a.p)
-    return _swap(_insert_front(_swap(a), v, pos - a.p, 0))
+    return swap(_insert_front(swap(a), v, pos - a.p, 0))
 
 
 def contract(a, vectors, positions):

@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from tropform.polyhedra import from_halfspaces
+from tropform.cycle import Current, current_eval
+from tropform.polyhedra import faces, from_halfspaces, intersect
 from tropform.superform import Polynomial, Superform, basis_form, zero_form
 
 
@@ -19,6 +20,62 @@ def box(r, lo=0, hi=1):
         u[i] = -1
         hs.append((tuple(u), Fraction(-lo)))
     return from_halfspaces(hs, r)
+
+
+def cube(center, half):
+    """The box with the given center and half-width, as a polyhedron."""
+    r = len(center)
+    hs = []
+    for i, x in enumerate(center):
+        u = [0] * r
+        u[i] = 1
+        hs.append((tuple(u), x + half))
+        u[i] = -1
+        hs.append((tuple(u), half - x))
+    return from_halfspaces(hs, r)
+
+
+def witness_faces(wc):
+    """Codimension-1 faces rho of wc, sorted by key, near which the Dirac
+    current of wc is not d'-closed, found by integration alone.
+
+    The box around the relative interior point of rho is halved from
+    half-width 1/2 until it meets no other codimension-1 face.  With
+    b = prod (x_i - lo_i)(hi_i - x_i) on that box, rho is a witness iff
+    (d' delta_wc)(b^2 d'x_I (x) d''x_J) != 0 for some I of size n - 1 and
+    J of size n: b^2 vanishes with its first derivatives on the boundary of
+    the box, so by Stokes the value is the integral over rho of the test
+    form contracted with the weighted outward sum at rho, which is nonzero
+    for some (I, J) iff that sum leaves the span of N_rho.  Faces that meet
+    only in faces of lower dimension are required."""
+    if wc.dim < 1:
+        return []
+    n, r = wc.dim, wc.maximal_cells()[0].ambient_dim
+    found = {}
+    for sigma, m in wc.weighted_cells():
+        if m:
+            found.update((rho.key(), rho) for rho in faces(sigma, 1))
+    current = Current.dirac(wc).apply("d_prime")
+    witnesses = []
+    for key in sorted(found):
+        x = found[key].rel_interior_point()
+        others = [rho for k, rho in found.items() if k != key]
+        assert not any(rho.contains(x) for rho in others), "faces overlap"
+        half = Fraction(1, 2)
+        window = cube(x, half)
+        while not all(intersect(window, rho).is_empty for rho in others):
+            half /= 2
+            window = cube(x, half)
+        b = Polynomial.constant(r, 1)
+        for i in range(r):
+            t = Polynomial.variable(r, i)
+            b = b * (t - Polynomial.constant(r, x[i] - half)) \
+                  * (Polynomial.constant(r, x[i] + half) - t)
+        if any(current_eval(current, basis_form(r, I, J, b * b), window) != 0
+               for I in combinations(range(r), n - 1)
+               for J in combinations(range(r), n)):
+            witnesses.append(found[key])
+    return witnesses
 
 
 def simplex(r):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import box, dense_terms, rand_form, segment
+from conftest import box, dense_terms, rand_form, segment, witness_faces
 
 from tropform import io as tio
 from tropform import polyhedra
@@ -15,7 +15,6 @@ from tropform.cycle import (
     WeightedComplex,
     _split,
     check_balancing,
-    closedness_witness,
     current_eval,
     projection_check,
     pushforward,
@@ -65,7 +64,7 @@ def test_weights_must_be_integers():
 
 def test_balanced_line():
     assert check_balancing(tropical_line()) == []
-    assert closedness_witness(tropical_line()) == []
+    assert witness_faces(tropical_line()) == []
 
 
 def test_unbalanced_two_rays():
@@ -77,16 +76,16 @@ def test_unbalanced_two_rays():
     # outward vectors across the origin point away from each ray, so the
     # weighted sum is minus the sum of the primitive ray directions
     assert tuple(t) == (-1, -1)
-    witnesses = closedness_witness(wc)
-    assert len(witnesses) == 1
-    assert witnesses[0][0].key() == rho.key()
+    witnesses = witness_faces(wc)
+    assert [w.key() for w in witnesses] == [rho.key()]
 
 
 def test_balancing_zero_and_point_cycles():
     assert check_balancing(zero_cycle()) == []
     pts = WeightedComplex([(segment((0,), (0,)), 3)])
     assert check_balancing(pts) == []
-    assert closedness_witness(pts) == []
+    assert witness_faces(pts) == []
+    assert witness_faces(zero_cycle()) == []
 
 
 def test_balancing_weight_sensitivity():
@@ -111,14 +110,13 @@ def test_balancing_matches_closedness_corpus(seed=41):
         corpus.append(corner_locus(tropical_polynomial(terms, 2)))
     for wc in corpus:
         assert check_balancing(wc) == []
-        assert closedness_witness(wc) == []
+        assert witness_faces(wc) == []
         cells = wc.weighted_cells()
         broken = WeightedComplex([(c, m + (1 if i == 0 else 0))
                                   for i, (c, m) in enumerate(cells)])
         bal = check_balancing(broken)
-        wit = closedness_witness(broken)
-        assert bool(bal) == bool(wit)
-        assert set(r.key() for r, _ in bal) == set(r.key() for r, _ in wit)
+        assert bal
+        assert sorted(set(r.key() for r, _ in bal)) == [r.key() for r in witness_faces(broken)]
 
 
 def test_dirac_evaluation():
@@ -455,7 +453,6 @@ def test_balancing_is_invariant_under_refinement(case):
     locus, refined, mutated = case
     assert bool(check_balancing(locus)) == mutated
     assert bool(check_balancing(refined)) == mutated
-    assert bool(closedness_witness(refined)) == mutated
 
 
 def test_weighted_complex_and_pushforward_build_only_what_they_read(monkeypatch):

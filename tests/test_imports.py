@@ -4,11 +4,11 @@ referenced somewhere, and every function the perfbench tracer wraps by name
 is defined.
 
 Stdlib-only scans with ``ast``.  An imported name counts as used when it
-appears as a name anywhere in its module.  A top-level function or class,
-or a method of a top-level class, under src/tropform counts as referenced
-when its name appears as a name, an attribute or a string anywhere in
-src/, tests/ or perfbench/; dunder methods are called implicitly and are
-not scanned.
+appears as a name anywhere in its module.  A top-level function, class or
+assigned name, or a method of a top-level class, under src/tropform counts
+as referenced when its name is read as a name, or appears as an attribute
+or a string, anywhere in src/, tests/ or perfbench/; an assignment alone
+is no reference.  Dunder names are read implicitly and are not scanned.
 """
 
 import ast
@@ -74,6 +74,10 @@ def test_library_imports_only_at_module_level():
     assert nested == []
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(source):
     """(line, qualified name, name) of the scanned definitions."""
     out = []
@@ -83,7 +87,12 @@ def _definitions(source):
         if isinstance(node, ast.ClassDef):
             out.extend((m.lineno, "%s.%s" % (node.name, m.name), m.name)
                        for m in node.body if isinstance(m, ast.FunctionDef)
-                       and not (m.name.startswith("__") and m.name.endswith("__")))
+                       and not _dunder(m.name))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend((node.lineno, t.id, t.id) for target in targets
+                       for t in ast.walk(target)
+                       if isinstance(t, ast.Name) and not _dunder(t.id))
     return out
 
 
@@ -92,7 +101,8 @@ def _references(sources):
     for source in sources:
         for n in ast.walk(ast.parse(source)):
             if isinstance(n, ast.Name):
-                names.add(n.id)
+                if not isinstance(n.ctx, ast.Store):
+                    names.add(n.id)
             elif isinstance(n, ast.Attribute):
                 names.add(n.attr)
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
@@ -108,6 +118,16 @@ def test_checker_flags_an_unreferenced_definition():
     used = _references([source, "helper()"])
     assert [(line, qual) for line, qual, name in _definitions(source)
             if name not in used] == [(6, "A.spare"), (10, "orphan")]
+
+
+def test_checker_flags_an_unreferenced_assignment():
+    # the names are strings here, so none of them may name a library object
+    source = ('__all__ = ["TABLE"]\nTABLE = (1, 2)\nSPARE_KINDS = ("a", "b")\n'
+              "SPARE_LIMIT: int = 3\nSPARE_LO, HI = 0, 1\n"
+              "def helper():\n    return TABLE, HI\n")
+    used = _references([source, "helper()"])
+    assert [(line, qual) for line, qual, name in _definitions(source)
+            if name not in used] == [(3, "SPARE_KINDS"), (4, "SPARE_LIMIT"), (5, "SPARE_LO")]
 
 
 def test_library_has_no_unreferenced_definitions():

@@ -72,6 +72,10 @@ def test_point_integral():
     from tropform.superform import function_form
     f = function_form(P(2, {(1, 1): 1}))
     assert integrate_polytope(pt, f) == 6
+    # a rational point in r = 3: the value of x y + z^2 there
+    pt3 = segment((Fraction(1, 2), Fraction(-2, 3), 3), (Fraction(1, 2), Fraction(-2, 3), 3))
+    g = function_form(P(3, {(1, 1, 0): 1, (0, 0, 2): 1}))
+    assert integrate_polytope(pt3, g) == Fraction(26, 3)
 
 
 def test_integral_unimodular_invariance(seed=21):
