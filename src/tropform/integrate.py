@@ -1,48 +1,40 @@
 """Exact integration of superforms over integral affine polytopes.
 
-An (n, n)-form a is integrated over an n-dimensional polytope in intrinsic
-coordinates given by a Z-basis B of the polytope's direction lattice: the
-integrand is the top coefficient of the pullback of a along the chart,
-which ``pullback`` builds as sum_{I,J} det(B_I) det(B_J) a_IJ (B_I the rows
-I of B) composed with the chart once.  The sign (-1)^{n(n-1)/2} makes
-d'x_1 ^ d''x_1 ^ ... ^ d'x_n ^ d''x_n positive, and the polynomial is
-integrated over a placing triangulation with the closed-form
-monomial-over-simplex formula.  Everything is over Q.
+An (n, n)-form a is integrated over an n-dimensional polytope sigma
+against the lattice-normalized measure of its affine hull, with no chart.
+For B the HNF basis of the direction lattice taken as columns, the top
+coefficient of a pulled back along the chart y -> v + B y is h(v + B y),
+where h = sum_{I,J} det(B_I) det(B_J) a_IJ (B_I the rows I of B) is one
+ambient polynomial, summed as in ``pullback``.  The chart composed with a
+simplex of a placing triangulation is the simplex's own parametrization
+t -> u_0 + sum_i t_i (u_i - u_0) by its ambient vertices, so each simplex
+composes h once, on integers, and integrates it over the standard simplex
+with integer monomial weights (Baldoni, Berline, De Loera, Koeppe &
+Vergne, "How to integrate a polynomial over a simplex", Math. Comp. 80,
+2011).  The simplex's chart volume factor is |det| of its edges restricted
+to the pivot columns S of B, over the product of the pivots, since B
+restricted to S is triangular.  The sign (-1)^{n(n-1)/2} makes
+d'x_1 ^ d''x_1 ^ ... ^ d'x_n ^ d''x_n positive.  Everything is over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from itertools import product
+from math import factorial, lcm, prod
 
-from .lattice import coords_in_basis, determinant, dot, primitive_outward, vec_sub
+from .lattice import determinant, dot, primitive_outward
 from .polyhedra import _integral, faces, triangulate
 from .superform import (
-    AffineMap,
+    _compose_packed,
+    _minor_sums,
     contract,
     d_prime,
     d_second,
     is_symmetric,
-    pullback,
     wedge,
 )
-
-
-def _intrinsic_map(sigma):
-    """Affine map R^n -> R^r onto the hull of sigma: base point the
-    lexicographically smallest vertex, columns a Z-basis of N_sigma."""
-    basis = sigma.direction_lattice.basis
-    n = len(basis)
-    linear = [[basis[j][i] for j in range(n)] for i in range(sigma.ambient_dim)]
-    return AffineMap(linear, sigma.base_point)
-
-
-def _vertex_coords(sigma, point):
-    """Coordinates of an ambient point in the intrinsic chart of sigma."""
-    sol = coords_in_basis(sigma.direction_lattice.basis, vec_sub(point, sigma.base_point))
-    if sol is None:
-        raise ValueError("point does not lie in the affine hull")
-    return tuple(sol)
 
 
 def integrate_monomial_simplex(exponents):
@@ -54,22 +46,32 @@ def integrate_monomial_simplex(exponents):
     return Fraction(num, factorial(n + sum(exponents)))
 
 
+@cache
+def _simplex_weights(n, base):
+    """Packed exponent e of n variables with |e| <= D = base - 1 ->
+    e! (n + D)! / (n + |e|)!, the integral of t^e over the standard
+    n-simplex times (n + D)!, an integer.  Callers only read the table."""
+    top = factorial(n + base - 1)
+    return {sum(x * base ** j for j, x in enumerate(e)): int(integrate_monomial_simplex(e) * top)
+            for e in product(range(base), repeat=n) if sum(e) < base}
+
+
 def integrate_polynomial_simplex(poly, simplex_vertices):
-    """Exact integral of a polynomial over a simplex in R^n."""
-    v0 = simplex_vertices[0]
-    n = poly.nvars
-    edges = [vec_sub(v, v0) for v in simplex_vertices[1:]]
-    if len(edges) != n:
-        raise ValueError("simplex is not full-dimensional in the chart")
-    linear = [[Fraction(edges[j][i]) for j in range(n)] for i in range(n)]
-    det = determinant(linear)
-    if det == 0:
-        return Fraction(0)
-    sub = poly.compose_affine(linear, v0, n)
-    total = Fraction(0)
-    for e, c in sub.terms.items():
-        total += c * integrate_monomial_simplex(e)
-    return abs(det) * total
+    """Integral over the standard n-simplex of poly composed with the
+    parametrization t -> u_0 + sum_i t_i (u_i - u_0) of the simplex with
+    vertices u_0, ..., u_n in the space of poly's variables.  Against a
+    measure on the simplex's hull in which the simplex has volume V, the
+    integral of poly over the simplex is n! V times this.  The composition
+    is on integers, sum_k a_k t^k / den, and the result is the one Fraction
+    sum_k a_k w_k / (den (n + D)!), w the weights of ``_simplex_weights``
+    and D the degree of poly."""
+    u0 = simplex_vertices[0]
+    n = len(simplex_vertices) - 1
+    rows = [[v[i] - u0[i] for v in simplex_vertices[1:]] for i in range(poly.nvars)]
+    out, den, base = _compose_packed(poly, rows, u0, n)
+    weights = _simplex_weights(n, base)
+    return Fraction(sum(a * weights[k] for k, a in out.items()),
+                    den * factorial(n + base - 1))
 
 
 def integrate_polytope(sigma, a):
@@ -84,16 +86,23 @@ def integrate_polytope(sigma, a):
         raise ValueError("form bidegree %r does not match dim %d" % (a.bidegree, n))
     if a.ambient_dim != sigma.ambient_dim:
         raise ValueError("ambient dimension mismatch")
+    basis = sigma.direction_lattice.basis
     top = tuple(range(n))
-    g = pullback(_intrinsic_map(sigma), a).coefficient(top, top)
-    if g.is_zero:
+    h = _minor_sums(list(zip(*basis)), a, [top], [top]).get((top, top))
+    if h is None:
         return Fraction(0)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    # the vertices at the pivot columns of the basis, as integers over t
+    pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+    t = lcm(*(v[p].denominator for v in sigma.vertices for p in pivots))
+    scaled = {v: [v[p].numerator * (t // v[p].denominator) for p in pivots]
+              for v in sigma.vertices}
     total = Fraction(0)
-    coords = {v: _vertex_coords(sigma, v) for v in sigma.vertices}
     for simplex in triangulate(sigma):
-        total += integrate_polynomial_simplex(g, [coords[v] for v in simplex])
-    return sign * total
+        x0 = scaled[simplex[0]]
+        det = determinant([[x - y for x, y in zip(scaled[v], x0)] for v in simplex[1:]])
+        total += abs(det) * integrate_polynomial_simplex(h, simplex)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * total / (t ** n * prod(b[p] for b, p in zip(basis, pivots)))
 
 
 def outward_vector(sigma, rho):

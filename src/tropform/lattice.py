@@ -5,20 +5,22 @@ downstream residuals (Stokes, Green, balancing) come out exactly zero.
 Lattices are sublattices of Z^r given by basis rows kept in Hermite normal
 form, so equal lattices have identical representations.  That basis is
 echelon: reductions and coordinates in it use :func:`reduce_echelon` and
-:func:`coords_in_basis`.  The Hermite form is the only integer elimination:
-orthogonal complements are read off its transform, a saturation is the
-complement of the complement, an index is the product of its diagonal, and
-the Smith form alternates row and column Hermite forms.  General rational
-elimination is left only for the Gram system of :func:`reduce_mod_lattice`
-and for :func:`in_span`, which no longer has a caller in the library; the
-tests and the perfbench tracer still name it.
+:func:`coords_in_basis`.  The Hermite form is the integer elimination
+behind every lattice operation: orthogonal complements are read off its
+transform, a saturation is the complement of the complement, an index is
+the product of its diagonal, and the Smith form alternates row and column
+Hermite forms.  A determinant, which needs no transform, is Bareiss'
+fraction-free reduction.  General rational elimination is left only for
+the Gram system of :func:`reduce_mod_lattice` and for :func:`in_span`,
+which no longer has a caller in the library; the tests and the perfbench
+tracer still name it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +85,14 @@ def _addmul(row, other, q):
 def gauss_jordan(rows, ncols=None):
     """Reduced row echelon form of a matrix over Q, computed exactly.
 
-    Returns (reduced, pivots, det): the nonzero rows of the reduced form as
+    Returns (reduced, pivots): the nonzero rows of the reduced form as
     lists of Fractions (each pivot entry 1 and the only nonzero entry of its
-    column), their pivot columns in increasing order, and the determinant,
-    which is 0 unless the matrix is square and invertible."""
+    column) and their pivot columns in increasing order."""
     m = [[Fraction(x) for x in row] for row in rows]
     nr = len(m)
     if ncols is None:
         ncols = len(m[0]) if nr else 0
     pivots = []
-    det = Fraction(1)
     r = 0
     for c in range(ncols):
         if r == nr:
@@ -100,11 +100,8 @@ def gauss_jordan(rows, ncols=None):
         pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
         if pr is None:
             continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-            det = -det
+        m[r], m[pr] = m[pr], m[r]
         piv = m[r][c]
-        det *= piv
         row = m[r] = [x / piv for x in m[r]]
         for i in range(nr):
             f = m[i][c]
@@ -112,16 +109,14 @@ def gauss_jordan(rows, ncols=None):
                 m[i] = [x - f * y for x, y in zip(m[i], row)]
         pivots.append(c)
         r += 1
-    if r != nr or nr != ncols:
-        det = Fraction(0)
-    return m[:r], pivots, det
+    return m[:r], pivots
 
 
 def solve_exact(a_rows, b):
     """Solve A x = b over Q.  Returns one solution as a list of Fractions,
     or None when the system is inconsistent."""
     n = len(a_rows[0]) if a_rows else 0
-    reduced, pivots, _ = gauss_jordan([list(row) + [c] for row, c in zip(a_rows, b)])
+    reduced, pivots = gauss_jordan([list(row) + [c] for row, c in zip(a_rows, b)])
     if pivots and pivots[-1] == n:
         return None
     x = [Fraction(0)] * n
@@ -137,7 +132,7 @@ def rational_rank(rows):
 
 def rational_kernel(rows, n):
     """Basis of {x in Q^n : rows . x = 0}, one vector per free column."""
-    reduced, pivots, _ = gauss_jordan(rows, n)
+    reduced, pivots = gauss_jordan(rows, n)
     kern = []
     for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
@@ -149,8 +144,31 @@ def rational_kernel(rows, n):
 
 
 def determinant(rows):
-    """Determinant of a square matrix over Q (1 for the empty matrix)."""
-    return gauss_jordan(rows, len(rows))[2]
+    """Determinant of a square matrix over Q (1 for the empty matrix), an
+    int when every entry is one.  Each row is cleared of denominators, and
+    the integer matrix is reduced by Bareiss' fraction-free elimination, in
+    which every division is exact."""
+    m, scale = [], 1
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            p = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if p is None:
+                return 0
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        pivot, row = m[k][k], m[k]
+        for other in m[k + 1:]:
+            f = other[k]
+            for j in range(k + 1, n):
+                other[j] = (other[j] * pivot - f * row[j]) // prev
+        prev = pivot
+    det = sign * m[-1][-1] if n else 1
+    return det if scale == 1 else Fraction(det, scale)
 
 
 def in_span(rows, v):

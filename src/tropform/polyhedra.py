@@ -27,6 +27,7 @@ from .lattice import (
     determinant,
     identity_matrix,
     dot,
+    full_lattice,
     integer_row,
     is_zero_vec,
     lattice_from_rows,
@@ -318,9 +319,15 @@ def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis):
             for x, t in map(_integral, verts[1:])] + list(rec) + list(lin_basis)
     # affine hull equalities: HNF basis of the orthogonal complement of the
     # directions, stored sorted; facets are reduced by their rows in HNF
-    # order.  The direction lattice is the complement of the complement.
-    comp = orthogonal_complement(dirs, ambient_dim)
-    dir_lat = Lattice(ambient_dim, orthogonal_complement(comp, ambient_dim))
+    # order.  The direction lattice is the complement of the complement,
+    # with no elimination where one side is Z^r: a vertex (no directions)
+    # or a full-dimensional cell (no equalities).
+    if dirs:
+        comp = orthogonal_complement(dirs, ambient_dim)
+        dir_lat = Lattice(ambient_dim, orthogonal_complement(comp, ambient_dim)) \
+            if comp else full_lattice(ambient_dim)
+    else:
+        comp, dir_lat = full_lattice(ambient_dim).basis, Lattice(ambient_dim, ())
     consts = [Fraction(dot(e, x0), t0) for e in comp]
     hull = [[x * c.denominator for x in e] + [c.numerator] for e, c in zip(comp, consts)]
     equalities = sorted(zip(comp, consts))
@@ -611,4 +618,4 @@ def simplex_volume(simplex):
     v0 = simplex[0]
     rows = [list(vec_sub(v, v0)) for v in simplex[1:]]
     n = len(rows)
-    return abs(determinant(rows)) / factorial(n)
+    return Fraction(abs(determinant(rows)), factorial(n))

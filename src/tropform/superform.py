@@ -22,7 +22,11 @@ from .lattice import determinant, integer_row
 
 class Polynomial:
     """Multivariate polynomial over Q; terms map exponent tuples to nonzero
-    rational coefficients."""
+    rational coefficients.
+
+    A polynomial is never changed once built: no code writes into the
+    terms of an existing polynomial, so results may share them (``scale``
+    by 1 returns the polynomial itself)."""
 
     __slots__ = ("nvars", "terms")
 
@@ -102,6 +106,10 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, c):
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
         c = Fraction(c)
         if c == 0:
             return Polynomial._trusted(self.nvars, {})
@@ -128,63 +136,19 @@ class Polynomial:
         return total
 
     def compose_affine(self, linear_rows, translate, new_nvars):
-        """Substitute x_i = sum_j linear_rows[i][j] y_j + translate[i].
-
-        The work is on integers.  Each x_i becomes s_i / d_i, with d_i the
-        common denominator of its row and shift and s_i integral, and each
-        term c x^e becomes (m_e / L) prod_i s_i^e_i, with L the common
-        denominator of all terms.  Exponents of y are packed into one int in
-        base deg + 1, so multiplying monomials adds ints and never carries.
-        The powers of each s_i and the products of leading powers that
-        several terms share are cached for the call; the terms that share
-        all but their last exponent are summed first and multiplied by that
-        product once, adding into one accumulator in place.  One Fraction is
-        built per output term."""
-        n, m = self.nvars, new_nvars
-        if not self.terms:
-            return Polynomial._trusted(m, {})
-        if not n:
-            return Polynomial._trusted(m, {(0,) * m: self.terms[()]})
-        base = max(map(sum, self.terms)) + 1
-        subs, dens = [], []
-        for i in range(n):
-            row = [(base ** j, linear_rows[i][j]) for j in range(m)] + [(0, translate[i])]
-            d = lcm(*(a.denominator for _, a in row))
-            subs.append({k: a.numerator * (d // a.denominator) for k, a in row if a})
-            dens.append(d)
-        powers = [[{0: 1}] for _ in range(n)]
-
-        def power(i, k):
-            cached = powers[i]
-            while len(cached) <= k:
-                cached.append(_add_product({}, cached[-1], subs[i]))
-            return cached[k]
-
-        scales = {e: c.denominator * prod(d ** k for d, k in zip(dens, e))
-                  for e, c in self.terms.items()}
-        den = lcm(*scales.values())
-        last = n - 1
-        groups = {}
-        for e, c in self.terms.items():
-            _add_product(groups.setdefault(e[:last], {}),
-                         {0: c.numerator * (den // scales[e])}, power(last, e[last]))
-        leading = {(): {0: 1}}
-        out = {}
-        for head, group in groups.items():
-            for i, k in enumerate(head):
-                if head[:i + 1] not in leading:
-                    rest = leading[head[:i]]
-                    leading[head[:i + 1]] = _add_product({}, rest, power(i, k)) if k else rest
-            _add_product(out, leading[head], group)
+        """Substitute x_i = sum_j linear_rows[i][j] y_j + translate[i]: the
+        integer composition of :func:`_compose_packed`, decoded into
+        exponent tuples with one Fraction per output term."""
+        out, den, base = _compose_packed(self, linear_rows, translate, new_nvars)
         terms = {}
         for k, a in out.items():
             if a:
                 e = []
-                for _ in range(m):
+                for _ in range(new_nvars):
                     k, x = divmod(k, base)
                     e.append(x)
                 terms[tuple(e)] = Fraction(a, den)
-        return Polynomial._trusted(m, terms)
+        return Polynomial._trusted(new_nvars, terms)
 
     def __repr__(self):
         if not self.terms:
@@ -205,6 +169,61 @@ def _add_product(out, a, b):
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
     return out
+
+
+def _compose_packed(poly, linear_rows, translate, m):
+    """poly with x_i = sum_j linear_rows[i][j] y_j + translate[i]
+    substituted, on integers: (out, den, base), out mapping each packed
+    exponent of y to an int, the composite being sum_k out[k] y^k / den.
+
+    Each x_i becomes s_i / d_i, with d_i the common denominator of its row
+    and shift and s_i integral, and each term c x^e becomes (m_e / den)
+    prod_i s_i^e_i, with den the common denominator of all terms.  An
+    exponent e of y is packed into the int sum_j e_j base^j, base the
+    degree of poly plus one, so multiplying monomials adds ints and never
+    carries.  The powers of each s_i and the products of leading powers
+    that several terms share are cached for the call; the terms that share
+    all but their last exponent are summed first and multiplied by that
+    product once, adding into one accumulator in place.  out may hold
+    zeros."""
+    n = poly.nvars
+    if not poly.terms:
+        return {}, 1, 1
+    if not n:
+        c = poly.terms[()]
+        return {0: c.numerator}, c.denominator, 1
+    base = max(map(sum, poly.terms)) + 1
+    subs, dens = [], []
+    for i in range(n):
+        row = [(base ** j, linear_rows[i][j]) for j in range(m)] + [(0, translate[i])]
+        d = lcm(*(a.denominator for _, a in row))
+        subs.append({k: a.numerator * (d // a.denominator) for k, a in row if a})
+        dens.append(d)
+    powers = [[{0: 1}] for _ in range(n)]
+
+    def power(i, k):
+        cached = powers[i]
+        while len(cached) <= k:
+            cached.append(_add_product({}, cached[-1], subs[i]))
+        return cached[k]
+
+    scales = {e: c.denominator * prod(d ** k for d, k in zip(dens, e))
+              for e, c in poly.terms.items()}
+    den = lcm(*scales.values())
+    last = n - 1
+    groups = {}
+    for e, c in poly.terms.items():
+        _add_product(groups.setdefault(e[:last], {}),
+                     {0: c.numerator * (den // scales[e])}, power(last, e[last]))
+    leading = {(): {0: 1}}
+    out = {}
+    for head, group in groups.items():
+        for i, k in enumerate(head):
+            if head[:i + 1] not in leading:
+                rest = leading[head[:i]]
+                leading[head[:i + 1]] = _add_product({}, rest, power(i, k)) if k else rest
+        _add_product(out, leading[head], group)
+    return out, den, base
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +482,28 @@ class AffineMap:
         return AffineMap(lin, tr)
 
 
+def _minor_sums(rows, a, ks, ls):
+    """{(K, L): sum_{I,J} det A_{I,K} det A_{J,L} a_IJ} over K in ks and L
+    in ls, zero sums dropped, for the integer matrix A with the given rows
+    and A_{I,K} its minor on rows I and columns K; each minor is computed
+    once per call."""
+    @cache
+    def minor(row_idx, col_idx):
+        return determinant([[rows[i][j] for j in col_idx] for i in row_idx])
+
+    sums = {}
+    for (I, J), poly in a.components.items():
+        for K in ks:
+            dI = minor(I, K)
+            if not dI:
+                continue
+            for L in ls:
+                dJ = minor(J, L)
+                if dJ:
+                    _accumulate(sums, (K, L), poly.scale(dI * dJ))
+    return sums
+
+
 def pullback(f, a):
     """F* a for a on the codomain of f: each d'x_I and d''x_J replaced
     through the minors of the linear part.  For each output (K, L) the
@@ -474,23 +515,7 @@ def pullback(f, a):
     rin = f.domain_dim
     if a.p > rin or a.q > rin:
         return Superform(rin, min(a.p, rin), min(a.q, rin))
-    rows = f.linear
-
-    @cache
-    def minor(row_idx, col_idx):
-        return determinant([[rows[i][j] for j in col_idx] for i in row_idx])
-
-    sums = {}
-    index_sets_p = list(combinations(range(rin), a.p))
-    index_sets_q = list(combinations(range(rin), a.q))
-    for (I, J), poly in a.components.items():
-        for K in index_sets_p:
-            dI = minor(I, K)
-            if not dI:
-                continue
-            for L in index_sets_q:
-                dJ = minor(J, L)
-                if dJ:
-                    _accumulate(sums, (K, L), poly.scale(dI * dJ))
-    return Superform(rin, a.p, a.q, {key: g.compose_affine(rows, f.translate, rin)
+    sums = _minor_sums(f.linear, a, list(combinations(range(rin), a.p)),
+                       list(combinations(range(rin), a.q)))
+    return Superform(rin, a.p, a.q, {key: g.compose_affine(f.linear, f.translate, rin)
                                      for key, g in sums.items()})

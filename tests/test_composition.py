@@ -1,26 +1,30 @@
 """Polynomial composition, d'', contraction, pullback and polytope
 integration against their earlier implementations, kept here as exact
 oracles: composition by polynomial arithmetic, d'' and the d''-slot
-contraction written out on the d'' block, and pullback composing every
-component before summing."""
+contraction written out on the d'' block, pullback composing every
+component before summing, and polytope integration through the intrinsic
+chart, each vertex solved into chart coordinates and each simplex
+integrated there with its Euclidean determinant."""
 
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
+from math import factorial, prod
 
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import box, rand_form
+from conftest import box, rand_form, segment
 
+from tropform import integrate, lattice, superform
 from tropform.integrate import (
-    _intrinsic_map,
-    _vertex_coords,
+    _simplex_weights,
+    integrate_monomial_simplex,
     integrate_polynomial_simplex,
     integrate_polytope,
 )
-from tropform.lattice import determinant
-from tropform.polyhedra import all_faces, faces, from_halfspaces, triangulate
+from tropform.lattice import coords_in_basis, determinant, vec_sub
+from tropform.polyhedra import all_faces, faces, from_generators, from_halfspaces, triangulate
 from tropform.superform import (
     AffineMap,
     Polynomial,
@@ -162,10 +166,40 @@ def _oracle_pullback(f, a):
     return Superform(rin, a.p, a.q, out)
 
 
+def _intrinsic_map(sigma):
+    """Affine map R^n -> R^r onto the hull of sigma: base point the
+    lexicographically smallest vertex, columns a Z-basis of N_sigma."""
+    basis = sigma.direction_lattice.basis
+    n = len(basis)
+    linear = [[basis[j][i] for j in range(n)] for i in range(sigma.ambient_dim)]
+    return AffineMap(linear, sigma.base_point)
+
+
+def _vertex_coords(sigma, point):
+    """Coordinates of an ambient point in the intrinsic chart of sigma."""
+    sol = coords_in_basis(sigma.direction_lattice.basis, vec_sub(point, sigma.base_point))
+    if sol is None:
+        raise ValueError("point does not lie in the affine hull")
+    return tuple(sol)
+
+
+def _oracle_integrate_simplex(poly, simplex_vertices):
+    """Integral of poly over a full-dimensional simplex of R^n: |det| of its
+    edges times the integral of the composite over the standard simplex."""
+    v0 = simplex_vertices[0]
+    n = poly.nvars
+    edges = [vec_sub(v, v0) for v in simplex_vertices[1:]]
+    linear = [[Fraction(edges[j][i]) for j in range(n)] for i in range(n)]
+    sub = poly.compose_affine(linear, v0, n)
+    total = sum((c * integrate_monomial_simplex(e) for e, c in sub.terms.items()),
+                Fraction(0))
+    return abs(determinant(linear)) * total
+
+
 def _oracle_integrate_polytope(sigma, a):
     """Every component of a pulled back to the chart by the oracle pullback,
-    then the top coefficient integrated over each simplex, all by the
-    oracle composition."""
+    then the top coefficient integrated over each simplex in chart
+    coordinates, all by the oracle composition."""
     n = sigma.dim
     if n == 0:
         return a.coefficient((), ()).evaluate(sigma.vertices[0])
@@ -178,7 +212,7 @@ def _oracle_integrate_polytope(sigma, a):
         total = Fraction(0)
         for simplex in triangulate(sigma):
             coords = [_vertex_coords(sigma, v) for v in simplex]
-            total += integrate_polynomial_simplex(g, coords)
+            total += _oracle_integrate_simplex(g, coords)
         return sign * total
 
 
@@ -239,30 +273,101 @@ def test_integrate_polytope_matches_pullback_per_simplex(p, rng):
         assert integrate_polytope(sigma, a) == _oracle_integrate_polytope(sigma, a)
 
 
-def test_integrate_polytope_builds_only_what_it_reads(monkeypatch):
-    facet = faces(box(3), 1)[0]
-    pairs = list(combinations(range(3), 2))
-    positive = Polynomial(3, {(0, 0, 0): 1, (2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-    a = Superform(3, 2, 2, {(I, J): positive for I in pairs for J in pairs})
+@st.composite
+def _sublattice_polytopes(draw):
+    """conv of up to five rational points v + sum_k c_k d_k in R^3 on the
+    affine hull through a rational v along direction rows d_k, rows chosen
+    so that the direction lattice has pivots greater than 1."""
+    directions = draw(st.sampled_from([
+        [(2, 1, 3)], [(0, 3, 1)], [(3, 0, -2)],
+        [(2, 1, 3), (0, 3, 1)], [(2, 0, 1), (0, 2, 3)], [(1, 2, 0), (3, -1, 4)]]))
+    v = draw(st.tuples(*[_RATIONAL] * 3))
+    coef = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
+    points = [tuple(x + sum(c * d[i] for c, d in zip(cs, directions))
+                    for i, x in enumerate(v))
+              for cs in draw(st.lists(st.tuples(*[coef] * len(directions)),
+                                      min_size=2, max_size=5))]
+    p = from_generators(points)
+    assume(p.dim == len(directions))
+    return p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_sublattice_polytopes(), st.randoms(use_true_random=False))
+def test_integrate_polytope_matches_the_chart_on_sublattices(p, rng):
+    basis = p.direction_lattice.basis
+    assert prod(next(x for x in row if x) for row in basis) > 1
+    for sigma in all_faces(p):
+        k = sigma.dim
+        a = rand_form(rng, 3, k, k, deg=3)
+        assert integrate_polytope(sigma, a) == _oracle_integrate_polytope(sigma, a)
+
+
+def _counting(monkeypatch, calls):
+    """Record in calls the (vertices, result) of every
+    integrate_polynomial_simplex call that integrate_polytope makes."""
+    each = integrate.integrate_polynomial_simplex
+
+    def counted(poly, vertices):
+        result = each(poly, vertices)
+        calls.append((vertices, result))
+        return result
+    monkeypatch.setattr(integrate, "integrate_polynomial_simplex", counted)
+
+
+def test_integrate_polytope_makes_no_chart(monkeypatch):
+    """No composition into a chart, no pullback and no vertex solve: one
+    integrate_polynomial_simplex call per simplex of the triangulation."""
+    forbidden = []
+    for owner, name in ((Polynomial, "compose_affine"), (superform, "pullback"),
+                        (lattice, "coords_in_basis")):
+        def stub(*args, name=name):
+            forbidden.append(name)
+        monkeypatch.setattr(owner, name, stub)
+        monkeypatch.setattr(integrate, name, stub, raising=False)
     calls = []
-    compose = Polynomial.compose_affine
-    monkeypatch.setattr(Polynomial, "compose_affine",
-                        lambda self, *args: calls.append(args) or compose(self, *args))
-    assert integrate_polytope(facet, a) != 0
-    assert len(calls) == 1 + len(triangulate(facet))
-
-
-def test_integrate_polytope_solves_each_vertex_once(monkeypatch):
-    from tropform import integrate
+    _counting(monkeypatch, calls)
     cube = box(3)
-    a = Superform(3, 3, 3, {((0, 1, 2), (0, 1, 2)): Polynomial(3, {(1, 0, 0): 1})})
+    positive = Polynomial(3, {(0, 0, 0): 1, (2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    for sigma in (cube, faces(cube, 1)[0], faces(cube, 2)[0], segment((0, 0, 0), (2, 1, 3))):
+        k = sigma.dim
+        keys = list(combinations(range(3), k))
+        a = Superform(3, k, k, {(I, J): positive for I in keys for J in keys})
+        calls.clear()
+        assert integrate_polytope(sigma, a) != 0
+        assert [vertices for vertices, _ in calls] == triangulate(sigma)
+    assert forbidden == []
+
+
+def test_simplex_weights_are_scaled_monomial_integrals():
+    for n in range(4):
+        for base in range(1, 7):
+            weights = _simplex_weights(n, base)
+            assert len(weights) == len({e for e in product(range(base), repeat=n)
+                                        if sum(e) < base})
+            for key, w in weights.items():
+                e = []
+                for _ in range(n):
+                    key, x = divmod(key, base)
+                    e.append(x)
+                assert key == 0 and sum(e) < base
+                assert w == integrate_monomial_simplex(e) * factorial(n + base - 1)
+
+
+def test_integrand_vanishing_on_the_hull_integrates_to_zero(monkeypatch):
+    """(x_3 - 1) f is zero on the face x_3 = 1 of the cube but not as a
+    polynomial, so it reaches every simplex of the face, and each composes
+    it to exactly 0."""
+    cube = box(3)
+    face = next(f for f in faces(cube, 1) if f.equalities == (((0, 0, 1), 1),))
+    f = Polynomial(3, {(2, 1, 0): Fraction(3, 2), (0, 0, 3): -1, (0, 0, 0): 5})
+    g = Polynomial(3, {(0, 0, 1): 1, (0, 0, 0): -1}) * f
     calls = []
-    solve = integrate.coords_in_basis
-    monkeypatch.setattr(integrate, "coords_in_basis",
-                        lambda *args: calls.append(args) or solve(*args))
-    assert integrate_polytope(cube, a) != 0
-    assert len(triangulate(cube)) == 6
-    assert len(calls) == len(cube.vertices) == 8
+    _counting(monkeypatch, calls)
+    assert integrate_polytope(face, Superform(3, 2, 2, {((0, 1), (0, 1)): g})) == 0
+    assert len(calls) == len(triangulate(face))
+    assert all(result == 0 for _, result in calls)
+    assert integrate_polytope(cube, Superform(3, 3, 3, {((0, 1, 2), (0, 1, 2)): g})) != 0
 
 
 def _form(data, r, p, q):

@@ -6,9 +6,11 @@ is defined.
 Stdlib-only scans with ``ast``.  An imported name counts as used when it
 appears as a name anywhere in its module.  A top-level function, class or
 assigned name, or a method of a top-level class, under src/tropform counts
-as referenced when its name is read as a name, or appears as an attribute
-or a string, anywhere in src/, tests/ or perfbench/; an assignment alone
-is no reference.  Dunder names are read implicitly and are not scanned.
+as referenced when its name is read as a name or appears as an attribute
+anywhere in src/, tests/ or perfbench/, or appears as a string in src/ or
+perfbench/ (the tracer names functions by string); a string in tests/ and
+an assignment alone are no reference.  Dunder names are read implicitly
+and are not scanned.
 """
 
 import ast
@@ -96,7 +98,9 @@ def _definitions(source):
     return out
 
 
-def _references(sources):
+def _references(sources, strings=True):
+    """The names read, the attributes and, with strings, the string
+    constants in the given sources."""
     names = set()
     for source in sources:
         for n in ast.walk(ast.parse(source)):
@@ -105,7 +109,7 @@ def _references(sources):
                     names.add(n.id)
             elif isinstance(n, ast.Attribute):
                 names.add(n.attr)
-            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
                 names.add(n.value)
     return names
 
@@ -121,7 +125,6 @@ def test_checker_flags_an_unreferenced_definition():
 
 
 def test_checker_flags_an_unreferenced_assignment():
-    # the names are strings here, so none of them may name a library object
     source = ('__all__ = ["TABLE"]\nTABLE = (1, 2)\nSPARE_KINDS = ("a", "b")\n'
               "SPARE_LIMIT: int = 3\nSPARE_LO, HI = 0, 1\n"
               "def helper():\n    return TABLE, HI\n")
@@ -130,10 +133,22 @@ def test_checker_flags_an_unreferenced_assignment():
             if name not in used] == [(3, "SPARE_KINDS"), (4, "SPARE_LIMIT"), (5, "SPARE_LO")]
 
 
+def test_checker_ignores_a_string_in_a_test():
+    source = "def spare():\n    pass\ndef traced():\n    pass\n"
+    test = 'from tropform import lattice\ngetattr(lattice, "spare")\n'
+    used = _references(["TRACED = ('traced',)\n"]) | _references([test], strings=False)
+    assert [(line, qual) for line, qual, name in _definitions(source)
+            if name not in used] == [(1, "spare")]
+
+
+def _sources(*dirs):
+    return [p.read_text(encoding="utf-8") for d in dirs
+            for p in sorted((ROOT / d).rglob("*.py"))]
+
+
 def test_library_has_no_unreferenced_definitions():
-    files = sorted(p for d in ("src", "tests", "perfbench")
-                   for p in (ROOT / d).rglob("*.py"))
-    used = _references(p.read_text(encoding="utf-8") for p in files)
+    used = _references(_sources("src", "perfbench")) \
+        | _references(_sources("tests"), strings=False)
     unreferenced = ["%s:%d %s" % (path.name, line, qual)
                     for path in sorted(PACKAGE.glob("*.py"))
                     for line, qual, name in _definitions(path.read_text(encoding="utf-8"))
