@@ -10,10 +10,10 @@ behind every lattice operation: orthogonal complements are read off its
 transform, a saturation is the complement of the complement, an index is
 the product of its diagonal, and the Smith form alternates row and column
 Hermite forms.  A determinant, which needs no transform, is Bareiss'
-fraction-free reduction.  General rational elimination is left only for
-the Gram system of :func:`reduce_mod_lattice` and for :func:`in_span`,
-which no longer has a caller in the library; the tests and the perfbench
-tracer still name it.
+fraction-free reduction; the Gram system of :func:`reduce_mod_lattice` is
+solved with it by Cramer's rule.  General rational elimination is left
+only for :func:`in_span`, which no longer has a caller in the library; the
+tests and the perfbench tracer still name it.
 """
 
 from __future__ import annotations
@@ -385,16 +385,21 @@ def reduce_mod_lattice(v, lat):
 
     Decomposes v = l + t with l in span(lat) (orthogonal projection) and
     subtracts the floor part of l's coordinates in the HNF basis, so the
-    reduction coefficients land in [0, 1).  Works for rational v."""
+    reduction coefficients land in [0, 1).  Works for rational v: with
+    v = w / t for w integral, the coordinates solve the integer Gram system
+    G c = B w / t, so by Cramer's rule c_k = det G_k / (t det G), G_k being
+    G with column k replaced by B w, and det G > 0."""
     if lat.rank == 0:
         return tuple(Fraction(x) for x in v)
-    b = [list(r) for r in lat.basis]
-    gram = [[Fraction(dot(x, y)) for y in b] for x in b]
-    rhs = [Fraction(dot(x, v)) for x in b]
-    lam = solve_exact(gram, rhs)
+    b = lat.basis
+    t = lcm(*(x.denominator for x in v))
+    w = [x.numerator * (t // x.denominator) for x in v]
+    gram = [[dot(x, y) for y in b] for x in b]
+    rhs = [dot(x, w) for x in b]
+    scale = t * determinant(gram)
     out = [Fraction(x) for x in v]
-    for c, row in zip(lam, b):
-        q = c.numerator // c.denominator  # floor
+    for k, row in enumerate(b):
+        q = determinant([g[:k] + [c] + g[k + 1:] for g, c in zip(gram, rhs)]) // scale
         if q:
             for i in range(len(out)):
                 out[i] -= q * row[i]

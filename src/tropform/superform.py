@@ -2,9 +2,13 @@
 
 A form of bidegree (p, q) on R^r is stored as a map from index pairs (I, J)
 (strictly increasing tuples of 0-based variable indices, |I| = p, |J| = q)
-to multivariate polynomials over Q.  The basis element for (I, J) is the
-tensor d'x_I (x) d''x_J; products of generators in any other order are
-normalized into this form with the Koszul sign for odd generators.
+to multivariate polynomials over Q in r variables.  The basis element for
+(I, J) is the tensor d'x_I (x) d''x_J; products of generators in any other
+order are normalized into this form with the Koszul sign for odd
+generators.  A polynomial holds integer numerators over one positive
+denominator in lowest terms, so wedge, d', d'', contraction and the minor
+sums of pullback and integration run on ints; Fractions appear only where
+coefficients are read out (``Polynomial.terms``, ``evaluate``).
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
+from operator import add
 
 from .lattice import determinant, integer_row
 
@@ -21,137 +26,166 @@ from .lattice import determinant, integer_row
 # polynomials over Q
 
 class Polynomial:
-    """Multivariate polynomial over Q; terms map exponent tuples to nonzero
-    rational coefficients.
+    """Multivariate polynomial over Q, stored as integer numerators over one
+    denominator, as FLINT's fmpq_poly is: num maps exponent tuples of
+    length nvars to nonzero ints, den is a positive int, and the
+    polynomial is sum_e num[e] x^e / den.  The storage is canonical,
+    gcd(den, *num.values()) == 1, so equal polynomials have equal num and
+    den.  Arithmetic runs on the ints with one gcd per result; ``terms``
+    reads the coefficients as Fractions.
 
     A polynomial is never changed once built: no code writes into the
-    terms of an existing polynomial, so results may share them (``scale``
-    by 1 returns the polynomial itself)."""
+    numerators of an existing polynomial, so results may share them
+    (``scale`` by 1 returns the polynomial itself)."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "num", "den")
 
     def __init__(self, nvars, terms=None):
+        coeffs = {}
+        for e, c in (terms or {}).items():
+            e = tuple(e)
+            if len(e) != nvars or any(k < 0 for k in e):
+                raise ValueError("exponent %r is not %d nonnegative integers"
+                                 % (e, nvars))
+            c = Fraction(c)
+            if c:
+                coeffs[e] = c
+        # canonical as built: each prime power in the lcm of the reduced
+        # denominators is all of some term's denominator, and that term's
+        # numerator is prime to it
+        den = lcm(*(c.denominator for c in coeffs.values()))
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                e = tuple(e)
-                if len(e) != nvars or any(k < 0 for k in e):
-                    raise ValueError("exponent %r is not %d nonnegative integers"
-                                     % (e, nvars))
-                c = Fraction(c)
-                if c != 0:
-                    self.terms[e] = c
+        self.num = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+        self.den = den
 
     @classmethod
-    def _trusted(cls, nvars, terms):
-        """The polynomial with the ready map terms (exponent tuples of length
-        nvars to nonzero Fractions), taken as is: no checks, no copy."""
+    def _trusted(cls, nvars, num, den):
+        """The polynomial sum_e num[e] x^e / den, for num a map from
+        exponent tuples of length nvars to ints and den a positive int,
+        taken over without checks or copy: zero numerators are dropped and
+        the fraction is reduced by one gcd."""
+        if 0 in num.values():
+            num = {e: n for e, n in num.items() if n}
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: n // g for e, n in num.items()}
+            den //= g
         poly = cls.__new__(cls)
         poly.nvars = nvars
-        poly.terms = terms
+        poly.num = num
+        poly.den = den
         return poly
 
     @classmethod
     def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars, i):
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
+
+    @property
+    def terms(self):
+        """The coefficients as a new map from exponent tuples to Fractions."""
+        return {e: Fraction(n, self.den) for e, n in self.num.items()}
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.nvars == other.nvars \
-            and self.terms == other.terms
+            and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.num.items())))
+
+    def _same_nvars(self, other):
+        if self.nvars != other.nvars:
+            raise ValueError("polynomials in %d and %d variables"
+                             % (self.nvars, other.nvars))
+
+    def _plus(self, other, sign):
+        """self + sign * other, sign +1 or -1."""
+        self._same_nvars(other)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = dict(self.num) if a == 1 else {e: n * a for e, n in self.num.items()}
+        get = out.get
+        for e, n in other.num.items():
+            out[e] = get(e, 0) + n * b
+        return Polynomial._trusted(self.nvars, out, den)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return Polynomial._trusted(self.nvars, out)
-
-    def __neg__(self):
-        return Polynomial._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return Polynomial._trusted(self.nvars, {e: -n for e, n in self.num.items()},
+                                   self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        self._same_nvars(other)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return Polynomial._trusted(self.nvars, out)
+        get = out.get
+        for e1, c1 in self.num.items():
+            for e2, c2 in other.num.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return Polynomial._trusted(self.nvars, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c):
+        """self times the int or Fraction c."""
         if c == 1:
             return self
         if c == -1:
             return -self
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial._trusted(self.nvars, {})
-        return Polynomial._trusted(self.nvars, {e: c * x for e, x in self.terms.items()})
+        a = c.numerator
+        return Polynomial._trusted(self.nvars, {e: n * a for e, n in self.num.items()},
+                                   self.den * c.denominator)
 
     def partial(self, i):
         out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            out[tuple(ne)] = c * e[i]
-        return Polynomial._trusted(self.nvars, out)
+        for e, n in self.num.items():
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1:]] = n * k
+        return Polynomial._trusted(self.nvars, out, self.den)
 
     def evaluate(self, point):
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
+        total = 0
+        for e, n in self.num.items():
             for x, k in zip(point, e):
-                for _ in range(k):
-                    v *= x
-            total += v
-        return total
+                if k:
+                    n *= x ** k
+            total += n
+        return Fraction(total, self.den)
 
     def compose_affine(self, linear_rows, translate, new_nvars):
         """Substitute x_i = sum_j linear_rows[i][j] y_j + translate[i]: the
         integer composition of :func:`_compose_packed`, decoded into
-        exponent tuples with one Fraction per output term."""
+        exponent tuples."""
         out, den, base = _compose_packed(self, linear_rows, translate, new_nvars)
-        terms = {}
+        num = {}
         for k, a in out.items():
             if a:
                 e = []
                 for _ in range(new_nvars):
                     k, x = divmod(k, base)
                     e.append(x)
-                terms[tuple(e)] = Fraction(a, den)
-        return Polynomial._trusted(new_nvars, terms)
+                num[tuple(e)] = a
+        return Polynomial._trusted(new_nvars, num, den)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         bits = []
         for e, c in sorted(self.terms.items()):
@@ -177,8 +211,8 @@ def _compose_packed(poly, linear_rows, translate, m):
     exponent of y to an int, the composite being sum_k out[k] y^k / den.
 
     Each x_i becomes s_i / d_i, with d_i the common denominator of its row
-    and shift and s_i integral, and each term c x^e becomes (m_e / den)
-    prod_i s_i^e_i, with den the common denominator of all terms.  An
+    and shift and s_i integral, and each term num[e] x^e / poly.den becomes
+    (m_e / den) prod_i s_i^e_i, with den = poly.den lcm_e prod_i d_i^e_i.  An
     exponent e of y is packed into the int sum_j e_j base^j, base the
     degree of poly plus one, so multiplying monomials adds ints and never
     carries.  The powers of each s_i and the products of leading powers
@@ -187,12 +221,11 @@ def _compose_packed(poly, linear_rows, translate, m):
     product once, adding into one accumulator in place.  out may hold
     zeros."""
     n = poly.nvars
-    if not poly.terms:
+    if not poly.num:
         return {}, 1, 1
     if not n:
-        c = poly.terms[()]
-        return {0: c.numerator}, c.denominator, 1
-    base = max(map(sum, poly.terms)) + 1
+        return {0: poly.num[()]}, poly.den, 1
+    base = max(map(sum, poly.num)) + 1
     subs, dens = [], []
     for i in range(n):
         row = [(base ** j, linear_rows[i][j]) for j in range(m)] + [(0, translate[i])]
@@ -207,14 +240,13 @@ def _compose_packed(poly, linear_rows, translate, m):
             cached.append(_add_product({}, cached[-1], subs[i]))
         return cached[k]
 
-    scales = {e: c.denominator * prod(d ** k for d, k in zip(dens, e))
-              for e, c in poly.terms.items()}
-    den = lcm(*scales.values())
+    scales = {e: prod(d ** k for d, k in zip(dens, e)) for e in poly.num}
+    common = lcm(*scales.values())
     last = n - 1
     groups = {}
-    for e, c in poly.terms.items():
+    for e, c in poly.num.items():
         _add_product(groups.setdefault(e[:last], {}),
-                     {0: c.numerator * (den // scales[e])}, power(last, e[last]))
+                     {0: c * (common // scales[e])}, power(last, e[last]))
     leading = {(): {0: 1}}
     out = {}
     for head, group in groups.items():
@@ -223,7 +255,7 @@ def _compose_packed(poly, linear_rows, translate, m):
                 rest = leading[head[:i]]
                 leading[head[:i + 1]] = _add_product({}, rest, power(i, k)) if k else rest
         _add_product(out, leading[head], group)
-    return out, den, base
+    return out, poly.den * common, base
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +308,9 @@ class Superform:
             for (I, J), poly in components.items():
                 if len(I) != p or len(J) != q:
                     raise ValueError("index pair does not match bidegree")
+                if poly.nvars != ambient_dim:
+                    raise ValueError("coefficient in %d variables on R^%d"
+                                     % (poly.nvars, ambient_dim))
                 if not poly.is_zero:
                     self.components[(tuple(I), tuple(J))] = poly
 
@@ -398,12 +433,12 @@ def d_second(a):
 
 
 def _insert_front(a, v, t, extra):
-    """Insert v at slot t of the d' block, the term of d'x_i at place k of I
-    signed (-1)^{k + t + extra}."""
+    """Insert the vector v of ints or Fractions at slot t of the d' block,
+    the term of d'x_i at place k of I signed (-1)^{k + t + extra}."""
     out = {}
     for (I, J), f in a.components.items():
         for k, i in enumerate(I, start=1):
-            coeff = Fraction(v[i])
+            coeff = v[i]
             if not coeff:
                 continue
             sign = -1 if (k + t + extra) % 2 else 1

@@ -249,6 +249,23 @@ def _elimination_coords(rows, v):
     return solve_exact(transpose([list(r) for r in rows]), list(v))
 
 
+def _gram_elimination_reduce(v, lat):
+    """reduce_mod_lattice with its Gram system solved by Fraction
+    Gauss-Jordan elimination."""
+    if lat.rank == 0:
+        return tuple(Fraction(x) for x in v)
+    b = [list(r) for r in lat.basis]
+    gram = [[Fraction(dot(x, y)) for y in b] for x in b]
+    rhs = [Fraction(dot(x, v)) for x in b]
+    out = [Fraction(x) for x in v]
+    for c, row in zip(solve_exact(gram, rhs), b):
+        q = c.numerator // c.denominator  # floor
+        if q:
+            for i in range(len(out)):
+                out[i] -= q * row[i]
+    return tuple(out)
+
+
 def _quotient_member(v, lat):
     """Membership by integer quotients at the HNF pivots."""
     w = list(v)
@@ -280,6 +297,26 @@ def test_member_and_reduce_echelon_match_pivot_quotients(case):
     assert all(w[next(i for i, x in enumerate(b) if x)] == 0 for b in lat.basis)
     # w / s is v minus a rational combination of the basis
     assert _elimination_coords(lat.basis, [Fraction(x, s) - y for x, y in zip(w, v)]) is not None
+
+
+@st.composite
+def _lattice_and_rational_vector(draw):
+    """A lattice of rank 0..4 and a vector of its rational span or any
+    rational vector."""
+    lat, v = draw(_lattice_and_vector())
+    if draw(st.booleans()):
+        entry = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+        v = draw(st.tuples(*[entry] * lat.ambient_rank))
+    return lat, v
+
+
+@ORACLE_SETTINGS
+@given(_lattice_and_rational_vector())
+def test_reduce_mod_lattice_matches_gram_elimination(case):
+    lat, v = case
+    got = reduce_mod_lattice(v, lat)
+    assert type(got) is tuple and all(type(x) is Fraction for x in got)
+    assert got == _gram_elimination_reduce(v, lat)
 
 
 def _smith_lattice_index(sub, sup):
