@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import io as tio
 from .cycle import (
@@ -221,7 +222,10 @@ def _add_window(sp):
                     help="polyhedron document used as a bounded truncation box")
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so in-process callers of :func:`main` share it."""
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", metavar="FILE",
                         help="write output here instead of stdout")

@@ -20,10 +20,13 @@ from .lattice import (
     lattice_from_rows,
     lattice_index,
     member,
+    primitive,
+    reduce_echelon,
     reduce_mod_lattice,
     vec_neg,
 )
 from .polyhedra import (
+    _facet_records,
     _integral,
     affine_image,
     check_window,
@@ -32,7 +35,7 @@ from .polyhedra import (
     intersect,
 )
 from .superform import d_prime, d_second, pullback, wedge
-from .integrate import integrate_complex, integrate_polytope, outward_vector
+from .integrate import integrate_complex, integrate_polytope
 
 
 class WeightedComplex:
@@ -46,22 +49,20 @@ class WeightedComplex:
         one dimension in one ambient space.  These are the maximal cells;
         their faces are not stored, and weights of equal cells add up.  A
         weight that is not an integer raises ValueError."""
+        # keyed by the polyhedron, whose hash is that of its key, taken once
         self._weights = {}
-        top = {}
         for c, m in weighted_cells:
             if c.is_empty:
                 continue
             w = int(m)
             if w != m:
                 raise ValueError("weight %s is not an integer" % m)
-            key = c.key()
-            self._weights[key] = self._weights.get(key, 0) + w
-            top[key] = c
+            self._weights[c] = self._weights.get(c, 0) + w
         # sorted once: the cells never change after construction
-        self._cells = [(c, self._weights[k]) for k, c in sorted(top.items())]
-        if len(set(c.ambient_dim for c in top.values())) > 1:
+        self._cells = sorted(self._weights.items(), key=lambda cm: cm[0].key())
+        if len(set(c.ambient_dim for c in self._weights)) > 1:
             raise ValueError("weighted cells must lie in one ambient space")
-        dims = set(c.dim for c in top.values())
+        dims = set(c.dim for c in self._weights)
         if len(dims) > 1:
             raise ValueError("weighted cells must have equal dimension")
         self.dim = dims.pop() if dims else -1
@@ -77,7 +78,7 @@ class WeightedComplex:
         return [c for c, _ in self._cells]
 
     def weight(self, cell):
-        return self._weights.get(cell.key(), 0)
+        return self._weights.get(cell, 0)
 
     def truncated(self, box):
         """Weighted complex of intersections with a bounded window; pieces of
@@ -135,32 +136,52 @@ def check_balancing(wc):
     by face key, where the excess is the canonical representative modulo
     N_rho of sum m_sigma w_{rho,sigma}; empty iff wc is a tropical cycle.
 
-    The sums are taken per affine hull: the codimension-1 faces rho that
-    share a hull are overlaid, and each piece of a face receives the sums of
-    every face that contains it.  A face is reported once per distinct
-    violating sum over its pieces; on a polyhedral complex that is once,
-    with its own sum.  The verdict belongs to the cycle: it is the same for
-    every refinement of wc, also when the cells are not a polyhedral
-    complex."""
+    The sums are read off each cell's facet records (key, N_rho, w) and
+    taken per affine hull, keyed on integers by N_rho's basis and a vertex
+    of rho reduced at its pivots.  A hull that holds one face gives that
+    face's sum; the faces that share a hull are overlaid, and each piece of
+    a face receives the sums of every face that contains it.  A face is
+    reported once per distinct violating sum over its pieces; on a
+    polyhedral complex that is once, with its own sum.  Only the faces
+    overlaid or reported are built as polyhedra.  The verdict belongs to
+    the cycle: it is the same for every refinement of wc, also when the
+    cells are not a polyhedral complex."""
     if wc.dim < 1:
         return []
-    hulls = {}
+    found = {}
     for sigma, m in wc.weighted_cells():
         if m == 0:
             continue
-        for rho in faces(sigma, 1):
-            _, excess = hulls.setdefault(rho.equalities, {}).setdefault(
-                rho.key(), (rho, [0] * rho.ambient_dim))
-            for i, x in enumerate(outward_vector(sigma, rho)):
+        for key, lat, omega in _facet_records(sigma):
+            _, _, excess = found.setdefault(key, (sigma, lat, [0] * len(omega)))
+            for i, x in enumerate(omega):
                 excess[i] += m * x
+    hulls = {}
+    for key, (_, lat, _) in found.items():
+        x, t = _integral(key[2][0])
+        s, w = reduce_echelon(x, lat.basis)
+        hulls.setdefault((lat.basis, primitive(w + [s * t])), []).append(key)
+    # (face key, sum) -> the face, where it is already built
     totals = {}
-    for found in hulls.values():
-        for rho, _, sums in _overlay(list(found.values())):
-            total = [sum(xs) for xs in zip(*sums)]
-            totals[rho.key(), tuple(total)] = (rho, total)
-    return [(rho, reduce_mod_lattice(total, rho.direction_lattice))
-            for rho, total in (totals[k] for k in sorted(totals))
-            if not member(total, rho.direction_lattice)]
+    for keys in hulls.values():
+        if len(keys) == 1:
+            totals[keys[0], tuple(found[keys[0]][2])] = None
+            continue
+        entries = [(_facet(found[k][0], k), found[k][2]) for k in keys]
+        for rho, _, sums in _overlay(entries):
+            totals[rho.key(), tuple(map(sum, zip(*sums)))] = rho
+    out = []
+    for key, total in sorted(totals):
+        sigma, lat, _ = found[key]
+        if not member(total, lat):
+            rho = totals[key, total] or _facet(sigma, key)
+            out.append((rho, reduce_mod_lattice(total, lat)))
+    return out
+
+
+def _facet(sigma, key):
+    """The facet of sigma with the given key, as a polyhedron."""
+    return next(rho for rho in faces(sigma, 1) if rho.key() == key)
 
 
 # ---------------------------------------------------------------------------

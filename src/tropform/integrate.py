@@ -24,8 +24,8 @@ from functools import cache
 from itertools import product
 from math import factorial, lcm, prod
 
-from .lattice import determinant, dot, primitive_outward
-from .polyhedra import _integral, faces, triangulate
+from .lattice import determinant
+from .polyhedra import _facet_records, faces, triangulate
 from .superform import (
     _compose_packed,
     _minor_sums,
@@ -107,15 +107,12 @@ def integrate_polytope(sigma, a):
 
 def outward_vector(sigma, rho):
     """Canonical primitive lattice vector in N_sigma generating
-    N_sigma / N_rho and pointing out of sigma across its facet rho."""
-    verts = [_integral(v) for v in rho.vertices]
-    for u, c in sigma.halfspaces:
-        tight = all(dot(u, x) * c.denominator == c.numerator * t for x, t in verts) \
-            and all(dot(u, r) == 0 for r in rho.rays) \
-            and all(dot(u, l) == 0 for l in rho.lineality)
-        if tight:
-            return primitive_outward(sigma.direction_lattice,
-                                     rho.direction_lattice, u)
+    N_sigma / N_rho and pointing out of sigma across its facet rho,
+    looked up by rho's key among sigma's facet records.  Each call reads
+    all of them: a caller that needs several reads the records once."""
+    for key, _, omega in _facet_records(sigma):
+        if key == rho.key():
+            return omega
     raise ValueError("rho is not a facet of sigma")
 
 
@@ -134,10 +131,10 @@ def integrate_boundary(sigma, eta):
         pos = n
     else:
         raise ValueError("boundary integrand must have bidegree (n-1,n) or (n,n-1)")
+    outward = {key: omega for key, _, omega in _facet_records(sigma)}
     total = Fraction(0)
     for rho in faces(sigma, 1):
-        omega = outward_vector(sigma, rho)
-        total += integrate_polytope(rho, contract(eta, [omega], [pos]))
+        total += integrate_polytope(rho, contract(eta, [outward[rho.key()]], [pos]))
     return total
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .cycle import WeightedComplex
 from .hypersurface import TropicalPolynomial, tropical_polynomial
-from .polyhedra import Complex, Polyhedron, complex_from_cells, from_halfspaces
+from .polyhedra import EMPTY, Complex, Polyhedron, complex_from_cells, from_halfspaces
 from .superform import AffineMap, Polynomial, Superform
 from .lattice import vec_neg
 
@@ -187,9 +187,11 @@ def _parse_polyhedron(obj, path):
     r = _integer(_get(obj, "ambient_dim", path), "%s.ambient_dim" % path)
     if r < 0:
         _fail("%s.ambient_dim" % path, "must be nonnegative")
-    if obj.get("empty"):
-        # an explicitly empty polyhedron round-trips as 0 <= -1
-        return from_halfspaces([(tuple([0] * r), Fraction(-1))], r)
+    empty = obj.get("empty", False)
+    if not isinstance(empty, bool):
+        _fail("%s.empty" % path, "expected a boolean, got %r" % (empty,))
+    if empty:
+        return EMPTY
     hs = _get(obj, "halfspaces", path, list)
     rows = [_parse_halfspace(h, "%s.halfspaces[%d]" % (path, i), r)
             for i, h in enumerate(hs)]

@@ -406,6 +406,23 @@ def reduce_mod_lattice(v, lat):
     return tuple(out)
 
 
+def _facet_split(n_sigma, u):
+    """(w, n_rho) for the facet of a cell with the saturated direction
+    lattice n_sigma cut out by the integer normal u, with <u, .> larger
+    outside the cell: n_rho = n_sigma cap u^perp, and w in n_sigma with
+    <u, w> > 0 generating n_sigma / n_rho, not yet reduced modulo n_rho.
+    v -> <u, v> maps n_sigma onto g Z with kernel n_rho, so with U the
+    transform of the Hermite form of the column (<u, b>)_b over the basis,
+    U's row 0 combines the basis into w with <u, w> = g, and its other rows
+    into a basis of n_rho.  ValueError if u vanishes on n_sigma."""
+    h, t = hnf([[dot(u, b)] for b in n_sigma.basis])
+    if h[0][0] == 0:
+        raise ValueError("outward functional does not separate across the facet")
+    cols = list(zip(*n_sigma.basis))
+    w, *rest = ([dot(row, col) for col in cols] for row in t)
+    return w, Lattice(n_sigma.ambient_rank, tuple(map(tuple, hnf(rest)[0])))
+
+
 def primitive_outward(n_sigma, n_rho, outward_functional):
     """Primitive generator of n_sigma / n_rho pointing outwards.
 
@@ -413,16 +430,11 @@ def primitive_outward(n_sigma, n_rho, outward_functional):
     facet and <u, x> smaller on the cell, i.e. the facet's inequality normal.
     Requires n_rho = n_sigma cap u^perp, true for saturated lattices such as
     direction lattices; n_rho outside n_sigma or u^perp raises ValueError.
-    Then v -> <u, v> maps n_sigma onto g Z with kernel n_rho, so the Bezout
-    combination w of the basis with <u, w> = g > 0, read off row 0 of the
-    transform of the HNF of the column (<u, b>)_b, generates the quotient.
-    It is canonicalized modulo n_rho (reduction coefficients in [0, 1))."""
+    The generator is that of :func:`_facet_split`, canonicalized modulo n_rho
+    (reduction coefficients in [0, 1))."""
     if n_rho.rank != n_sigma.rank - 1:
         raise ValueError("rho is not of codimension one in sigma")
     if not all(member(b, n_sigma) and dot(outward_functional, b) == 0 for b in n_rho.basis):
         raise ValueError("n_rho is not a sublattice of n_sigma on the facet hyperplane")
-    h, u = hnf([[dot(outward_functional, b)] for b in n_sigma.basis])
-    if h[0][0] == 0:
-        raise ValueError("outward functional does not separate across the facet")
-    omega = [dot(u[0], col) for col in zip(*n_sigma.basis)]
+    omega, _ = _facet_split(n_sigma, outward_functional)
     return tuple(int(x) for x in reduce_mod_lattice(omega, n_rho))

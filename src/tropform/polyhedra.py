@@ -14,7 +14,10 @@ only for the stored vertices, keys and constants.  The hull equalities are
 the orthogonal complement of the raw directions, and the direction lattice
 is the complement of those, both read off Hermite forms with no Smith form.
 Identity of cells is decided through a canonical key built from the V-data,
-which makes complex validation and deduplication deterministic.
+which makes complex validation and deduplication deterministic; a
+polyhedron hashes its key once.  What balancing and boundary integrals need
+of a facet, its key, direction lattice and outward vector, is read off the
+incidence as a record (``_facet_records``) without building the facet.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from math import factorial, gcd, lcm
 
 from .lattice import (
     Lattice,
+    _facet_split,
     determinant,
     identity_matrix,
     dot,
@@ -34,6 +38,7 @@ from .lattice import (
     orthogonal_complement,
     primitive,
     reduce_echelon,
+    reduce_mod_lattice,
     saturate,
     vec_neg,
     vec_sub,
@@ -140,7 +145,7 @@ class Polyhedron:
     # no per-instance dict: face caches keep many small polyhedra alive
     __slots__ = ("ambient_dim", "halfspaces", "equalities", "vertices", "rays", "lineality",
                  "direction_lattice", "facet_vertices", "facet_rays", "dim",
-                 "_faces_by_codim", "_key", "__weakref__")
+                 "_faces_by_codim", "_key", "_hash", "__weakref__")
 
     def __init__(self, ambient_dim, halfspaces, equalities, vertices, rays, lineality,
                  direction_lattice, facet_vertices, facet_rays):
@@ -156,6 +161,7 @@ class Polyhedron:
         self.dim = self.direction_lattice.rank
         self._faces_by_codim = {}
         self._key = (ambient_dim, self.lineality, self.vertices, self.rays)
+        self._hash = None
 
     def key(self):
         return self._key
@@ -164,7 +170,10 @@ class Polyhedron:
         return isinstance(other, Polyhedron) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        # the key is a tuple of Fraction tuples: hash it once, on first use
+        if self._hash is None:
+            self._hash = hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return "Polyhedron(dim=%d, vertices=%r, rays=%r, lineality=%r)" % (
@@ -450,6 +459,21 @@ def facets(p):
                              [p.vertices[k] for k in vi], [p.rays[k] for k in ri],
                              p.lineality))
     return sorted(out, key=Polyhedron.key)
+
+
+def _facet_records(p):
+    """(key, N, w) for each facet rho of p, in the order of ``halfspaces``,
+    read off the incidence with no facet polyhedron built: the key that
+    rho has, its direction lattice N and the canonical outward vector w of
+    p across rho, from one Hermite form of the facet normal over p's
+    direction lattice (see ``lattice._facet_split``)."""
+    out = []
+    for (u, _), vs, rs in zip(p.halfspaces, p.facet_vertices, p.facet_rays):
+        w, n_rho = _facet_split(p.direction_lattice, u)
+        key = (p.ambient_dim, p.lineality, tuple(p.vertices[k] for k in _bits(vs)),
+               tuple(p.rays[k] for k in _bits(rs)))
+        out.append((key, n_rho, tuple(int(x) for x in reduce_mod_lattice(w, n_rho))))
+    return out
 
 
 def faces(p, codim):

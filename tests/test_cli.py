@@ -9,11 +9,18 @@ import pytest
 from conftest import box, rand_form, segment
 
 from tropform import io as tio
-from tropform.cli import main
+from tropform import polyhedra
+from tropform.cli import build_parser, main
 from tropform.cycle import WeightedComplex
 from tropform.hypersurface import tropical_polynomial
 from tropform.integrate import integrate_boundary, integrate_complex_boundary
-from tropform.polyhedra import Complex, complex_from_cells, from_generators, from_halfspaces
+from tropform.polyhedra import (
+    EMPTY,
+    Complex,
+    complex_from_cells,
+    from_generators,
+    from_halfspaces,
+)
 from tropform.superform import AffineMap, Polynomial, basis_form
 
 
@@ -177,6 +184,55 @@ def test_cli_current_eval(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     # (d' delta)(x^2 d''x) = -delta(d'(x^2 d''x)) = -4
     assert out["value"] == "-4"
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    wc = _write(tmp_path, "wc.json",
+                WeightedComplex([(segment((0,), (2,)), 1)]))
+    alpha = _write(tmp_path, "alpha.json",
+                   basis_form(1, (), (0,), Polynomial(1, {(2,): Fraction(1)})))
+    a = _write(tmp_path, "a.json",
+               basis_form(1, (0,), (0,), Polynomial(1, {(1,): Fraction(1)})))
+    w = _write(tmp_path, "w.json", box(1, -5, 5))
+    assert build_parser() is build_parser()
+    assert main(["current-eval", wc, alpha, "--window", w, "--ops", "d'"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "-4"
+    # the next call applies no operator: delta(x d'x ^ d''x) on [0, 2] is 2
+    assert build_parser().parse_args(["current-eval", wc, a]).ops == []
+    assert main(["current-eval", wc, a, "--window", w]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "2"
+
+
+def _polyhedron_doc(empty, r=2):
+    return json.dumps({"format": "trop/1", "kind": "polyhedron", "ambient_dim": r,
+                       "halfspaces": [], "equalities": [], "empty": empty})
+
+
+def test_empty_true_needs_no_double_description(tmp_path, capsys, monkeypatch):
+    dd_calls = []
+    dd = polyhedra.dual_description
+    monkeypatch.setattr(polyhedra, "dual_description",
+                        lambda *args: dd_calls.append(args) or dd(*args))
+    # no row of length 2^70 is built
+    assert tio.parse(_polyhedron_doc(True, 2 ** 70)) is EMPTY
+    assert dd_calls == []
+    big = tmp_path / "big.json"
+    big.write_text(_polyhedron_doc(True, 2 ** 70))
+    assert main(["faces", str(big), "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert tio.parse(_polyhedron_doc(False)) == from_halfspaces([], 2)
+
+
+def test_empty_must_be_a_json_boolean(tmp_path, capsys):
+    for value in ([1], 1, "true", None):
+        with pytest.raises(tio.SchemaError, match=r"\$\.empty"):
+            tio.parse(_polyhedron_doc(value))
+    bad = tmp_path / "bad.json"
+    bad.write_text(_polyhedron_doc([1]))
+    assert main(["faces", str(bad), "0"]) == 2
+    assert "$.empty" in capsys.readouterr().err
 
 
 def test_cli_faces_refine_truncate_validate(tmp_path, capsys):

@@ -473,6 +473,44 @@ def test_weighted_complex_and_pushforward_build_only_what_they_read(monkeypatch)
     assert len(dd_calls) == 1
 
 
+def test_balancing_builds_only_the_faces_it_overlays_or_reports(monkeypatch):
+    facet_calls, dd_calls = [], []
+    facets, dd = polyhedra.facets, polyhedra.dual_description
+    monkeypatch.setattr(polyhedra, "facets",
+                        lambda p: facet_calls.append(p) or facets(p))
+    monkeypatch.setattr(polyhedra, "dual_description",
+                        lambda *args: dd_calls.append(args) or dd(*args))
+    # a balanced locus is read off the incidence of its cells alone
+    locus = corner_locus(tropical_polynomial(dense_terms(random.Random(1), 2, 3), 2))
+    dd_calls.clear()
+    assert check_balancing(locus) == []
+    assert facet_calls == [] and dd_calls == []
+    # the tropical plane in R^3 with cone(e1, e2) cut along x = 1: the
+    # line R e1 holds three faces and is overlaid, each face built from one
+    # cell that has it; every other line holds one face, and the cells with
+    # no face on R e1 are not built
+    e1, e2, e3, e0 = (1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)
+    origin = (0, 0, 0)
+
+    def cone(*rays):
+        return polyhedra.from_generators([origin], rays, [], 3)
+    cut = [polyhedra.from_generators([origin, e1], [e2], [], 3),
+           polyhedra.from_generators([e1], [e1, e2], [], 3)]
+    on_e1 = [cone(e1, e3), cone(e1, e0)] + cut
+    elsewhere = [cone(e2, e3), cone(e2, e0), cone(e3, e0)]
+    plane = WeightedComplex([(c, 1) for c in on_e1 + elsewhere])
+    assert check_balancing(plane) == []
+    assert len(facet_calls) == 3 and set(facet_calls) < set(on_e1)
+    # a violation at the ends of a segment off a balanced line builds that
+    # segment's facets only
+    facet_calls.clear()
+    seg = segment((5, 5), (6, 5))
+    bad = check_balancing(WeightedComplex(tropical_line().weighted_cells() + [(seg, 1)]))
+    assert [(rho.vertices, tuple(t)) for rho, t in bad] == [(((5, 5),), (-1, 0)),
+                                                            (((6, 5),), (1, 0))]
+    assert facet_calls == [seg]
+
+
 def test_truncated_keeps_cells_inside_the_window(monkeypatch):
     inside, crossing = segment((0, 0), (1, 2)), segment((1, 2), (5, 2))
     wc = WeightedComplex([(inside, 1), (crossing, 2)])
