@@ -1,33 +1,42 @@
 """Exact integration of superforms over integral affine polytopes.
 
 An (n, n)-form a is integrated over an n-dimensional polytope sigma
-against the lattice-normalized measure of its affine hull, with no chart.
-For B the HNF basis of the direction lattice taken as columns, the top
-coefficient of a pulled back along the chart y -> v + B y is h(v + B y),
-where h = sum_{I,J} det(B_I) det(B_J) a_IJ (B_I the rows I of B) is one
-ambient polynomial, summed as in ``pullback``.  The chart composed with a
-simplex of a placing triangulation is the simplex's own parametrization
-t -> u_0 + sum_i t_i (u_i - u_0) by its ambient vertices, so each simplex
-composes h once, on integers, and integrates it over the standard simplex
-with integer monomial weights (Baldoni, Berline, De Loera, Koeppe &
-Vergne, "How to integrate a polynomial over a simplex", Math. Comp. 80,
-2011).  The simplex's chart volume factor is |det| of its edges restricted
-to the pivot columns S of B, over the product of the pivots, since B
-restricted to S is triangular.  The sign (-1)^{n(n-1)/2} makes
+against the lattice-normalized measure of its affine hull, with no chart
+and no composition.  For B the HNF basis of the direction lattice taken as
+columns, the top coefficient of a pulled back along the chart y -> v + B y
+is h(v + B y), where h = sum_{I,J} det(B_I) det(B_J) a_IJ (B_I the rows I of
+B) is one ambient polynomial, summed as in ``pullback``.  The chart
+composed with a simplex of a placing triangulation is the simplex's own
+parametrization t -> s_0 + sum_i t_i (s_i - s_0) by its ambient vertices,
+and along it the moments of the standard simplex are read off the
+vertices (Lasserre & Avrachenkov, "The multi-dimensional version of
+int_a^b x^p dx", Amer. Math. Monthly 108, 2001; Baldoni, Berline,
+De Loera, Koeppe & Vergne, "How to integrate a polynomial over a simplex",
+Math. Comp. 80, 2011):
+
+    int x(t)^e dt = e! / (|e| + n)! [l^e] h_|e|(<l, s_0>, ..., <l, s_n>),
+
+h_d the complete homogeneous symmetric polynomial.  The integral is a
+linear functional of h that depends only on sigma, so each polytope keeps
+one table of these moments, summed over its simplices with their volume
+factors, for every exponent up to the highest degree asked of it, and an
+integral is one dot product of h's coefficients with the table.  The
+simplex's chart volume factor is |det| of its edges restricted to the
+pivot columns S of B, over the product of the pivots, since B restricted
+to S is triangular.  The sign (-1)^{n(n-1)/2} makes
 d'x_1 ^ d''x_1 ^ ... ^ d'x_n ^ d''x_n positive.  Everything is over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from itertools import product
 from math import factorial, lcm, prod
+from operator import mul
 
 from .lattice import determinant
 from .polyhedra import _facet_records, faces, triangulate
 from .superform import (
-    _compose_packed,
+    _add_product,
     _minor_sums,
     contract,
     d_prime,
@@ -46,14 +55,56 @@ def integrate_monomial_simplex(exponents):
     return Fraction(num, factorial(n + sum(exponents)))
 
 
-@cache
-def _simplex_weights(n, base):
-    """Packed exponent e of n variables with |e| <= D = base - 1 ->
-    e! (n + D)! / (n + |e|)!, the integral of t^e over the standard
-    n-simplex times (n + D)!, an integer.  Callers only read the table."""
-    top = factorial(n + base - 1)
-    return {sum(x * base ** j for j, x in enumerate(e)): int(integrate_monomial_simplex(e) * top)
-            for e in product(range(base), repeat=n) if sum(e) < base}
+def _vertex_moments(simplices, base):
+    """The moment table of weighted simplices with integer vertices: for
+    (w, [X_0, ..., X_n]) in simplices, the map from each packed exponent e
+    with |e| < base to the int sum_simplices w e! [l^e] h_|e|(<l, X_0>,
+    ..., <l, X_n>), which is (|e| + n)! times the sum of w times the
+    integral of x^e over the standard simplex along
+    t -> X_0 + sum_i t_i (X_i - X_0).  An exponent e is packed into the int
+    sum_j e_j base^j, as in ``superform._compose_packed``, so multiplying
+    monomials adds ints.  The h_d of a simplex come from h_0 = w and
+    h_d <- h_d + <l, X_v> h_{d-1}, for d rising, one vertex at a time.
+    Zero moments are dropped."""
+    sums = {}
+    get = sums.get
+    for w, points in simplices:
+        h = [{0: w}] + [{} for _ in range(1, base)]
+        for x in points:
+            step = {base ** j: a for j, a in enumerate(x) if a}
+            for d in range(1, base):
+                _add_product(h[d], step, h[d - 1])
+        for part in h:
+            for k, c in part.items():
+                sums[k] = get(k, 0) + c
+    moments = {}
+    for k, c in sums.items():
+        if c:
+            key = k
+            while key:
+                key, x = divmod(key, base)
+                c *= factorial(x)
+            moments[k] = c
+    return moments
+
+
+def _dot(poly, moments, base, n, t):
+    """(s, q) with s / q = sum_e num_e M[e] / (den (|e| + n)! t^|e|) for
+    poly = sum_e num_e x^e / den, M a table of ``_vertex_moments`` packed
+    with the given base (above poly's degree D) on vertices scaled by t:
+    the integral of poly over the table's simplices, with x = X / t.  It is
+    s = sum_e num_e M[e] (D + n)! / (|e| + n)! t^(D - |e|) over
+    q = den (D + n)! t^D, all on ints."""
+    degree = max(map(sum, poly.num))
+    top = factorial(degree + n)
+    weights = [top // factorial(d + n) * t ** (degree - d) for d in range(degree + 1)]
+    powers = [base ** j for j in range(poly.nvars)]
+    s = 0
+    for e, c in poly.num.items():
+        m = moments.get(sum(map(mul, e, powers)))
+        if m:
+            s += c * m * weights[sum(e)]
+    return s, poly.den * top * t ** degree
 
 
 def integrate_polynomial_simplex(poly, simplex_vertices):
@@ -61,17 +112,40 @@ def integrate_polynomial_simplex(poly, simplex_vertices):
     parametrization t -> u_0 + sum_i t_i (u_i - u_0) of the simplex with
     vertices u_0, ..., u_n in the space of poly's variables.  Against a
     measure on the simplex's hull in which the simplex has volume V, the
-    integral of poly over the simplex is n! V times this.  The composition
-    is on integers, sum_k a_k t^k / den, and the result is the one Fraction
-    sum_k a_k w_k / (den (n + D)!), w the weights of ``_simplex_weights``
-    and D the degree of poly."""
-    u0 = simplex_vertices[0]
-    n = len(simplex_vertices) - 1
-    rows = [[v[i] - u0[i] for v in simplex_vertices[1:]] for i in range(poly.nvars)]
-    out, den, base = _compose_packed(poly, rows, u0, n)
-    weights = _simplex_weights(n, base)
-    return Fraction(sum(a * weights[k] for k, a in out.items()),
-                    den * factorial(n + base - 1))
+    integral of poly over the simplex is n! V times this.  It is the dot
+    product of poly's coefficients with the simplex's vertex moments, on
+    the vertices scaled to integers; nothing is composed."""
+    if not poly.num:
+        return Fraction(0)
+    t = lcm(*(x.denominator for v in simplex_vertices for x in v))
+    points = [[x.numerator * (t // x.denominator) for x in v] for v in simplex_vertices]
+    base = max(map(sum, poly.num)) + 1
+    moments = _vertex_moments([(1, points)], base)
+    return Fraction(*_dot(poly, moments, base, len(points) - 1, t))
+
+
+def _moment_table(sigma, degree):
+    """(base, t, q, M) for the bounded n-polyhedron sigma, with base above
+    degree: M the ``_vertex_moments`` of the simplices of its placing
+    triangulation, each weighted by |det| of its edges at the pivot
+    columns of the direction lattice's basis, on the vertices scaled to
+    integers by t, the lcm of their denominators; q = t^n times the
+    product of the pivots.  The table is kept on sigma and built again only
+    when a degree above its own is asked for."""
+    table = sigma._moments
+    if table is None or table[0] <= degree:
+        basis = sigma.direction_lattice.basis
+        pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+        t = lcm(*(x.denominator for v in sigma.vertices for x in v))
+        simplices = []
+        for simplex in triangulate(sigma):
+            points = [[x.numerator * (t // x.denominator) for x in v] for v in simplex]
+            x0 = points[0]
+            det = determinant([[x[p] - x0[p] for p in pivots] for x in points[1:]])
+            simplices.append((abs(det), points))
+        q = t ** len(pivots) * prod(b[p] for b, p in zip(basis, pivots))
+        table = sigma._moments = (degree + 1, t, q, _vertex_moments(simplices, degree + 1))
+    return table
 
 
 def integrate_polytope(sigma, a):
@@ -86,30 +160,21 @@ def integrate_polytope(sigma, a):
         raise ValueError("form bidegree %r does not match dim %d" % (a.bidegree, n))
     if a.ambient_dim != sigma.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    basis = sigma.direction_lattice.basis
     top = tuple(range(n))
-    h = _minor_sums(list(zip(*basis)), a, [top], [top]).get((top, top))
+    h = _minor_sums(list(zip(*sigma.direction_lattice.basis)), a, [top], [top]).get((top, top))
     if h is None:
         return Fraction(0)
-    # the vertices at the pivot columns of the basis, as integers over t
-    pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
-    t = lcm(*(v[p].denominator for v in sigma.vertices for p in pivots))
-    scaled = {v: [v[p].numerator * (t // v[p].denominator) for p in pivots]
-              for v in sigma.vertices}
-    total = Fraction(0)
-    for simplex in triangulate(sigma):
-        x0 = scaled[simplex[0]]
-        det = determinant([[x - y for x, y in zip(scaled[v], x0)] for v in simplex[1:]])
-        total += abs(det) * integrate_polynomial_simplex(h, simplex)
+    base, t, q, moments = _moment_table(sigma, max(map(sum, h.num)))
+    s, den = _dot(h, moments, base, n, t)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * total / (t ** n * prod(b[p] for b, p in zip(basis, pivots)))
+    return Fraction(sign * s, den * q)
 
 
 def outward_vector(sigma, rho):
     """Canonical primitive lattice vector in N_sigma generating
     N_sigma / N_rho and pointing out of sigma across its facet rho,
-    looked up by rho's key among sigma's facet records.  Each call reads
-    all of them: a caller that needs several reads the records once."""
+    looked up by rho's key among sigma's facet records, which sigma keeps
+    once computed."""
     for key, _, omega in _facet_records(sigma):
         if key == rho.key():
             return omega

@@ -19,6 +19,12 @@ from .lattice import vec_neg
 
 FORMAT = "trop/1"
 
+# the largest dimension a document may give, other than that of an empty
+# polyhedron: the double description of a polyhedron starts from
+# ambient_dim + 1 lines of that length, so a larger one is rejected before
+# anything is built from it
+MAX_DIM = 64
+
 
 class SchemaError(ValueError):
     """A document violates the trop/1 schema; the message names the field."""
@@ -43,6 +49,16 @@ def _integer(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, "expected an integer, got %r" % (value,))
     return value
+
+
+def _dimension(obj, field, path):
+    """The integer field of obj named field, a dimension: at least 0 and
+    at most MAX_DIM."""
+    here = "%s.%s" % (path, field)
+    r = _integer(_get(obj, field, path), here)
+    if not 0 <= r <= MAX_DIM:
+        _fail(here, "must be between 0 and %d, got %d" % (MAX_DIM, r))
+    return r
 
 
 def _int_vector(value, path, length=None):
@@ -192,6 +208,7 @@ def _parse_polyhedron(obj, path):
         _fail("%s.empty" % path, "expected a boolean, got %r" % (empty,))
     if empty:
         return EMPTY
+    _dimension(obj, "ambient_dim", path)
     hs = _get(obj, "halfspaces", path, list)
     rows = [_parse_halfspace(h, "%s.halfspaces[%d]" % (path, i), r)
             for i, h in enumerate(hs)]
@@ -240,7 +257,7 @@ def _parse_poly(items, path, r):
 
 
 def _parse_superform(obj, path):
-    r = _integer(_get(obj, "ambient_dim", path), "%s.ambient_dim" % path)
+    r = _dimension(obj, "ambient_dim", path)
     p = _integer(_get(obj, "p", path), "%s.p" % path)
     q = _integer(_get(obj, "q", path), "%s.q" % path)
     comps = {}
@@ -262,8 +279,8 @@ def _parse_superform(obj, path):
 
 
 def _parse_map(obj, path):
-    k = _integer(_get(obj, "domain_dim", path), "%s.domain_dim" % path)
-    r = _integer(_get(obj, "codomain_dim", path), "%s.codomain_dim" % path)
+    k = _dimension(obj, "domain_dim", path)
+    r = _dimension(obj, "codomain_dim", path)
     linear = _get(obj, "linear", path, list)
     if len(linear) != r:
         _fail("%s.linear" % path, "expected %d rows" % r)
@@ -278,7 +295,7 @@ def _parse_map(obj, path):
 
 
 def _parse_tropical_polynomial(obj, path):
-    r = _integer(_get(obj, "ambient_dim", path), "%s.ambient_dim" % path)
+    r = _dimension(obj, "ambient_dim", path)
     convention = obj.get("convention", "min")
     if convention not in ("min", "max"):
         _fail("%s.convention" % path, "must be 'min' or 'max'")

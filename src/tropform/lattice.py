@@ -277,9 +277,10 @@ def snf(m):
 # ---------------------------------------------------------------------------
 # lattices
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lattice:
-    """Sublattice of Z^r spanned by the rows of ``basis`` (HNF, no zero rows)."""
+    """Sublattice of Z^r spanned by the rows of ``basis`` (HNF, no zero rows).
+    Slotted: every polyhedron and every facet record holds one."""
 
     ambient_rank: int
     basis: tuple

@@ -17,7 +17,8 @@ Identity of cells is decided through a canonical key built from the V-data,
 which makes complex validation and deduplication deterministic; a
 polyhedron hashes its key once.  What balancing and boundary integrals need
 of a facet, its key, direction lattice and outward vector, is read off the
-incidence as a record (``_facet_records``) without building the facet.
+incidence as a record (``_facet_records``) without building the facet,
+and kept on the polyhedron once read.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ class Polyhedron:
     # no per-instance dict: face caches keep many small polyhedra alive
     __slots__ = ("ambient_dim", "halfspaces", "equalities", "vertices", "rays", "lineality",
                  "direction_lattice", "facet_vertices", "facet_rays", "dim",
-                 "_faces_by_codim", "_key", "_hash", "__weakref__")
+                 "_faces_by_codim", "_records", "_moments", "_key", "_hash",
+                 "__weakref__")
 
     def __init__(self, ambient_dim, halfspaces, equalities, vertices, rays, lineality,
                  direction_lattice, facet_vertices, facet_rays):
@@ -160,6 +162,8 @@ class Polyhedron:
         self.facet_rays = tuple(facet_rays)
         self.dim = self.direction_lattice.rank
         self._faces_by_codim = {}
+        self._records = None     # _facet_records, on first use
+        self._moments = None     # integrate's moment table, on first use
         self._key = (ambient_dim, self.lineality, self.vertices, self.rays)
         self._hash = None
 
@@ -424,17 +428,21 @@ def _separated(p, q):
 
 
 def affine_image(linear_rows, translate, p):
-    """Image of p under x -> A x + t (A integer matrix given by rows)."""
+    """Image of p under x -> A x + tau (A integer matrix given by rows).
+    A vertex v = x / t (x integer, t > 0) maps to (A x + t tau) / t, on
+    ints, with one Fraction per output coordinate."""
     if p.is_empty:
         return EMPTY
     out_dim = len(linear_rows)
+    shift = [Fraction(c) for c in translate]
 
     def apply(v):
-        return tuple(sum(Fraction(row[j]) * v[j] for j in range(p.ambient_dim)) + Fraction(translate[i])
-                     for i, row in enumerate(linear_rows))
+        x, t = _integral(v)
+        return tuple(Fraction(dot(row, x) * c.denominator + t * c.numerator, t * c.denominator)
+                     for row, c in zip(linear_rows, shift))
 
     def apply_lin(v):
-        return tuple(sum(row[j] * v[j] for j in range(p.ambient_dim)) for row in linear_rows)
+        return tuple(dot(row, v) for row in linear_rows)
 
     pts = [apply(v) for v in p.vertices]
     rys = [apply_lin(r) for r in p.rays]
@@ -466,14 +474,17 @@ def _facet_records(p):
     read off the incidence with no facet polyhedron built: the key that
     rho has, its direction lattice N and the canonical outward vector w of
     p across rho, from one Hermite form of the facet normal over p's
-    direction lattice (see ``lattice._facet_split``)."""
-    out = []
-    for (u, _), vs, rs in zip(p.halfspaces, p.facet_vertices, p.facet_rays):
-        w, n_rho = _facet_split(p.direction_lattice, u)
-        key = (p.ambient_dim, p.lineality, tuple(p.vertices[k] for k in _bits(vs)),
-               tuple(p.rays[k] for k in _bits(rs)))
-        out.append((key, n_rho, tuple(int(x) for x in reduce_mod_lattice(w, n_rho))))
-    return out
+    direction lattice (see ``lattice._facet_split``).  They are computed
+    on first use and kept on p as a tuple."""
+    if p._records is None:
+        out = []
+        for (u, _), vs, rs in zip(p.halfspaces, p.facet_vertices, p.facet_rays):
+            w, n_rho = _facet_split(p.direction_lattice, u)
+            key = (p.ambient_dim, p.lineality, tuple(p.vertices[k] for k in _bits(vs)),
+                   tuple(p.rays[k] for k in _bits(rs)))
+            out.append((key, n_rho, tuple(int(x) for x in reduce_mod_lattice(w, n_rho))))
+        p._records = tuple(out)
+    return p._records
 
 
 def faces(p, codim):

@@ -235,6 +235,45 @@ def test_empty_must_be_a_json_boolean(tmp_path, capsys):
     assert "$.empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r", [2 ** 70, 10 ** 5, tio.MAX_DIM + 1])
+def test_dimension_above_the_limit_exits_2_before_anything_is_built(
+        tmp_path, capsys, monkeypatch, r):
+    """A nonempty polyhedron, a superform, a tropical polynomial and a map
+    that give a dimension above MAX_DIM are schema errors, found before a
+    double description or any list of that length is built."""
+    dd_calls = []
+    dd = polyhedra.dual_description
+    monkeypatch.setattr(polyhedra, "dual_description",
+                        lambda *args: dd_calls.append(args) or dd(*args))
+    docs = [
+        ("ambient_dim", _polyhedron_doc(False, r)),
+        ("ambient_dim", json.dumps({"format": "trop/1", "kind": "superform",
+                                    "ambient_dim": r, "p": 0, "q": 0, "components": []})),
+        ("ambient_dim", json.dumps({"format": "trop/1", "kind": "tropical-polynomial",
+                                    "ambient_dim": r, "terms": []})),
+        ("codomain_dim", json.dumps({"format": "trop/1", "kind": "map", "domain_dim": 1,
+                                     "codomain_dim": r, "linear": [], "translate": []})),
+    ]
+    for field, text in docs:
+        with pytest.raises(tio.SchemaError, match=r"^\$\.%s: must be" % field):
+            tio.parse(text)
+    assert dd_calls == []
+    big = tmp_path / "big.json"
+    big.write_text(_polyhedron_doc(False, r))
+    assert main(["faces", str(big), "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "$.ambient_dim: must be between 0 and %d" % tio.MAX_DIM in captured.err
+    assert "Traceback" not in captured.err
+    assert dd_calls == []
+
+
+def test_dimension_at_the_limit_is_accepted():
+    whole = tio.parse(_polyhedron_doc(False, tio.MAX_DIM))
+    assert whole == from_halfspaces([], tio.MAX_DIM)
+    assert whole.dim == tio.MAX_DIM
+
+
 def test_cli_faces_refine_truncate_validate(tmp_path, capsys):
     sq = _write(tmp_path, "sq.json", box(2))
     assert main(["faces", sq, "1"]) == 0

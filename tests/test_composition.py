@@ -2,23 +2,24 @@
 integration against their earlier implementations, kept here as exact
 oracles: composition by polynomial arithmetic, d'' and the d''-slot
 contraction written out on the d'' block, pullback composing every
-component before summing, and polytope integration through the intrinsic
+component before summing, polytope integration through the intrinsic
 chart, each vertex solved into chart coordinates and each simplex
-integrated there with its Euclidean determinant."""
+integrated there with its Euclidean determinant, and chart-free polytope
+integration composing the ambient polynomial along every simplex and
+weighting the composite's monomials."""
 
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import box, rand_form, segment
+from conftest import box, rand_form, rand_poly, segment
 
 from tropform import integrate, lattice, superform
 from tropform.integrate import (
-    _simplex_weights,
     integrate_monomial_simplex,
     integrate_polynomial_simplex,
     integrate_polytope,
@@ -30,6 +31,8 @@ from tropform.superform import (
     Polynomial,
     Superform,
     _accumulate,
+    _compose_packed,
+    _minor_sums,
     contract,
     d_second,
     insert_sign,
@@ -216,6 +219,53 @@ def _oracle_integrate_polytope(sigma, a):
         return sign * total
 
 
+@cache
+def _oracle_simplex_weights(n, base):
+    """Packed exponent e of n variables with |e| <= D = base - 1 ->
+    e! (n + D)! / (n + |e|)!, the integral of t^e over the standard
+    n-simplex times (n + D)!, an integer."""
+    top = factorial(n + base - 1)
+    return {sum(x * base ** j for j, x in enumerate(e)): int(integrate_monomial_simplex(e) * top)
+            for e in product(range(base), repeat=n) if sum(e) < base}
+
+
+def _oracle_integrate_polynomial_simplex(poly, simplex_vertices):
+    """Integral over the standard n-simplex of poly composed with the
+    simplex's parametrization t -> u_0 + sum_i t_i (u_i - u_0): the
+    integer composition, its monomials weighted by
+    ``_oracle_simplex_weights``."""
+    u0 = simplex_vertices[0]
+    n = len(simplex_vertices) - 1
+    rows = [[v[i] - u0[i] for v in simplex_vertices[1:]] for i in range(poly.nvars)]
+    out, den, base = _compose_packed(poly, rows, u0, n)
+    weights = _oracle_simplex_weights(n, base)
+    return Fraction(sum(a * weights[k] for k, a in out.items()),
+                    den * factorial(n + base - 1))
+
+
+def _oracle_composed_integral(sigma, a):
+    """Chart-free integral that composes the ambient polynomial h along
+    every simplex: |det| of the simplex's edges at the pivot columns, over
+    the product of the pivots, times the oracle simplex integral of h."""
+    n = sigma.dim
+    basis = sigma.direction_lattice.basis
+    top = tuple(range(n))
+    h = _minor_sums(list(zip(*basis)), a, [top], [top]).get((top, top))
+    if h is None:
+        return Fraction(0)
+    pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+    t = lcm(*(v[p].denominator for v in sigma.vertices for p in pivots))
+    scaled = {v: [v[p].numerator * (t // v[p].denominator) for p in pivots]
+              for v in sigma.vertices}
+    total = Fraction(0)
+    for simplex in triangulate(sigma):
+        x0 = scaled[simplex[0]]
+        det = determinant([[x - y for x, y in zip(scaled[v], x0)] for v in simplex[1:]])
+        total += abs(det) * _oracle_integrate_polynomial_simplex(h, simplex)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * total / (t ** n * prod(b[p] for b, p in zip(basis, pivots)))
+
+
 ORACLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                            database=None)
 _RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -303,46 +353,82 @@ def test_integrate_polytope_matches_the_chart_on_sublattices(p, rng):
         assert integrate_polytope(sigma, a) == _oracle_integrate_polytope(sigma, a)
 
 
-def _counting(monkeypatch, calls):
-    """Record in calls the (vertices, result) of every
-    integrate_polynomial_simplex call that integrate_polytope makes."""
-    each = integrate.integrate_polynomial_simplex
+@st.composite
+def _rational_polytopes(draw):
+    """conv of up to six rational points v + sum_k c_k d_k in R^r, r <= 3,
+    on the affine hull through a rational v along n <= r integer
+    directions d_k."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(0, r))
+    direction = st.tuples(*[st.integers(-2, 2)] * r)
+    directions = draw(st.lists(direction, min_size=n, max_size=n))
+    v = draw(st.tuples(*[_RATIONAL] * r))
+    coef = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    points = [tuple(x + sum(c * d[i] for c, d in zip(cs, directions))
+                    for i, x in enumerate(v))
+              for cs in draw(st.lists(st.tuples(*[coef] * n), min_size=1, max_size=6))]
+    return from_generators(points)
 
-    def counted(poly, vertices):
-        result = each(poly, vertices)
-        calls.append((vertices, result))
-        return result
-    monkeypatch.setattr(integrate, "integrate_polynomial_simplex", counted)
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_rational_polytopes(), st.lists(st.integers(0, 4), min_size=1, max_size=5),
+       st.randoms(use_true_random=False))
+def test_vertex_moments_match_the_composition_oracle(p, degrees, rng):
+    """Every face of a rational polytope, integrated once per drawn degree
+    on the same object, the degrees rising and falling, against the
+    composition oracle; and each simplex on its own."""
+    r = p.ambient_dim
+    for sigma in all_faces(p):
+        k = sigma.dim
+        for deg in degrees + degrees[::-1]:
+            a = rand_form(rng, r, k, k, deg=deg)
+            assert integrate_polytope(sigma, a) == _oracle_composed_integral(sigma, a)
+        poly = rand_poly(rng, r, deg=max(degrees))
+        for simplex in triangulate(sigma):
+            assert integrate_polynomial_simplex(poly, simplex) \
+                == _oracle_integrate_polynomial_simplex(poly, simplex)
 
 
 def test_integrate_polytope_makes_no_chart(monkeypatch):
-    """No composition into a chart, no pullback and no vertex solve: one
-    integrate_polynomial_simplex call per simplex of the triangulation."""
+    """No composition, no pullback and no vertex solve; one triangulation
+    per polytope object and rise of the degree asked of it, and none for
+    a lower degree, a repeated one or a zero integrand."""
     forbidden = []
     for owner, name in ((Polynomial, "compose_affine"), (superform, "pullback"),
-                        (lattice, "coords_in_basis")):
+                        (lattice, "coords_in_basis"), (integrate, "_compose_packed"),
+                        (integrate, "integrate_polynomial_simplex")):
         def stub(*args, name=name):
             forbidden.append(name)
-        monkeypatch.setattr(owner, name, stub)
+        monkeypatch.setattr(owner, name, stub, raising=False)
         monkeypatch.setattr(integrate, name, stub, raising=False)
-    calls = []
-    _counting(monkeypatch, calls)
+    triangulated = []
+    each = integrate.triangulate
+    monkeypatch.setattr(integrate, "triangulate",
+                        lambda p: triangulated.append(p) or each(p))
     cube = box(3)
-    positive = Polynomial(3, {(0, 0, 0): 1, (2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
     for sigma in (cube, faces(cube, 1)[0], faces(cube, 2)[0], segment((0, 0, 0), (2, 1, 3))):
         k = sigma.dim
         keys = list(combinations(range(3), k))
-        a = Superform(3, k, k, {(I, J): positive for I in keys for J in keys})
-        calls.clear()
-        assert integrate_polytope(sigma, a) != 0
-        assert [vertices for vertices, _ in calls] == triangulate(sigma)
+
+        def form(poly):
+            return Superform(3, k, k, {(I, J): poly for I in keys for J in keys})
+
+        triangulated.clear()
+        for deg, rises in ((2, True), (2, False), (1, False), (4, True), (0, False),
+                           (3, False), (5, True)):
+            before = len(triangulated)
+            poly = Polynomial(3, {(0, 0, 0): 1, (deg, 0, 0): 1, (0, 0, deg): 2})
+            assert integrate_polytope(sigma, form(poly)) != 0
+            assert len(triangulated) == before + rises
+        assert integrate_polytope(sigma, Superform(3, k, k)) == 0
+        assert triangulated == [sigma] * 3
     assert forbidden == []
 
 
 def test_simplex_weights_are_scaled_monomial_integrals():
     for n in range(4):
         for base in range(1, 7):
-            weights = _simplex_weights(n, base)
+            weights = _oracle_simplex_weights(n, base)
             assert len(weights) == len({e for e in product(range(base), repeat=n)
                                         if sum(e) < base})
             for key, w in weights.items():
@@ -354,19 +440,17 @@ def test_simplex_weights_are_scaled_monomial_integrals():
                 assert w == integrate_monomial_simplex(e) * factorial(n + base - 1)
 
 
-def test_integrand_vanishing_on_the_hull_integrates_to_zero(monkeypatch):
+def test_integrand_vanishing_on_the_hull_integrates_to_zero():
     """(x_3 - 1) f is zero on the face x_3 = 1 of the cube but not as a
-    polynomial, so it reaches every simplex of the face, and each composes
-    it to exactly 0."""
+    polynomial, so its terms reach the face's moment table, and the dot
+    product, like the integral over each simplex, is exactly 0."""
     cube = box(3)
     face = next(f for f in faces(cube, 1) if f.equalities == (((0, 0, 1), 1),))
     f = Polynomial(3, {(2, 1, 0): Fraction(3, 2), (0, 0, 3): -1, (0, 0, 0): 5})
     g = Polynomial(3, {(0, 0, 1): 1, (0, 0, 0): -1}) * f
-    calls = []
-    _counting(monkeypatch, calls)
     assert integrate_polytope(face, Superform(3, 2, 2, {((0, 1), (0, 1)): g})) == 0
-    assert len(calls) == len(triangulate(face))
-    assert all(result == 0 for _, result in calls)
+    assert face._moments is not None
+    assert all(integrate_polynomial_simplex(g, s) == 0 for s in triangulate(face))
     assert integrate_polytope(cube, Superform(3, 3, 3, {((0, 1, 2), (0, 1, 2)): g})) != 0
 
 

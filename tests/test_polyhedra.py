@@ -111,6 +111,25 @@ def test_affine_image():
     assert set(shear.vertices) == {(0, 0), (1, 0), (1, 1), (2, 1)}
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_affine_image_is_the_hull_of_the_mapped_vertices(r, k, data):
+    """The image of a rational polytope in R^r under an integer map to R^k
+    with a rational shift is the hull of the vertices mapped by Fraction
+    arithmetic."""
+    rational = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    points = data.draw(st.lists(st.tuples(*[rational] * r), min_size=1, max_size=5))
+    rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+                              min_size=k, max_size=k))
+    shift = data.draw(st.lists(st.one_of(st.integers(-2, 2), rational),
+                               min_size=k, max_size=k))
+    p = from_generators(points)
+    image = affine_image(rows, shift, p)
+    mapped = [tuple(sum(Fraction(a) * x for a, x in zip(row, v)) + Fraction(c)
+                    for row, c in zip(rows, shift)) for v in p.vertices]
+    assert image == from_generators(mapped, ambient_dim=k)
+
+
 def test_complex_face_closure_and_validation():
     sq = box(2)
     cx = complex_from_cells([sq])
