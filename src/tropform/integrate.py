@@ -18,9 +18,11 @@ Math. Comp. 80, 2011):
 
 h_d the complete homogeneous symmetric polynomial.  The integral is a
 linear functional of h that depends only on sigma, so each polytope keeps
-one table of these moments, summed over its simplices with their volume
-factors, for every exponent up to the highest degree asked of it, and an
-integral is one dot product of h's coefficients with the table.  The
+its triangulation and one table of these moments, summed over its
+simplices with their volume factors, and an integral is one dot product
+of h's coefficients with the table.  The table holds the exponents asked
+of the polytope so far and their divisors, the monomials the recursion
+for h_d reads them from, and grows by the exponents it lacks.  The
 simplex's chart volume factor is |det| of its edges restricted to the
 pivot columns S of B, over the product of the pivots, since B restricted
 to S is triangular.  The sign (-1)^{n(n-1)/2} makes
@@ -30,13 +32,13 @@ d'x_1 ^ d''x_1 ^ ... ^ d'x_n ^ d''x_n positive.  Everything is over Q.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial, lcm, prod
-from operator import mul
+from operator import add
 
 from .lattice import determinant
 from .polyhedra import _facet_records, faces, triangulate
 from .superform import (
-    _add_product,
     _minor_sums,
     contract,
     d_prime,
@@ -55,56 +57,59 @@ def integrate_monomial_simplex(exponents):
     return Fraction(num, factorial(n + sum(exponents)))
 
 
-def _vertex_moments(simplices, base):
-    """The moment table of weighted simplices with integer vertices: for
-    (w, [X_0, ..., X_n]) in simplices, the map from each packed exponent e
-    with |e| < base to the int sum_simplices w e! [l^e] h_|e|(<l, X_0>,
-    ..., <l, X_n>), which is (|e| + n)! times the sum of w times the
-    integral of x^e over the standard simplex along
-    t -> X_0 + sum_i t_i (X_i - X_0).  An exponent e is packed into the int
-    sum_j e_j base^j, as in ``superform._compose_packed``, so multiplying
-    monomials adds ints.  The h_d of a simplex come from h_0 = w and
-    h_d <- h_d + <l, X_v> h_{d-1}, for d rising, one vertex at a time.
-    Zero moments are dropped."""
-    sums = {}
-    get = sums.get
+def _vertex_moments(simplices, exponents):
+    """The moments of weighted simplices with integer vertices for the
+    exponents dividing one of the given ones: for (w, [X_0, ..., X_n]) in
+    simplices, the map from each such exponent e to the int
+    sum_simplices w e! [l^e] h_|e|(<l, X_0>, ..., <l, X_n>), which is
+    (|e| + n)! times the sum of w times the integral of x^e over the
+    standard simplex along t -> X_0 + sum_i t_i (X_i - X_0).  The h_d of a
+    simplex come from h_0 = w and h_d <- h_d + <l, X_v> h_{d-1}, for d
+    rising, one vertex at a time, so the coefficient of l^e in the new h_d
+    adds sum_j X_v[j] times that of l^(e - e_j): the recursion reads only
+    the divisors of e, and runs on those of the given exponents alone."""
+    divisors = set()
+    for e in exponents:
+        divisors.update(product(*(range(a + 1) for a in e)))
+    order = sorted(divisors, key=sum)
+    index = {e: i for i, e in enumerate(order)}
+    # steps[d - 1][j]: the pairs (i, k) with |order[i]| = d and order[k] = order[i] - e_j
+    steps = [[[] for _ in order[0]] for _ in range(sum(order[-1]))]
+    for i, e in enumerate(order):
+        for j, a in enumerate(e):
+            if a:
+                steps[sum(e) - 1][j].append((i, index[e[:j] + (a - 1,) + e[j + 1:]]))
+    sums = [0] * len(order)
     for w, points in simplices:
-        h = [{0: w}] + [{} for _ in range(1, base)]
+        h = [w] + [0] * (len(order) - 1)
         for x in points:
-            step = {base ** j: a for j, a in enumerate(x) if a}
-            for d in range(1, base):
-                _add_product(h[d], step, h[d - 1])
-        for part in h:
-            for k, c in part.items():
-                sums[k] = get(k, 0) + c
-    moments = {}
-    for k, c in sums.items():
-        if c:
-            key = k
-            while key:
-                key, x = divmod(key, base)
-                c *= factorial(x)
-            moments[k] = c
-    return moments
+            for level in steps:
+                for a, pairs in zip(x, level):
+                    if a:
+                        for i, k in pairs:
+                            h[i] += a * h[k]
+        sums = list(map(add, sums, h))
+    return {e: c * prod(map(factorial, e)) for e, c in zip(order, sums)}
 
 
-def _dot(poly, moments, base, n, t):
+def _dot(poly, moments, n, t):
     """(s, q) with s / q = sum_e num_e M[e] / (den (|e| + n)! t^|e|) for
-    poly = sum_e num_e x^e / den, M a table of ``_vertex_moments`` packed
-    with the given base (above poly's degree D) on vertices scaled by t:
-    the integral of poly over the table's simplices, with x = X / t.  It is
+    poly = sum_e num_e x^e / den and M a map from poly's exponents to the
+    moments ``_vertex_moments`` gives of vertices scaled by t: the
+    integral of poly over the table's simplices, with x = X / t.  It is
     s = sum_e num_e M[e] (D + n)! / (|e| + n)! t^(D - |e|) over
-    q = den (D + n)! t^D, all on ints."""
+    q = den (D + n)! t^D, D poly's degree, all on ints."""
     degree = max(map(sum, poly.num))
     top = factorial(degree + n)
     weights = [top // factorial(d + n) * t ** (degree - d) for d in range(degree + 1)]
-    powers = [base ** j for j in range(poly.nvars)]
-    s = 0
-    for e, c in poly.num.items():
-        m = moments.get(sum(map(mul, e, powers)))
-        if m:
-            s += c * m * weights[sum(e)]
+    s = sum(c * moments[e] * weights[sum(e)] for e, c in poly.num.items())
     return s, poly.den * top * t ** degree
+
+
+def _scaled(points, t):
+    """The rational points times t, a multiple of their denominators, as
+    int tuples."""
+    return [tuple(x.numerator * (t // x.denominator) for x in v) for v in points]
 
 
 def integrate_polynomial_simplex(poly, simplex_vertices):
@@ -118,34 +123,37 @@ def integrate_polynomial_simplex(poly, simplex_vertices):
     if not poly.num:
         return Fraction(0)
     t = lcm(*(x.denominator for v in simplex_vertices for x in v))
-    points = [[x.numerator * (t // x.denominator) for x in v] for v in simplex_vertices]
-    base = max(map(sum, poly.num)) + 1
-    moments = _vertex_moments([(1, points)], base)
-    return Fraction(*_dot(poly, moments, base, len(points) - 1, t))
+    points = _scaled(simplex_vertices, t)
+    moments = _vertex_moments([(1, points)], poly.num)
+    return Fraction(*_dot(poly, moments, len(points) - 1, t))
 
 
-def _moment_table(sigma, degree):
-    """(base, t, q, M) for the bounded n-polyhedron sigma, with base above
-    degree: M the ``_vertex_moments`` of the simplices of its placing
-    triangulation, each weighted by |det| of its edges at the pivot
-    columns of the direction lattice's basis, on the vertices scaled to
-    integers by t, the lcm of their denominators; q = t^n times the
-    product of the pivots.  The table is kept on sigma and built again only
-    when a degree above its own is asked for."""
-    table = sigma._moments
-    if table is None or table[0] <= degree:
+def _moment_table(sigma, exponents):
+    """(t, q, M) for the bounded n-polyhedron sigma: M maps each of the
+    given exponents, and each exponent asked of sigma before, to the
+    ``_vertex_moments`` of the simplices of sigma's placing triangulation,
+    each weighted by |det| of its edges at the pivot columns of the
+    direction lattice's basis, on the vertices scaled to integers by t;
+    q = t^n times the product of the pivots.  The triangulation, its
+    weights and M are kept on sigma, and M grows by the exponents it
+    lacks."""
+    if sigma._moments is None:
         basis = sigma.direction_lattice.basis
         pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
         t = lcm(*(x.denominator for v in sigma.vertices for x in v))
         simplices = []
         for simplex in triangulate(sigma):
-            points = [[x.numerator * (t // x.denominator) for x in v] for v in simplex]
-            x0 = points[0]
-            det = determinant([[x[p] - x0[p] for p in pivots] for x in points[1:]])
-            simplices.append((abs(det), points))
+            xs = _scaled(simplex, t)
+            x0 = xs[0]
+            det = determinant([[x[p] - x0[p] for p in pivots] for x in xs[1:]])
+            simplices.append((abs(det), xs))
         q = t ** len(pivots) * prod(b[p] for b, p in zip(basis, pivots))
-        table = sigma._moments = (degree + 1, t, q, _vertex_moments(simplices, degree + 1))
-    return table
+        sigma._moments = (t, q, simplices, {})
+    t, q, simplices, table = sigma._moments
+    missing = [e for e in exponents if e not in table]
+    if missing:
+        table.update(_vertex_moments(simplices, missing))
+    return t, q, table
 
 
 def integrate_polytope(sigma, a):
@@ -164,8 +172,8 @@ def integrate_polytope(sigma, a):
     h = _minor_sums(list(zip(*sigma.direction_lattice.basis)), a, [top], [top]).get((top, top))
     if h is None:
         return Fraction(0)
-    base, t, q, moments = _moment_table(sigma, max(map(sum, h.num)))
-    s, den = _dot(h, moments, base, n, t)
+    t, q, moments = _moment_table(sigma, h.num)
+    s, den = _dot(h, moments, n, t)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return Fraction(sign * s, den * q)
 

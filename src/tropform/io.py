@@ -55,9 +55,12 @@ def _dimension(obj, field, path):
     """The integer field of obj named field, a dimension: at least 0 and
     at most MAX_DIM."""
     here = "%s.%s" % (path, field)
-    r = _integer(_get(obj, field, path), here)
+    return _check_dimension(_integer(_get(obj, field, path), here), here)
+
+
+def _check_dimension(r, path):
     if not 0 <= r <= MAX_DIM:
-        _fail(here, "must be between 0 and %d, got %d" % (MAX_DIM, r))
+        _fail(path, "must be between 0 and %d, got %d" % (MAX_DIM, r))
     return r
 
 
@@ -200,15 +203,16 @@ def _parse_halfspace(obj, path, r):
 
 
 def _parse_polyhedron(obj, path):
-    r = _integer(_get(obj, "ambient_dim", path), "%s.ambient_dim" % path)
+    here = "%s.ambient_dim" % path
+    r = _integer(_get(obj, "ambient_dim", path), here)
     if r < 0:
-        _fail("%s.ambient_dim" % path, "must be nonnegative")
+        _fail(here, "must be nonnegative")
     empty = obj.get("empty", False)
     if not isinstance(empty, bool):
         _fail("%s.empty" % path, "expected a boolean, got %r" % (empty,))
     if empty:
         return EMPTY
-    _dimension(obj, "ambient_dim", path)
+    _check_dimension(r, here)
     hs = _get(obj, "halfspaces", path, list)
     rows = [_parse_halfspace(h, "%s.halfspaces[%d]" % (path, i), r)
             for i, h in enumerate(hs)]

@@ -163,7 +163,7 @@ class Polyhedron:
         self.dim = self.direction_lattice.rank
         self._faces_by_codim = {}
         self._records = None     # _facet_records, on first use
-        self._moments = None     # integrate's moment table, on first use
+        self._moments = None     # integrate's simplices and moment table, on first use
         self._key = (ambient_dim, self.lineality, self.vertices, self.rays)
         self._hash = None
 
