@@ -70,6 +70,14 @@ def _report(command, body):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _checked(command, ok, body):
+    """The report of a check; raises CheckFailure with it unless ok."""
+    text = _report(command, body)
+    if not ok:
+        raise CheckFailure(text)
+    return text
+
+
 def _maybe_truncate(domain, args):
     window = getattr(args, "window", None)
     if window is None:
@@ -86,18 +94,14 @@ def _maybe_truncate(domain, args):
 def _cmd_check_balancing(args):
     wc = _load(args.cycle, "weighted-complex")
     violations = check_balancing(wc)
-    body = {
+    return _checked("check-balancing", not violations, {
         "balanced": not violations,
         "violations": [
             {"face": tio._emit_polyhedron(rho),
              "excess": [tio.rational_str(x) for x in t]}
             for rho, t in violations
         ],
-    }
-    text = _report("check-balancing", body)
-    if violations:
-        raise CheckFailure(text)
-    return text
+    })
 
 
 def _cmd_integrate(args):
@@ -117,13 +121,11 @@ def _cmd_stokes(args):
     eta_prime = _load(args.eta_prime, "superform")
     eta_second = _load(args.eta_second, "superform")
     r1, r2 = stokes_residual(domain, eta_prime, eta_second)
-    text = _report("stokes", {
+    ok = r1 == 0 and r2 == 0
+    return _checked("stokes", ok, {
         "residuals": [tio.rational_str(r1), tio.rational_str(r2)],
-        "ok": r1 == 0 and r2 == 0,
+        "ok": ok,
     })
-    if r1 != 0 or r2 != 0:
-        raise CheckFailure(text)
-    return text
 
 
 def _cmd_green(args):
@@ -131,10 +133,7 @@ def _cmd_green(args):
     alpha = _load(args.alpha, "superform")
     beta = _load(args.beta, "superform")
     res = green_residual(sigma, alpha, beta)
-    text = _report("green", {"residual": tio.rational_str(res), "ok": res == 0})
-    if res != 0:
-        raise CheckFailure(text)
-    return text
+    return _checked("green", res == 0, {"residual": tio.rational_str(res), "ok": res == 0})
 
 
 def _cmd_pushforward(args):
@@ -151,14 +150,11 @@ def _cmd_projection_check(args):
         raise InputError("projection-check requires --window")
     window = _load(args.window, "polyhedron")
     left, right = projection_check(f, wc, form, window)
-    text = _report("projection-check", {
+    return _checked("projection-check", left == right, {
         "pushforward_integral": tio.rational_str(left),
         "pullback_integral": tio.rational_str(right),
         "equal": left == right,
     })
-    if left != right:
-        raise CheckFailure(text)
-    return text
 
 
 def _cmd_current_eval(args):
@@ -208,13 +204,10 @@ def _emit_violation(record):
 def _cmd_validate(args):
     c = _load(args.complex, "complex")
     violations = validate_complex(c)
-    text = _report("validate", {
+    return _checked("validate", not violations, {
         "valid": not violations,
         "violations": [_emit_violation(v) for v in violations],
     })
-    if violations:
-        raise CheckFailure(text)
-    return text
 
 
 def _add_window(sp):

@@ -26,11 +26,11 @@ from .lattice import (
     vec_neg,
 )
 from .polyhedra import (
+    _facet,
     _facet_records,
     _integral,
     affine_image,
     check_window,
-    faces,
     from_halfspaces,
     intersect,
 )
@@ -143,7 +143,8 @@ def check_balancing(wc):
     a face receives the sums of every face that contains it.  A face is
     reported once per distinct violating sum over its pieces; on a
     polyhedral complex that is once, with its own sum.  Only the faces
-    overlaid or reported are built as polyhedra.  The verdict belongs to
+    overlaid or reported are built as polyhedra, each alone from the
+    position of its record in one cell that has it.  The verdict belongs to
     the cycle: it is the same for every refinement of wc, also when the
     cells are not a polyhedral complex."""
     if wc.dim < 1:
@@ -152,10 +153,10 @@ def check_balancing(wc):
     for sigma, m in wc.weighted_cells():
         if m == 0:
             continue
-        for key, lat, omega in _facet_records(sigma):
-            _, _, excess = found.setdefault(key, (sigma, lat, [0] * len(omega)))
-            for i, x in enumerate(omega):
-                excess[i] += m * x
+        for i, (key, lat, omega) in enumerate(_facet_records(sigma)):
+            _, _, excess = found.setdefault(key, ((sigma, i), lat, [0] * len(omega)))
+            for j, x in enumerate(omega):
+                excess[j] += m * x
     hulls = {}
     for key, (_, lat, _) in found.items():
         x, t = _integral(key[2][0])
@@ -167,21 +168,16 @@ def check_balancing(wc):
         if len(keys) == 1:
             totals[keys[0], tuple(found[keys[0]][2])] = None
             continue
-        entries = [(_facet(found[k][0], k), found[k][2]) for k in keys]
+        entries = [(_facet(*found[k][0]), found[k][2]) for k in keys]
         for rho, _, sums in _overlay(entries):
             totals[rho.key(), tuple(map(sum, zip(*sums)))] = rho
     out = []
     for key, total in sorted(totals):
-        sigma, lat, _ = found[key]
+        cell_facet, lat, _ = found[key]
         if not member(total, lat):
-            rho = totals[key, total] or _facet(sigma, key)
+            rho = totals[key, total] or _facet(*cell_facet)
             out.append((rho, reduce_mod_lattice(total, lat)))
     return out
-
-
-def _facet(sigma, key):
-    """The facet of sigma with the given key, as a polyhedron."""
-    return next(rho for rho in faces(sigma, 1) if rho.key() == key)
 
 
 # ---------------------------------------------------------------------------

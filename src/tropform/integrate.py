@@ -37,7 +37,7 @@ from math import factorial, lcm, prod
 from operator import add
 
 from .lattice import determinant
-from .polyhedra import _facet_records, faces, triangulate
+from .polyhedra import _facet, _facet_records, triangulate
 from .superform import (
     _minor_sums,
     contract,
@@ -192,7 +192,8 @@ def outward_vector(sigma, rho):
 def integrate_boundary(sigma, eta):
     """Boundary integral: sum over codimension-1 faces of the integral of the
     contraction by the outward vector, inserted at slot 2n-1 for (n-1, n)
-    forms and at slot n for (n, n-1) forms."""
+    forms and at slot n for (n, n-1) forms; each facet is taken with the
+    outward vector of the facet record at its position."""
     if sigma.is_empty:
         return Fraction(0)
     if not sigma.is_bounded:
@@ -204,10 +205,9 @@ def integrate_boundary(sigma, eta):
         pos = n
     else:
         raise ValueError("boundary integrand must have bidegree (n-1,n) or (n,n-1)")
-    outward = {key: omega for key, _, omega in _facet_records(sigma)}
     total = Fraction(0)
-    for rho in faces(sigma, 1):
-        total += integrate_polytope(rho, contract(eta, [outward[rho.key()]], [pos]))
+    for i, (_, _, omega) in enumerate(_facet_records(sigma)):
+        total += integrate_polytope(_facet(sigma, i), contract(eta, [omega], [pos]))
     return total
 
 

@@ -18,7 +18,8 @@ which makes complex validation and deduplication deterministic; a
 polyhedron hashes its key once.  What balancing and boundary integrals need
 of a facet, its key, direction lattice and outward vector, is read off the
 incidence as a record (``_facet_records``) without building the facet,
-and kept on the polyhedron once read.
+and kept on the polyhedron once read; the facet itself, where it is
+needed, is built alone from the same position (``_facet``) and kept too.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class Polyhedron:
     # no per-instance dict: face caches keep many small polyhedra alive
     __slots__ = ("ambient_dim", "halfspaces", "equalities", "vertices", "rays", "lineality",
                  "direction_lattice", "facet_vertices", "facet_rays", "dim",
-                 "_faces_by_codim", "_records", "_moments", "_key", "_hash",
+                 "_faces_by_codim", "_facets", "_records", "_moments", "_key", "_hash",
                  "__weakref__")
 
     def __init__(self, ambient_dim, halfspaces, equalities, vertices, rays, lineality,
@@ -162,6 +163,7 @@ class Polyhedron:
         self.facet_rays = tuple(facet_rays)
         self.dim = self.direction_lattice.rank
         self._faces_by_codim = {}
+        self._facets = None      # _facet, by position, on first use
         self._records = None     # _facet_records, on first use
         self._moments = None     # integrate's simplices and moment table, on first use
         self._key = (ambient_dim, self.lineality, self.vertices, self.rays)
@@ -452,21 +454,28 @@ def affine_image(linear_rows, translate, p):
     return from_generators(pts, rys, lns, ambient_dim=out_dim)
 
 
+def _facet(p, i):
+    """The facet of p on ``halfspaces[i]``, a canonical polyhedron read off
+    the incidence: the candidates for its facets are the facet
+    inequalities of p, tight on it where their masks meet its own.  It is
+    built on first use and kept on p."""
+    if p._facets is None:
+        p._facets = [None] * len(p.halfspaces)
+    if p._facets[i] is None:
+        vi, ri = _bits(p.facet_vertices[i]), _bits(p.facet_rays[i])
+        incidence = [(_restrict(vs, vi), _restrict(rs, ri))
+                     for vs, rs in zip(p.facet_vertices, p.facet_rays)]
+        p._facets[i] = _assemble(p.ambient_dim, p.halfspaces, incidence,
+                                 [p.vertices[k] for k in vi], [p.rays[k] for k in ri],
+                                 p.lineality)
+    return p._facets[i]
+
+
 def facets(p):
-    """Closed faces of codimension 1 (canonical polyhedra), read off the
-    incidence: the candidates for the facets of a facet F are the facet
-    inequalities of p, tight on F where their masks meet those of F."""
+    """Closed faces of codimension 1, sorted by key."""
     if p.is_empty or p.dim <= 0:
         return []
-    out = []
-    for vs, rs in zip(p.facet_vertices, p.facet_rays):
-        vi, ri = _bits(vs), _bits(rs)
-        incidence = [(_restrict(v2, vi), _restrict(r2, ri))
-                     for v2, r2 in zip(p.facet_vertices, p.facet_rays)]
-        out.append(_assemble(p.ambient_dim, p.halfspaces, incidence,
-                             [p.vertices[k] for k in vi], [p.rays[k] for k in ri],
-                             p.lineality))
-    return sorted(out, key=Polyhedron.key)
+    return sorted((_facet(p, i) for i in range(len(p.halfspaces))), key=Polyhedron.key)
 
 
 def _facet_records(p):

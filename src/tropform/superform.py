@@ -8,7 +8,10 @@ order are normalized into this form with the Koszul sign for odd
 generators.  A polynomial holds integer numerators over one positive
 denominator in lowest terms, so wedge, d', d'', contraction and the minor
 sums of pullback and integration run on ints; Fractions appear only where
-coefficients are read out (``Polynomial.terms``, ``evaluate``).
+coefficients are read in or out (the constructor, ``Polynomial.terms``,
+``evaluate``).  Composition with an affine map, which only pullback uses,
+is that same arithmetic: each variable becomes an affine polynomial, and
+each term is multiplied out from its powers.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import add
 
 from .lattice import determinant, integer_row
@@ -170,19 +173,24 @@ class Polynomial:
         return Fraction(total, self.den)
 
     def compose_affine(self, linear_rows, translate, new_nvars):
-        """Substitute x_i = sum_j linear_rows[i][j] y_j + translate[i]: the
-        integer composition of :func:`_compose_packed`, decoded into
-        exponent tuples."""
-        out, den, base = _compose_packed(self, linear_rows, translate, new_nvars)
-        num = {}
-        for k, a in out.items():
-            if a:
-                e = []
-                for _ in range(new_nvars):
-                    k, x = divmod(k, base)
-                    e.append(x)
-                num[tuple(e)] = a
-        return Polynomial._trusted(new_nvars, num, den)
+        """Substitute x_i = sum_j linear_rows[i][j] y_j + translate[i]: each
+        x_i becomes that affine polynomial in the y, whose powers are built
+        once per call, and each term is multiplied out and added."""
+        zero = (0,) * new_nvars
+        powers = []
+        for row, shift in zip(linear_rows, translate):
+            x = {zero[:j] + (1,) + zero[j + 1:]: a for j, a in enumerate(row)}
+            x[zero] = shift
+            powers.append([Polynomial.constant(new_nvars, 1), Polynomial(new_nvars, x)])
+        out = Polynomial(new_nvars)
+        for e, n in self.num.items():
+            term = Polynomial._trusted(new_nvars, {zero: n}, self.den)
+            for p, k in zip(powers, e):
+                while len(p) <= k:
+                    p.append(p[-1] * p[1])
+                term *= p[k]
+            out += term
+        return out
 
     def __repr__(self):
         if not self.num:
@@ -192,70 +200,6 @@ class Polynomial:
             mono = "*".join("x%d^%d" % (i, k) for i, k in enumerate(e) if k)
             bits.append(("%s*%s" % (c, mono)) if mono else str(c))
         return " + ".join(bits)
-
-
-def _add_product(out, a, b):
-    """Add the product of the integer polynomials a and b, maps from packed
-    exponents to ints, into out in place; returns out."""
-    get = out.get
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
-    return out
-
-
-def _compose_packed(poly, linear_rows, translate, m):
-    """poly with x_i = sum_j linear_rows[i][j] y_j + translate[i]
-    substituted, on integers: (out, den, base), out mapping each packed
-    exponent of y to an int, the composite being sum_k out[k] y^k / den.
-
-    Each x_i becomes s_i / d_i, with d_i the common denominator of its row
-    and shift and s_i integral, and each term num[e] x^e / poly.den becomes
-    (m_e / den) prod_i s_i^e_i, with den = poly.den lcm_e prod_i d_i^e_i.  An
-    exponent e of y is packed into the int sum_j e_j base^j, base the
-    degree of poly plus one, so multiplying monomials adds ints and never
-    carries.  The powers of each s_i and the products of leading powers
-    that several terms share are cached for the call; the terms that share
-    all but their last exponent are summed first and multiplied by that
-    product once, adding into one accumulator in place.  out may hold
-    zeros."""
-    n = poly.nvars
-    if not poly.num:
-        return {}, 1, 1
-    if not n:
-        return {0: poly.num[()]}, poly.den, 1
-    base = max(map(sum, poly.num)) + 1
-    subs, dens = [], []
-    for i in range(n):
-        row = [(base ** j, linear_rows[i][j]) for j in range(m)] + [(0, translate[i])]
-        d = lcm(*(a.denominator for _, a in row))
-        subs.append({k: a.numerator * (d // a.denominator) for k, a in row if a})
-        dens.append(d)
-    powers = [[{0: 1}] for _ in range(n)]
-
-    def power(i, k):
-        cached = powers[i]
-        while len(cached) <= k:
-            cached.append(_add_product({}, cached[-1], subs[i]))
-        return cached[k]
-
-    scales = {e: prod(d ** k for d, k in zip(dens, e)) for e in poly.num}
-    common = lcm(*scales.values())
-    last = n - 1
-    groups = {}
-    for e, c in poly.num.items():
-        _add_product(groups.setdefault(e[:last], {}),
-                     {0: c * (common // scales[e])}, power(last, e[last]))
-    leading = {(): {0: 1}}
-    out = {}
-    for head, group in groups.items():
-        for i, k in enumerate(head):
-            if head[:i + 1] not in leading:
-                rest = leading[head[:i]]
-                leading[head[:i + 1]] = _add_product({}, rest, power(i, k)) if k else rest
-        _add_product(out, leading[head], group)
-    return out, poly.den * common, base
 
 
 # ---------------------------------------------------------------------------

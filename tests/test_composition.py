@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import factorial, lcm, prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,7 +32,6 @@ from tropform.superform import (
     Polynomial,
     Superform,
     _accumulate,
-    _compose_packed,
     _minor_sums,
     contract,
     d_second,
@@ -220,28 +219,17 @@ def _oracle_integrate_polytope(sigma, a):
         return sign * total
 
 
-@cache
-def _oracle_simplex_weights(n, base):
-    """Packed exponent e of n variables with |e| <= D = base - 1 ->
-    e! (n + D)! / (n + |e|)!, the integral of t^e over the standard
-    n-simplex times (n + D)!, an integer."""
-    top = factorial(n + base - 1)
-    return {sum(x * base ** j for j, x in enumerate(e)): int(integrate_monomial_simplex(e) * top)
-            for e in product(range(base), repeat=n) if sum(e) < base}
-
-
 def _oracle_integrate_polynomial_simplex(poly, simplex_vertices):
     """Integral over the standard n-simplex of poly composed with the
     simplex's parametrization t -> u_0 + sum_i t_i (u_i - u_0): the
-    integer composition, its monomials weighted by
-    ``_oracle_simplex_weights``."""
+    composite by polynomial arithmetic, each monomial t^e weighted by its
+    integral over the standard simplex."""
     u0 = simplex_vertices[0]
     n = len(simplex_vertices) - 1
     rows = [[v[i] - u0[i] for v in simplex_vertices[1:]] for i in range(poly.nvars)]
-    out, den, base = _compose_packed(poly, rows, u0, n)
-    weights = _oracle_simplex_weights(n, base)
-    return Fraction(sum(a * weights[k] for k, a in out.items()),
-                    den * factorial(n + base - 1))
+    composite = _oracle_compose_affine(poly, rows, u0, n)
+    return sum((c * integrate_monomial_simplex(e) for e, c in composite.terms.items()),
+               Fraction(0))
 
 
 def _oracle_composed_integral(sigma, a):
@@ -294,6 +282,17 @@ def test_compose_affine_matches_polynomial_arithmetic(case):
     assert got.nvars == want.nvars == m
     assert got.terms == want.terms
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@ORACLE_SETTINGS
+@given(_substitutions(), st.data())
+def test_compose_affine_evaluates_as_the_substituted_point(case, data):
+    """The composite at a rational point y is poly at A y + tau, a check
+    that shares no algorithm with composition."""
+    poly, rows, shift, m = case
+    y = data.draw(st.lists(_RATIONAL, min_size=m, max_size=m))
+    x = [sum(Fraction(a) * b for a, b in zip(row, y)) + t for row, t in zip(rows, shift)]
+    assert poly.compose_affine(rows, shift, m).evaluate(y) == poly.evaluate(x)
 
 
 @st.composite
@@ -397,7 +396,7 @@ def test_integrate_polytope_makes_no_chart(monkeypatch):
     for the divisors of the exponents asked."""
     forbidden = []
     for owner, name in ((Polynomial, "compose_affine"), (superform, "pullback"),
-                        (lattice, "coords_in_basis"), (superform, "_compose_packed"),
+                        (lattice, "coords_in_basis"),
                         (integrate, "integrate_polynomial_simplex")):
         def stub(*args, name=name):
             forbidden.append(name)
@@ -455,21 +454,6 @@ def test_moments_of_a_sparse_integrand_in_many_variables(r, exponents):
         a = Superform(r, sigma.dim, sigma.dim, {(pivots, pivots): poly})
         assert integrate_polytope(sigma, a) == _oracle_composed_integral(sigma, a) != 0
         assert set(sigma._moments[3]) == divisors
-
-
-def test_simplex_weights_are_scaled_monomial_integrals():
-    for n in range(4):
-        for base in range(1, 7):
-            weights = _oracle_simplex_weights(n, base)
-            assert len(weights) == len({e for e in product(range(base), repeat=n)
-                                        if sum(e) < base})
-            for key, w in weights.items():
-                e = []
-                for _ in range(n):
-                    key, x = divmod(key, base)
-                    e.append(x)
-                assert key == 0 and sum(e) < base
-                assert w == integrate_monomial_simplex(e) * factorial(n + base - 1)
 
 
 def test_integrand_vanishing_on_the_hull_integrates_to_zero():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import box, dense_terms, rand_form, segment, witness_faces
 
 from tropform import io as tio
-from tropform import polyhedra
+from tropform import cycle, integrate, polyhedra
 from tropform.cycle import (
     Current,
     WeightedComplex,
@@ -455,40 +455,51 @@ def test_balancing_is_invariant_under_refinement(case):
     assert bool(check_balancing(refined)) == mutated
 
 
+def _count_facet_builds(monkeypatch):
+    """A list that records (p, i) for each facet ``_facet`` builds, not
+    for those it finds kept on p, wherever it is called from."""
+    builds = []
+    build = polyhedra._facet
+
+    def counted(p, i):
+        if p._facets is None or p._facets[i] is None:
+            builds.append((p, i))
+        return build(p, i)
+    for module in (polyhedra, cycle, integrate):
+        monkeypatch.setattr(module, "_facet", counted)
+    return builds
+
+
 def test_weighted_complex_and_pushforward_build_only_what_they_read(monkeypatch):
     a, b = segment((0, 0), (1, 2)), segment((1, 2), (3, 2))
     one = WeightedComplex([(segment((0, 0), (1, 2)), 1)])
     ident = AffineMap([[1, 0], [0, 1]], [Fraction(0), Fraction(0)])
-    facet_calls, dd_calls = [], []
-    facets, dd = polyhedra.facets, polyhedra.dual_description
-    monkeypatch.setattr(polyhedra, "facets",
-                        lambda p: facet_calls.append(p) or facets(p))
+    builds, dd_calls = _count_facet_builds(monkeypatch), []
+    dd = polyhedra.dual_description
     monkeypatch.setattr(polyhedra, "dual_description",
                         lambda *args: dd_calls.append(args) or dd(*args))
     WeightedComplex([(a, 1), (b, 1)])
-    assert facet_calls == []
+    assert builds == []
     # the image is built with one double description, and neither facet
     # hyperplane crosses the segment
     assert pushforward(ident, one).weighted_cells() == one.weighted_cells()
-    assert len(dd_calls) == 1
+    assert len(dd_calls) == 1 and builds == []
 
 
 def test_balancing_builds_only_the_faces_it_overlays_or_reports(monkeypatch):
-    facet_calls, dd_calls = [], []
-    facets, dd = polyhedra.facets, polyhedra.dual_description
-    monkeypatch.setattr(polyhedra, "facets",
-                        lambda p: facet_calls.append(p) or facets(p))
+    builds, dd_calls = _count_facet_builds(monkeypatch), []
+    dd = polyhedra.dual_description
     monkeypatch.setattr(polyhedra, "dual_description",
                         lambda *args: dd_calls.append(args) or dd(*args))
     # a balanced locus is read off the incidence of its cells alone
     locus = corner_locus(tropical_polynomial(dense_terms(random.Random(1), 2, 3), 2))
     dd_calls.clear()
     assert check_balancing(locus) == []
-    assert facet_calls == [] and dd_calls == []
+    assert builds == [] and dd_calls == []
     # the tropical plane in R^3 with cone(e1, e2) cut along x = 1: the
-    # line R e1 holds three faces and is overlaid, each face built from one
-    # cell that has it; every other line holds one face, and the cells with
-    # no face on R e1 are not built
+    # line R e1 holds three faces and is overlaid, each face built alone
+    # from one cell that has it; every other line holds one face, and no
+    # other facet is built
     e1, e2, e3, e0 = (1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)
     origin = (0, 0, 0)
 
@@ -500,15 +511,26 @@ def test_balancing_builds_only_the_faces_it_overlays_or_reports(monkeypatch):
     elsewhere = [cone(e2, e3), cone(e2, e0), cone(e3, e0)]
     plane = WeightedComplex([(c, 1) for c in on_e1 + elsewhere])
     assert check_balancing(plane) == []
-    assert len(facet_calls) == 3 and set(facet_calls) < set(on_e1)
+    assert len(builds) == 3 and {p for p, _ in builds} <= set(on_e1)
+    assert sorted((p._facets[i].vertices, p._facets[i].rays) for p, i in builds) == [
+        (((0, 0, 0),), ((1, 0, 0),)), (((0, 0, 0), (1, 0, 0)), ()), (((1, 0, 0),), ((1, 0, 0),))]
     # a violation at the ends of a segment off a balanced line builds that
-    # segment's facets only
-    facet_calls.clear()
+    # segment's two facets and nothing else
+    builds.clear()
     seg = segment((5, 5), (6, 5))
     bad = check_balancing(WeightedComplex(tropical_line().weighted_cells() + [(seg, 1)]))
     assert [(rho.vertices, tuple(t)) for rho, t in bad] == [(((5, 5),), (-1, 0)),
                                                             (((6, 5),), (1, 0))]
-    assert facet_calls == [seg]
+    assert sorted(i for _, i in builds) == [0, 1] and {p for p, _ in builds} == {seg}
+    # with a ray continuing it past (6, 5), only the facet at (5, 5) is
+    # reported, and it is the one facet built
+    builds.clear()
+    seg = segment((5, 5), (6, 5))
+    ray = polyhedra.from_generators([(6, 5)], [(1, 0)], [], 2)
+    bad = check_balancing(WeightedComplex(tropical_line().weighted_cells() + [(seg, 1),
+                                                                              (ray, 1)]))
+    assert [(rho.vertices, tuple(t)) for rho, t in bad] == [(((5, 5),), (-1, 0))]
+    assert [(p, p._facets[i].vertices) for p, i in builds] == [(seg, ((5, 5),))]
 
 
 def test_truncated_keeps_cells_inside_the_window(monkeypatch):

@@ -9,7 +9,9 @@ assigned name, or a method of a top-level class, under src/tropform counts
 as referenced when its name is read as a name or appears as an attribute
 anywhere in src/, tests/ or perfbench/, or appears as a string in src/ or
 perfbench/ (the tracer names functions by string); a string in tests/ and
-an assignment alone are no reference.  Dunder names are read implicitly
+an assignment alone are no reference.  A private definition, one whose
+name starts with an underscore, must be referenced from src/ itself, so a
+helper only tests use lives in tests/.  Dunder names are read implicitly
 and are not scanned.
 """
 
@@ -153,6 +155,32 @@ def test_library_has_no_unreferenced_definitions():
                     for path in sorted(PACKAGE.glob("*.py"))
                     for line, qual, name in _definitions(path.read_text(encoding="utf-8"))
                     if name not in used]
+    assert unreferenced == []
+
+
+def _private_unreferenced(source, used):
+    """(line, qualified name) of the private definitions in source whose
+    names are not in used."""
+    return [(line, qual) for line, qual, name in _definitions(source)
+            if name.startswith("_") and name not in used]
+
+
+def test_checker_flags_a_private_definition_only_a_test_reads():
+    source = ("def _helper():\n    pass\ndef _oracle():\n    pass\n"
+              "class A:\n    def run(self):\n        return _helper()\n"
+              "    def _spare(self):\n        pass\n")
+    test = "from tropform.m import _oracle\n_oracle()\nA()._spare()\n"
+    assert _private_unreferenced(source, _references([source])) == [(3, "_oracle"),
+                                                                    (8, "A._spare")]
+    assert _private_unreferenced(source, _references([source, test])) == []
+
+
+def test_library_private_definitions_are_referenced_in_the_library():
+    used = _references(_sources("src"))
+    unreferenced = ["%s:%d %s" % (path.name, line, qual)
+                    for path in sorted(PACKAGE.glob("*.py"))
+                    for line, qual in _private_unreferenced(path.read_text(encoding="utf-8"),
+                                                            used)]
     assert unreferenced == []
 
 

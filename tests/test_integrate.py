@@ -13,6 +13,7 @@ from conftest import (
     simplex,
 )
 
+from tropform import integrate, polyhedra
 from tropform.cycle import WeightedComplex, preimage_polyhedron
 from tropform.integrate import (
     green_residual,
@@ -163,6 +164,25 @@ def test_boundary_integral_segment():
     # eta = f d'x: the d'-block contraction carries (-1)^p = -1
     eta2 = basis_form(1, (0,), (), P(1, {(2,): 1}))
     assert integrate_boundary(box(1), eta2) == -1
+
+
+def test_boundary_integrals_keep_each_facet_and_its_moments(monkeypatch):
+    """The facets of a boundary integral are those faces() returns, kept on
+    the polytope with their moment tables: a second integral of the same
+    form builds no polyhedron and triangulates nothing."""
+    cube = box(3)
+    eta = rand_form(random.Random(5), 3, 2, 3, deg=2)
+    first = integrate_boundary(cube, eta)
+    kept = list(cube._facets)
+    assert list(map(id, sorted(kept, key=polyhedra.Polyhedron.key))) \
+        == list(map(id, _faces1(cube)))
+    calls = []
+    assemble, triangulate = polyhedra._assemble, integrate.triangulate
+    monkeypatch.setattr(polyhedra, "_assemble", lambda *a: calls.append(a) or assemble(*a))
+    monkeypatch.setattr(integrate, "triangulate",
+                        lambda p: calls.append(p) or triangulate(p))
+    assert integrate_boundary(cube, eta) == first
+    assert calls == [] and all(a is b for a, b in zip(cube._facets, kept))
 
 
 def test_stokes_polytopes(seed=31):
