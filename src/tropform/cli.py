@@ -60,7 +60,7 @@ def _load(path, *kinds):
     """Parse the document at path; its kind must be one of kinds."""
     try:
         return tio.parse(_read(path), expect=kinds)
-    except (tio.SchemaError, ValueError) as e:
+    except ValueError as e:
         raise InputError("%s: %s" % (path, e))
 
 
@@ -78,23 +78,22 @@ def _checked(command, ok, body):
     return text
 
 
-def _maybe_truncate(domain, args):
-    window = getattr(args, "window", None)
+def _truncated(domain, window):
     if window is None:
         return domain
-    box = _load(window, "polyhedron")
     if hasattr(domain, "truncated"):
-        return domain.truncated(box)
-    return intersect(domain, box)
+        return domain.truncated(window)
+    return intersect(domain, window)
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns the output text and may raise CheckFailure
+# subcommands; each takes the parsed arguments, with every document argument
+# replaced by the object it holds, returns the output text and may raise
+# CheckFailure
 
 def _cmd_check_balancing(args):
-    wc = _load(args.cycle, "weighted-complex")
-    violations = check_balancing(wc)
-    return _checked("check-balancing", not violations, {
+    violations = check_balancing(args.cycle)
+    return _checked(args.command, not violations, {
         "balanced": not violations,
         "violations": [
             {"face": tio._emit_polyhedron(rho),
@@ -106,51 +105,40 @@ def _cmd_check_balancing(args):
 
 def _cmd_integrate(args):
     """``integrate`` and ``integrate-boundary``, told apart by args.command."""
-    domain = _maybe_truncate(_load(args.domain, "polyhedron", "weighted-complex"), args)
-    form = _load(args.form, "superform")
+    domain = _truncated(args.domain, args.window)
     if args.command == "integrate":
         cell, cells = integrate_polytope, integrate_complex
     else:
         cell, cells = integrate_boundary, integrate_complex_boundary
-    value = (cells if hasattr(domain, "weighted_cells") else cell)(domain, form)
+    value = (cells if hasattr(domain, "weighted_cells") else cell)(domain, args.form)
     return _report(args.command, {"value": tio.rational_str(value)})
 
 
 def _cmd_stokes(args):
-    domain = _maybe_truncate(_load(args.domain, "polyhedron", "weighted-complex"), args)
-    eta_prime = _load(args.eta_prime, "superform")
-    eta_second = _load(args.eta_second, "superform")
-    r1, r2 = stokes_residual(domain, eta_prime, eta_second)
+    r1, r2 = stokes_residual(_truncated(args.domain, args.window),
+                             args.eta_prime, args.eta_second)
     ok = r1 == 0 and r2 == 0
-    return _checked("stokes", ok, {
+    return _checked(args.command, ok, {
         "residuals": [tio.rational_str(r1), tio.rational_str(r2)],
         "ok": ok,
     })
 
 
 def _cmd_green(args):
-    sigma = _load(args.domain, "polyhedron")
-    alpha = _load(args.alpha, "superform")
-    beta = _load(args.beta, "superform")
-    res = green_residual(sigma, alpha, beta)
-    return _checked("green", res == 0, {"residual": tio.rational_str(res), "ok": res == 0})
+    res = green_residual(args.domain, args.alpha, args.beta)
+    return _checked(args.command, res == 0,
+                    {"residual": tio.rational_str(res), "ok": res == 0})
 
 
-def _cmd_pushforward(args):
-    f = _load(args.map, "map")
-    wc = _load(args.cycle, "weighted-complex")
-    return tio.emit(pushforward(f, wc))
+def _needs_window(args):
+    if args.window is None:
+        raise InputError("%s requires --window" % args.command)
+    return args.window
 
 
 def _cmd_projection_check(args):
-    f = _load(args.map, "map")
-    wc = _load(args.cycle, "weighted-complex")
-    form = _load(args.form, "superform")
-    if args.window is None:
-        raise InputError("projection-check requires --window")
-    window = _load(args.window, "polyhedron")
-    left, right = projection_check(f, wc, form, window)
-    return _checked("projection-check", left == right, {
+    left, right = projection_check(args.map, args.cycle, args.form, _needs_window(args))
+    return _checked(args.command, left == right, {
         "pushforward_integral": tio.rational_str(left),
         "pullback_integral": tio.rational_str(right),
         "equal": left == right,
@@ -158,40 +146,17 @@ def _cmd_projection_check(args):
 
 
 def _cmd_current_eval(args):
-    wc = _load(args.cycle, "weighted-complex")
-    form = _load(args.form, "superform")
-    if args.window is None:
-        raise InputError("current-eval requires --window")
-    window = _load(args.window, "polyhedron")
-    cur = Current.dirac(wc)
+    window = _needs_window(args)
+    cur = Current.dirac(args.cycle)
     for op in args.ops:
         cur = cur.apply({"d'": "d_prime", "d''": "d_second"}[op])
-    value = current_eval(cur, form, window)
-    return _report("current-eval", {"value": tio.rational_str(value)})
-
-
-def _cmd_hypersurface(args):
-    tp = _load(args.polynomial, "tropical-polynomial")
-    return tio.emit(corner_locus(tp), kind="weighted-complex")
-
-
-def _cmd_refine(args):
-    c = _load(args.complex, "complex")
-    d = _load(args.other, "complex")
-    return tio.emit(refine(c, d), kind="complex")
+    value = current_eval(cur, args.form, window)
+    return _report(args.command, {"value": tio.rational_str(value)})
 
 
 def _cmd_truncate(args):
-    obj = _load(args.complex, "complex", "weighted-complex")
-    box = _load(args.box, "polyhedron")
-    if hasattr(obj, "truncated"):
-        return tio.emit(obj.truncated(box))
-    return tio.emit(truncate(obj, box))
-
-
-def _cmd_faces(args):
-    p = _load(args.polyhedron, "polyhedron")
-    return tio.emit(faces(p, args.codim), kind="polyhedron-list")
+    obj, box = args.complex, args.box
+    return tio.emit(obj.truncated(box) if hasattr(obj, "truncated") else truncate(obj, box))
 
 
 def _emit_violation(record):
@@ -202,17 +167,69 @@ def _emit_violation(record):
 
 
 def _cmd_validate(args):
-    c = _load(args.complex, "complex")
-    violations = validate_complex(c)
-    return _checked("validate", not violations, {
+    violations = validate_complex(args.complex)
+    return _checked(args.command, not violations, {
         "valid": not violations,
         "violations": [_emit_violation(v) for v in violations],
     })
 
 
-def _add_window(sp):
-    sp.add_argument("--window", metavar="FILE",
-                    help="polyhedron document used as a bounded truncation box")
+# ---------------------------------------------------------------------------
+# name -> (help, handler, arguments), each argument (name, kinds, keywords
+# of add_argument).  An argument with kinds names a document of one of them;
+# main loads the documents in the order listed, before the handler runs.
+# argparse orders positionals and options apart, so they may mix here.
+
+_POLYHEDRON = ("polyhedron",)
+_DOMAIN = ("polyhedron", "weighted-complex")
+_CYCLE = ("weighted-complex",)
+_FORM = ("superform",)
+_MAP = ("map",)
+_COMPLEX = ("complex",)
+_WINDOW = ("--window", _POLYHEDRON, {
+    "metavar": "FILE", "help": "polyhedron document used as a bounded truncation box"})
+
+_COMMANDS = {
+    "check-balancing": ("test the balancing condition", _cmd_check_balancing,
+                        [("cycle", _CYCLE, {})]),
+    "integrate": ("integrate a superform", _cmd_integrate,
+                  [("domain", _DOMAIN, {}), _WINDOW, ("form", _FORM, {})]),
+    "integrate-boundary": ("boundary integral", _cmd_integrate,
+                           [("domain", _DOMAIN, {}), _WINDOW, ("form", _FORM, {})]),
+    "stokes": ("Stokes residuals (must be zero)", _cmd_stokes,
+               [("domain", _DOMAIN, {}), _WINDOW, ("eta_prime", _FORM, {}),
+                ("eta_second", _FORM, {})]),
+    "green": ("Green residual (must be zero)", _cmd_green,
+              [("domain", _POLYHEDRON, {}), ("alpha", _FORM, {}), ("beta", _FORM, {})]),
+    "pushforward": ("push a cycle forward along a map",
+                    lambda args: tio.emit(pushforward(args.map, args.cycle)),
+                    [("map", _MAP, {}), ("cycle", _CYCLE, {})]),
+    "projection-check": ("both sides of the projection formula", _cmd_projection_check,
+                         [("map", _MAP, {}), ("cycle", _CYCLE, {}), ("form", _FORM, {}),
+                          _WINDOW]),
+    "current-eval": ("evaluate a Dirac supercurrent", _cmd_current_eval,
+                     [("cycle", _CYCLE, {}), ("form", _FORM, {}),
+                      ("--ops", (), {"nargs": "*", "choices": ["d'", "d''"], "default": [],
+                                     "help": "operators applied to the current, "
+                                             "innermost first"}),
+                      _WINDOW]),
+    "hypersurface": ("corner locus of a tropical polynomial",
+                     lambda args: tio.emit(corner_locus(args.polynomial),
+                                           kind="weighted-complex"),
+                     [("polynomial", ("tropical-polynomial",), {})]),
+    "refine": ("common refinement of two complexes",
+               lambda args: tio.emit(refine(args.complex, args.other), kind="complex"),
+               [("complex", _COMPLEX, {}), ("other", _COMPLEX, {})]),
+    "truncate": ("intersect a complex with a box", _cmd_truncate,
+                 [("complex", ("complex", "weighted-complex"), {}),
+                  ("box", _POLYHEDRON, {})]),
+    "faces": ("faces of a polyhedron of given codimension",
+              lambda args: tio.emit(faces(args.polyhedron, args.codim),
+                                    kind="polyhedron-list"),
+              [("polyhedron", _POLYHEDRON, {}), ("codim", (), {"type": int})]),
+    "validate": ("check the polyhedral-complex axioms", _cmd_validate,
+                 [("complex", _COMPLEX, {})]),
+}
 
 
 @cache
@@ -229,79 +246,10 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True,
                             parser_class=lambda **kw: argparse.ArgumentParser(
                                 parents=[output], **kw))
-
-    sp = sub.add_parser("check-balancing", help="test the balancing condition")
-    sp.add_argument("cycle")
-    sp.set_defaults(func=_cmd_check_balancing)
-
-    sp = sub.add_parser("integrate", help="integrate a superform")
-    sp.add_argument("domain")
-    sp.add_argument("form")
-    _add_window(sp)
-    sp.set_defaults(func=_cmd_integrate)
-
-    sp = sub.add_parser("integrate-boundary", help="boundary integral")
-    sp.add_argument("domain")
-    sp.add_argument("form")
-    _add_window(sp)
-    sp.set_defaults(func=_cmd_integrate)
-
-    sp = sub.add_parser("stokes", help="Stokes residuals (must be zero)")
-    sp.add_argument("domain")
-    sp.add_argument("eta_prime")
-    sp.add_argument("eta_second")
-    _add_window(sp)
-    sp.set_defaults(func=_cmd_stokes)
-
-    sp = sub.add_parser("green", help="Green residual (must be zero)")
-    sp.add_argument("domain")
-    sp.add_argument("alpha")
-    sp.add_argument("beta")
-    sp.set_defaults(func=_cmd_green)
-
-    sp = sub.add_parser("pushforward", help="push a cycle forward along a map")
-    sp.add_argument("map")
-    sp.add_argument("cycle")
-    sp.set_defaults(func=_cmd_pushforward)
-
-    sp = sub.add_parser("projection-check", help="both sides of the projection formula")
-    sp.add_argument("map")
-    sp.add_argument("cycle")
-    sp.add_argument("form")
-    _add_window(sp)
-    sp.set_defaults(func=_cmd_projection_check)
-
-    sp = sub.add_parser("current-eval", help="evaluate a Dirac supercurrent")
-    sp.add_argument("cycle")
-    sp.add_argument("form")
-    sp.add_argument("--ops", nargs="*", choices=["d'", "d''"], default=[],
-                    help="operators applied to the current, innermost first")
-    _add_window(sp)
-    sp.set_defaults(func=_cmd_current_eval)
-
-    sp = sub.add_parser("hypersurface", help="corner locus of a tropical polynomial")
-    sp.add_argument("polynomial")
-    sp.set_defaults(func=_cmd_hypersurface)
-
-    sp = sub.add_parser("refine", help="common refinement of two complexes")
-    sp.add_argument("complex")
-    sp.add_argument("other")
-    sp.set_defaults(func=_cmd_refine)
-
-    sp = sub.add_parser("truncate", help="intersect a complex with a box")
-    sp.add_argument("complex")
-    sp.add_argument("box")
-    sp.set_defaults(func=_cmd_truncate)
-
-    sp = sub.add_parser("faces", help="faces of a polyhedron of given codimension")
-    sp.add_argument("polyhedron")
-    sp.add_argument("codim", type=int)
-    sp.set_defaults(func=_cmd_faces)
-
-    sp = sub.add_parser("validate", help="check the polyhedral-complex axioms")
-    sp.add_argument("complex")
-    sp.set_defaults(func=_cmd_validate)
-
+    for command, (text, _, arguments) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for name, _, keywords in arguments:
+            sp.add_argument(name, **keywords)
     return ap
 
 
@@ -317,11 +265,15 @@ def _write(args, text):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, handler, arguments = _COMMANDS[args.command]
     try:
+        for name, kinds, _ in arguments:
+            dest = name.lstrip("-")
+            if kinds and getattr(args, dest) is not None:
+                setattr(args, dest, _load(getattr(args, dest), *kinds))
         try:
-            text, status = args.func(args), 0
+            text, status = handler(args), 0
         except CheckFailure as e:
             text, status = e.report, 1
         _write(args, text)

@@ -25,6 +25,11 @@ FORMAT = "trop/1"
 # anything is built from it
 MAX_DIM = 64
 
+# the largest total degree of a superform term: integration reads moments
+# for every divisor of each exponent, so a higher degree is rejected before
+# a polynomial is built from it
+MAX_DEGREE = 64
+
 
 class SchemaError(ValueError):
     """A document violates the trop/1 schema; the message names the field."""
@@ -156,41 +161,8 @@ def _emit_tropical_polynomial(tp):
     }
 
 
-def emit(obj, kind=None):
-    """Serialize a domain object to canonical trop/1 JSON text."""
-    if kind is None:
-        kind = kind_of(obj)
-    body = {
-        "polyhedron": _emit_polyhedron,
-        "complex": _emit_complex,
-        "weighted-complex": _emit_weighted_complex,
-        "superform": _emit_superform,
-        "map": _emit_map,
-        "tropical-polynomial": _emit_tropical_polynomial,
-        "polyhedron-list": lambda items: {
-            "items": [_emit_polyhedron(p) for p in items]},
-    }[kind](obj)
-    doc = {"format": FORMAT, "kind": kind}
-    doc.update(body)
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
-
-
-def kind_of(obj):
-    if isinstance(obj, Polyhedron) or getattr(obj, "is_empty", False) is True:
-        return "polyhedron"
-    if isinstance(obj, WeightedComplex):
-        return "weighted-complex"
-    if isinstance(obj, Complex):
-        return "complex"
-    if isinstance(obj, Superform):
-        return "superform"
-    if isinstance(obj, AffineMap):
-        return "map"
-    if isinstance(obj, TropicalPolynomial):
-        return "tropical-polynomial"
-    if isinstance(obj, (list, tuple)):
-        return "polyhedron-list"
-    raise SchemaError("cannot serialize object of type %r" % (type(obj).__name__,))
+def _emit_polyhedron_list(items):
+    return {"items": [_emit_polyhedron(p) for p in items]}
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +227,9 @@ def _parse_poly(items, path, r):
         e = _int_vector(_get(term, "exponents", here), "%s.exponents" % here, r)
         if any(x < 0 for x in e):
             _fail("%s.exponents" % here, "exponents must be nonnegative")
+        if sum(e) > MAX_DEGREE:
+            _fail("%s.exponents" % here, "total degree must be at most %d, got %d"
+                  % (MAX_DEGREE, sum(e)))
         c = _rational(_get(term, "coeff", here), "%s.coeff" % here)
         terms[e] = terms.get(e, Fraction(0)) + c
     return Polynomial(r, terms)
@@ -321,15 +296,35 @@ def _parse_polyhedron_list(obj, path):
             for i, p in enumerate(items)]
 
 
-_PARSERS = {
-    "polyhedron": _parse_polyhedron,
-    "polyhedron-list": _parse_polyhedron_list,
-    "complex": _parse_complex,
-    "weighted-complex": _parse_weighted_complex,
-    "superform": _parse_superform,
-    "map": _parse_map,
-    "tropical-polynomial": _parse_tropical_polynomial,
+# kind -> (Python types, emitter, parser); kind_of tries the types in order
+_KINDS = {
+    "polyhedron": (Polyhedron, _emit_polyhedron, _parse_polyhedron),
+    "weighted-complex": (WeightedComplex, _emit_weighted_complex, _parse_weighted_complex),
+    "complex": (Complex, _emit_complex, _parse_complex),
+    "superform": (Superform, _emit_superform, _parse_superform),
+    "map": (AffineMap, _emit_map, _parse_map),
+    "tropical-polynomial": (TropicalPolynomial, _emit_tropical_polynomial,
+                            _parse_tropical_polynomial),
+    "polyhedron-list": ((list, tuple), _emit_polyhedron_list, _parse_polyhedron_list),
 }
+
+
+def kind_of(obj):
+    if obj is EMPTY:
+        return "polyhedron"
+    for kind, (types, _, _) in _KINDS.items():
+        if isinstance(obj, types):
+            return kind
+    raise SchemaError("cannot serialize object of type %r" % (type(obj).__name__,))
+
+
+def emit(obj, kind=None):
+    """Serialize a domain object to canonical trop/1 JSON text."""
+    if kind is None:
+        kind = kind_of(obj)
+    doc = {"format": FORMAT, "kind": kind}
+    doc.update(_KINDS[kind][1](obj))
+    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
 def parse(text, expect=None):
@@ -353,10 +348,10 @@ def parse(text, expect=None):
     if fmt != FORMAT:
         _fail("$.format", "unsupported format %r (expected %r)" % (fmt, FORMAT))
     kind = _get(obj, "kind", "$", str)
-    if kind not in _PARSERS:
+    if kind not in _KINDS:
         _fail("$.kind", "unknown kind %r" % (kind,))
     if expect is not None and kind not in expect:
         _fail("$.kind", "expected %s, got %r"
               % (" or ".join(map(repr, expect)), kind))
-    return _PARSERS[kind](obj, "$")
+    return _KINDS[kind][2](obj, "$")
 

@@ -1,10 +1,16 @@
 """Interchange documents and the command-line interface."""
 
+import contextlib
+import copy
+import io
 import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import box, rand_form, segment
 
@@ -417,3 +423,205 @@ def test_cli_library_value_errors_exit_2(tmp_path, capsys, probe):
         assert "$.cells" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def _form_doc(exponents):
+    body = json.loads(tio.emit(basis_form(1, (0,), (0,))))
+    body["components"][0]["poly"][0]["exponents"] = exponents
+    return json.dumps(body)
+
+
+@pytest.mark.parametrize("e", [tio.MAX_DEGREE + 1, 10 ** 6, 2 ** 70])
+def test_degree_above_the_limit_exits_2(tmp_path, capsys, e):
+    """A superform term of total degree above MAX_DEGREE is a schema error
+    naming its exponents; integrating it would read moments for every
+    divisor of the exponent."""
+    field = r"^\$\.components\[0\]\.poly\[0\]\.exponents: total degree must be"
+    with pytest.raises(tio.SchemaError, match=field):
+        tio.parse(_form_doc([e]))
+    at_limit = tio.parse(_form_doc([tio.MAX_DEGREE])).coefficient((0,), (0,))
+    assert at_limit.terms == {(tio.MAX_DEGREE,): 1}
+    seg = _write(tmp_path, "seg.json", segment((0,), (1,)))
+    a = tmp_path / "a.json"
+    a.write_text(_form_doc([e]))
+    w = _write(tmp_path, "w.json", box(1, -1, 2))
+    for argv in (["integrate", seg, str(a)],
+                 ["current-eval", _write(tmp_path, "wc.json",
+                                         WeightedComplex([(segment((0,), (1,)), 1)])),
+                  str(a), "--window", w]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "exponents: total degree must be at most %d" % tio.MAX_DEGREE in captured.err
+        assert "Traceback" not in captured.err
+
+
+# The document arguments of every subcommand and the kinds each accepts, in
+# the order the subcommand loads them.  Written out here, not read from the
+# command table, so a loader that checks the wrong kinds is caught.
+_P, _WC, _SF = ("polyhedron",), ("weighted-complex",), ("superform",)
+_DOMAIN, _CX = ("polyhedron", "weighted-complex"), ("complex",)
+DOCUMENT_ARGUMENTS = {
+    "check-balancing": [("cycle", _WC)],
+    "integrate": [("domain", _DOMAIN), ("--window", _P), ("form", _SF)],
+    "integrate-boundary": [("domain", _DOMAIN), ("--window", _P), ("form", _SF)],
+    "stokes": [("domain", _DOMAIN), ("--window", _P), ("eta_prime", _SF),
+               ("eta_second", _SF)],
+    "green": [("domain", _P), ("alpha", _SF), ("beta", _SF)],
+    "pushforward": [("map", ("map",)), ("cycle", _WC)],
+    "projection-check": [("map", ("map",)), ("cycle", _WC), ("form", _SF),
+                         ("--window", _P)],
+    "current-eval": [("cycle", _WC), ("form", _SF), ("--window", _P)],
+    "hypersurface": [("polynomial", ("tropical-polynomial",))],
+    "refine": [("complex", _CX), ("other", _CX)],
+    "truncate": [("complex", ("complex", "weighted-complex")), ("box", _P)],
+    "faces": [("polyhedron", _P)],
+    "validate": [("complex", _CX)],
+}
+
+
+def _kind_samples():
+    """One valid document object of each kind, in the order wrong kinds are
+    picked."""
+    sq, line, form, fmap, tp, cx = corpus()
+    return {"polyhedron": sq, "weighted-complex": line, "complex": cx,
+            "superform": form, "map": fmap, "tropical-polynomial": tp}
+
+
+def _argv(command, paths):
+    """The call of command with the documents at paths, positionals first,
+    then the codimension of faces, then the options."""
+    arguments = DOCUMENT_ARGUMENTS[command]
+    argv = [command] + [paths[n] for n, _ in arguments if not n.startswith("-")]
+    if command == "faces":
+        argv.append("1")
+    for n, _ in arguments:
+        if n.startswith("-"):
+            argv += [n, paths[n]]
+    return argv
+
+
+@pytest.mark.parametrize("command,argument", [
+    (c, n) for c, arguments in DOCUMENT_ARGUMENTS.items() for n, _ in arguments])
+def test_every_document_argument_rejects_a_wrong_kind(tmp_path, capsys,
+                                                      command, argument):
+    assert sum(map(len, DOCUMENT_ARGUMENTS.values())) == 30
+    samples = _kind_samples()
+    paths, expected = {}, None
+    for n, kinds in DOCUMENT_ARGUMENTS[command]:
+        if n == argument:
+            wrong = next(k for k in samples if k not in kinds)
+            expected = "$.kind: expected %s, got %r" % (
+                " or ".join(map(repr, kinds)), wrong)
+            kind = wrong
+        else:
+            kind = kinds[0]
+        paths[n] = _write(tmp_path, n.lstrip("-") + ".json", samples[kind])
+    assert main(_argv(command, paths)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: %s\n" % (paths[argument], expected)
+
+
+def _fuzz_documents():
+    line = WeightedComplex([(ray((1, 0)), 1), (ray((0, 1)), 1),
+                            (ray((-1, -1)), 1)])
+    poly = Polynomial(2, {(1, 2): Fraction(1, 3), (0, 0): Fraction(2)})
+    objs = {
+        "square": box(2), "window": box(2, -2, 2), "line": line,
+        "form22": basis_form(2, (0, 1), (0, 1), poly),
+        "form12": basis_form(2, (0,), (0, 1), poly),
+        "form21": basis_form(2, (0, 1), (1,), poly),
+        "form11": basis_form(2, (0,), (1,), poly),
+        "form01": basis_form(2, (), (0,), poly),
+        "alpha": basis_form(2, (), (), poly),
+        "beta": basis_form(2, (0,), (0,), poly) + basis_form(2, (1,), (1,), poly),
+        "map": AffineMap([[1, 2], [0, 1]], [Fraction(1, 2), Fraction(-3)]),
+        "tp": tropical_polynomial([((1, 0), Fraction(1, 3)), ((0, 1), 0),
+                                   ((0, 0), -2)], 2),
+        "cx": complex_from_cells([box(2), box(2, 1, 2)]),
+        "cx2": complex_from_cells([box(2, 0, 2)]),
+    }
+    return {name: json.loads(tio.emit(obj)) for name, obj in objs.items()}
+
+
+FUZZ_DOCUMENTS = _fuzz_documents()
+# each subcommand with valid documents named by their keys in FUZZ_DOCUMENTS
+FUZZ_CALLS = {
+    "check-balancing": ["line"],
+    "integrate": ["square", "form22", "--window", "window"],
+    "integrate-boundary": ["square", "form12"],
+    "stokes": ["square", "form12", "form21", "--window", "window"],
+    "green": ["square", "alpha", "beta"],
+    "pushforward": ["map", "line"],
+    "projection-check": ["map", "line", "form11", "--window", "window"],
+    "current-eval": ["line", "form01", "--window", "window", "--ops", "d'"],
+    "hypersurface": ["tp"],
+    "refine": ["cx", "cx2"],
+    "truncate": ["cx", "window"],
+    "faces": ["square", "1"],
+    "validate": ["cx"],
+}
+DELETE = object()
+
+
+def _json_paths(value, prefix=()):
+    """The path of every value nested in value, itself excluded."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    out = []
+    for key, child in items:
+        out.append(prefix + (key,))
+        out += _json_paths(child, prefix + (key,))
+    return out
+
+
+def _fuzz_targets(command):
+    """(document name, path) of every value the fuzz may replace."""
+    return [(name, path) for name in FUZZ_CALLS[command] if name in FUZZ_DOCUMENTS
+            for path in _json_paths(FUZZ_DOCUMENTS[name])]
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+# the exponent of a (2, 2)-form's term set to 2^70: before the degree limit,
+# integrating it raised OverflowError out of main
+_BIG_EXPONENT = _fuzz_targets("integrate").index(
+    ("form22", ("components", 0, "poly", 0, "exponents", 0)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(FUZZ_CALLS)), target=st.integers(0, 10 ** 6),
+       value=st.sampled_from([DELETE, 0, -1, 3, 2 ** 70, "1/0", "x", [], {},
+                              None, True, [0, 0]]))
+@example(command="integrate", target=_BIG_EXPONENT, value=2 ** 70)
+def test_cli_fuzz_exits_0_1_or_2(command, target, value):
+    """One value of one valid document replaced, deleted or retyped: every
+    subcommand still returns 0, 1 or 2 and lets no exception escape."""
+    targets = _fuzz_targets(command)
+    name, path = targets[target % len(targets)]
+    with tempfile.TemporaryDirectory() as d:
+        argv = [command]
+        for arg in FUZZ_CALLS[command]:
+            if arg in FUZZ_DOCUMENTS:
+                doc = FUZZ_DOCUMENTS[arg]
+                if arg == name:
+                    doc = _mutated(doc, path, value)
+                arg = os.path.join(d, arg + ".json")
+                with open(arg, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh)
+            argv.append(arg)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
