@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .lattice import (
     dot,
-    is_zero_vec,
     lattice_from_rows,
     lattice_index,
     member,
@@ -248,9 +247,7 @@ def current_eval(cur, a, window):
 
 def _image_lattice(f, lat):
     """Image of a lattice under the integer linear part of f (not saturated)."""
-    rows = [f.apply_linear(b) for b in lat.basis]
-    rows = [r for r in rows if not is_zero_vec(r)]
-    return lattice_from_rows(rows, f.codomain_dim)
+    return lattice_from_rows([f.apply_linear(b) for b in lat.basis], f.codomain_dim)
 
 
 def pushforward(f, wc):

@@ -39,6 +39,7 @@ from operator import add
 from .lattice import determinant
 from .polyhedra import _facet, _facet_records, triangulate
 from .superform import (
+    MAX_TERMS,
     _minor_sums,
     contract,
     d_prime,
@@ -67,7 +68,11 @@ def _vertex_moments(simplices, exponents):
     simplex come from h_0 = w and h_d <- h_d + <l, X_v> h_{d-1}, for d
     rising, one vertex at a time, so the coefficient of l^e in the new h_d
     adds sum_j X_v[j] times that of l^(e - e_j): the recursion reads only
-    the divisors of e, and runs on those of the given exponents alone."""
+    the divisors of e, and runs on those of the given exponents alone.
+    ValueError if they count more than MAX_TERMS with repeats."""
+    count = sum(prod(a + 1 for a in e) for e in exponents)
+    if count > MAX_TERMS:
+        raise ValueError("moment table of %d monomials, more than %d" % (count, MAX_TERMS))
     divisors = set()
     for e in exponents:
         divisors.update(product(*(range(a + 1) for a in e)))
@@ -250,8 +255,7 @@ def green_residual(sigma, alpha, beta):
     n = sigma.dim
     if alpha.p + beta.p != n - 1:
         raise ValueError("bidegrees must satisfy p + q = n - 1")
-    dd_beta = d_prime(d_second(beta))
-    dd_alpha = d_prime(d_second(alpha))
-    interior = wedge(alpha, dd_beta) - wedge(beta, dd_alpha)
-    boundary = wedge(alpha, d_second(beta)) - wedge(beta, d_second(alpha))
+    ds_alpha, ds_beta = d_second(alpha), d_second(beta)
+    interior = wedge(alpha, d_prime(ds_beta)) - wedge(beta, d_prime(ds_alpha))
+    boundary = wedge(alpha, ds_beta) - wedge(beta, ds_alpha)
     return integrate_polytope(sigma, interior) - integrate_boundary(sigma, boundary)

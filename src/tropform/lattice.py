@@ -7,20 +7,20 @@ form, so equal lattices have identical representations.  That basis is
 echelon: reductions and coordinates in it use :func:`reduce_echelon` and
 :func:`coords_in_basis`.  The Hermite form is the integer elimination
 behind every lattice operation: orthogonal complements are read off its
-transform, a saturation is the complement of the complement, an index is
-the product of its diagonal, and the Smith form alternates row and column
-Hermite forms.  A determinant, which needs no transform, is Bareiss'
-fraction-free reduction; the Gram system of :func:`reduce_mod_lattice` is
-solved with it by Cramer's rule.  General rational elimination is left
-only for :func:`in_span`, which no longer has a caller in the library; the
-tests and the perfbench tracer still name it.
+transform, a saturation is the complement of the complement, and the
+Smith form alternates row and column Hermite forms.  A determinant, which
+needs no transform, is Bareiss' fraction-free reduction: an index is the
+|det| of basis coordinates, and the Gram system of
+:func:`reduce_mod_lattice` is solved with it by Cramer's rule.  General
+rational elimination is left only for :func:`in_span`, which no longer has
+a caller in the library; the tests and the perfbench tracer still name it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +347,9 @@ def saturate(lat):
 
 def lattice_index(sub, sup):
     """Index of sub inside sup: |det| of the integer matrix of sub's basis
-    coordinates in sup's basis, the product of the diagonal of its Hermite
-    form.  Returns None (infinite) when rank(sub) < rank(sup).  Requires
-    span(sub) subseteq span(sup) and sub to be an actual sublattice of
-    sup."""
+    coordinates in sup's basis.  Returns None (infinite) when rank(sub) <
+    rank(sup).  Requires span(sub) subseteq span(sup) and sub to be an
+    actual sublattice of sup."""
     if sub.ambient_rank != sup.ambient_rank:
         raise ValueError("ambient rank mismatch")
     coords = []
@@ -363,8 +362,7 @@ def lattice_index(sub, sup):
         coords.append([int(x) for x in sol])
     if sub.rank < sup.rank:
         return None
-    h, _ = hnf(coords)
-    return prod(h[i][i] for i in range(sub.rank))
+    return abs(determinant(coords))
 
 
 def coords_in_basis(basis_rows, v):

@@ -71,8 +71,8 @@ def dual_description(rows, dim):
     inequalities g.x <= 0, computed exactly, with the rows tight at each.
 
     Returns (lines, rays, masks): ``masks[i]`` is the set of rows tight at
-    ``rays[i]`` as an int whose bit k stands for the k-th nonzero row (a
-    zero row gets no bit); every line is tight at every row.  The masks are
+    ``rays[i]`` as an int whose bit k stands for row k (a zero row is tight
+    at every ray); every line is tight at every row.  The masks are
     carried along as the rows are added, never recomputed: a ray with value
     0 on the new row gains its bit, the combination of an adjacent pair gets
     the pair's common bits and the new one, a ray projected in a line step
@@ -84,9 +84,6 @@ def dual_description(rows, dim):
     rays, masks = [], []
     bit = 1
     for g in rows:
-        g = tuple(g)
-        if is_zero_vec(g):
-            continue
         vals = [dot(g, l) for l in lines]
         k = next((i for i, v in enumerate(vals) if v != 0), None)
         if k is not None:
@@ -147,7 +144,7 @@ class Polyhedron:
     # no per-instance dict: face caches keep many small polyhedra alive
     __slots__ = ("ambient_dim", "halfspaces", "equalities", "vertices", "rays", "lineality",
                  "direction_lattice", "facet_vertices", "facet_rays", "dim",
-                 "_faces_by_codim", "_facets", "_records", "_moments", "_key", "_hash",
+                 "_facets", "_records", "_moments", "_key", "_hash",
                  "__weakref__")
 
     def __init__(self, ambient_dim, halfspaces, equalities, vertices, rays, lineality,
@@ -162,7 +159,6 @@ class Polyhedron:
         self.facet_vertices = tuple(facet_vertices)
         self.facet_rays = tuple(facet_rays)
         self.dim = self.direction_lattice.rank
-        self._faces_by_codim = {}
         self._facets = None      # _facet, by position, on first use
         self._records = None     # _facet_records, on first use
         self._moments = None     # integrate's simplices and moment table, on first use
@@ -260,15 +256,8 @@ def from_halfspaces(halfspaces, ambient_dim):
         return EMPTY
     # lines always have t == 0 (they satisfy -t <= 0 and t unbounded both ways)
     lin = saturate(lattice_from_rows([l[:-1] for l in lines], ambient_dim))
-    # each input row's DD bit; a zero row has none and cuts out no facet
-    bits, bit = [], 1
-    for row in rows[:-1]:
-        if is_zero_vec(row):
-            bits.append(0)
-            continue
-        bits.append(bit)
-        bit <<= 1
-    return _from_incidence(ambient_dim, candidates, bits, zip(rays, masks), lin)
+    return _from_incidence(ambient_dim, candidates, [1 << j for j in range(len(candidates))],
+                           zip(rays, masks), lin)
 
 
 def _from_incidence(ambient_dim, candidates, bits, tight, lin):
@@ -287,9 +276,8 @@ def _from_incidence(ambient_dim, candidates, bits, tight, lin):
             d = primitive(reduce_echelon(x, lin.basis)[1])
             if not is_zero_vec(d):
                 ray_rows[d] = m
-    verts, rec = sorted(vert_rows), sorted(ray_rows)
-    vert_rows = [vert_rows[v] for v in verts]
-    ray_rows = [ray_rows[r] for r in rec]
+    verts, vert_rows = zip(*sorted(vert_rows.items()))
+    rec, ray_rows = zip(*sorted(ray_rows.items())) if ray_rows else ((), ())
     incidence = [(_select(vert_rows, b), _select(ray_rows, b)) for b in bits]
     return _assemble(ambient_dim, candidates, incidence, verts, rec, lin.basis)
 
@@ -384,18 +372,13 @@ def from_generators(points, rays=(), lines=(), ambient_dim=None):
     if ambient_dim is None:
         ambient_dim = len(points[0])
     gens = [tuple(x) + (t,) for x, t in map(_integral, points)]
-    for r in rays:
-        g = primitive(r)
-        if not is_zero_vec(g):
-            gens.append(tuple(g) + (0,))
+    gens += [primitive(r) + (0,) for r in rays]
     for l in lines:
         g = primitive(l)
-        if not is_zero_vec(g):
-            gens.append(tuple(g) + (0,))
-            gens.append(vec_neg(g) + (0,))
+        gens += [g + (0,), vec_neg(g) + (0,)]
     _, drays, masks = dual_description(gens, ambient_dim + 1)
-    # no generator is zero, so generator k has DD bit k; tight[k] holds the
-    # dual rays at which it is tight
+    # generator k has DD bit k; tight[k] holds the dual rays at which it is
+    # tight, all of them for a zero generator, which joins the lineality
     tight = [_select(masks, 1 << k) for k in range(len(gens))]
     full = (1 << len(drays)) - 1
     lin = saturate(lattice_from_rows([g[:-1] for g, m in zip(gens, tight) if m == full],
@@ -446,12 +429,8 @@ def affine_image(linear_rows, translate, p):
     def apply_lin(v):
         return tuple(dot(row, v) for row in linear_rows)
 
-    pts = [apply(v) for v in p.vertices]
-    rys = [apply_lin(r) for r in p.rays]
-    lns = [apply_lin(l) for l in p.lineality]
-    rys = [r for r in rys if not is_zero_vec(r)]
-    lns = [l for l in lns if not is_zero_vec(l)]
-    return from_generators(pts, rys, lns, ambient_dim=out_dim)
+    return from_generators([apply(v) for v in p.vertices], [apply_lin(r) for r in p.rays],
+                           [apply_lin(l) for l in p.lineality], ambient_dim=out_dim)
 
 
 def _facet(p, i):
@@ -502,12 +481,11 @@ def faces(p, codim):
         raise ValueError("empty polyhedron has no graded faces")
     if codim < 0 or codim > p.dim:
         raise ValueError("codimension out of range")
-    if codim == 0:
-        return [p]
-    if codim not in p._faces_by_codim:
-        found = {f.key(): f for cell in faces(p, codim - 1) for f in facets(cell)}
-        p._faces_by_codim[codim] = [found[k] for k in sorted(found)]
-    return list(p._faces_by_codim[codim])
+    level = [p]
+    for _ in range(codim):
+        found = {f.key(): f for cell in level for f in facets(cell)}
+        level = [found[k] for k in sorted(found)]
+    return level
 
 
 def all_faces(p):
@@ -596,16 +574,22 @@ def validate_complex(cx):
     return violations
 
 
-def refine(cx, dx):
-    """Common refinement: complex of pairwise intersections of cells of cx
-    with cells of dx (restricted to the support of cx where dx covers it)."""
+def _intersections(cx, cells):
+    """Complex of the nonempty intersections of the maximal cells of cx with
+    the given cells."""
     pieces = []
     for a in cx.maximal_cells():
-        for b in dx.maximal_cells():
+        for b in cells:
             x = intersect(a, b)
             if not x.is_empty:
                 pieces.append(x)
     return complex_from_cells(pieces)
+
+
+def refine(cx, dx):
+    """Common refinement: complex of pairwise intersections of cells of cx
+    with cells of dx (restricted to the support of cx where dx covers it)."""
+    return _intersections(cx, dx.maximal_cells())
 
 
 def check_window(box):
@@ -617,12 +601,7 @@ def check_window(box):
 def truncate(cx, box):
     """Intersect every cell with a bounded full-dimensional polytope."""
     check_window(box)
-    pieces = []
-    for a in cx.maximal_cells():
-        x = intersect(a, box)
-        if not x.is_empty:
-            pieces.append(x)
-    return complex_from_cells(pieces)
+    return _intersections(cx, [box])
 
 
 def triangulate(p):

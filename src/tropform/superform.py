@@ -19,10 +19,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import add
 
-from .lattice import determinant, integer_row
+from .lattice import determinant, integer_row, mat_mul
+
+# the most monomials one polynomial computation may be asked for: the term
+# bound of a composition, or the divisors a moment table of integration
+# reads; a request above it raises ValueError before anything is built
+MAX_TERMS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +180,15 @@ class Polynomial:
     def compose_affine(self, linear_rows, translate, new_nvars):
         """Substitute x_i = sum_j linear_rows[i][j] y_j + translate[i]: each
         x_i becomes that affine polynomial in the y, whose powers are built
-        once per call, and each term is multiplied out and added."""
+        once per call, and each term is multiplied out and added.  The
+        power k of x_i has at most C(k + s_i, s_i) terms, s_i the nonzero
+        entries of row i; ValueError if the sum over the terms of the
+        products of these bounds exceeds MAX_TERMS."""
+        sizes = [sum(1 for a in row if a) for row in linear_rows]
+        bound = sum(prod(comb(k + s, s) for k, s in zip(e, sizes)) for e in self.num)
+        if bound > MAX_TERMS:
+            raise ValueError("composition may build %d terms, more than %d"
+                             % (bound, MAX_TERMS))
         zero = (0,) * new_nvars
         powers = []
         for row, shift in zip(linear_rows, translate):
@@ -214,13 +227,6 @@ def shuffle_sign(a, b):
     for x in a:
         inversions += sum(1 for y in b if y < x)
     return -1 if inversions % 2 else 1
-
-
-def insert_sign(i, tup):
-    """Sign for moving a generator with index i into sorted position within
-    tup (i not in tup): (-1)^{#elements smaller than i... passed over}."""
-    passed = sum(1 for x in tup if x < i)
-    return -1 if passed % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +365,7 @@ def _d_front(a, block):
             df = f.partial(i)
             if df.is_zero:
                 continue
-            sign = block * insert_sign(i, I)
+            sign = block * shuffle_sign((i,), I)
             _accumulate(out, (tuple(sorted(I + (i,))), J), df.scale(sign))
     return Superform(r, a.p + 1, a.q, out)
 
@@ -453,12 +459,7 @@ class AffineMap:
 
     def compose(self, other):
         """self after other."""
-        lin = [[sum(self.linear[i][k] * other.linear[k][j]
-                    for k in range(other.codomain_dim))
-                for j in range(other.domain_dim)]
-               for i in range(self.codomain_dim)]
-        tr = self.apply(other.translate)
-        return AffineMap(lin, tr)
+        return AffineMap(mat_mul(self.linear, other.linear), self.apply(other.translate))
 
 
 def _minor_sums(rows, a, ks, ls):

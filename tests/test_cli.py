@@ -7,7 +7,9 @@ import json
 import os
 import random
 import tempfile
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +20,7 @@ from tropform import io as tio
 from tropform import polyhedra
 from tropform.cli import build_parser, main
 from tropform.cycle import WeightedComplex
-from tropform.hypersurface import tropical_polynomial
+from tropform.hypersurface import corner_locus, tropical_polynomial
 from tropform.integrate import integrate_boundary, integrate_complex_boundary
 from tropform.polyhedra import (
     EMPTY,
@@ -27,7 +29,7 @@ from tropform.polyhedra import (
     from_generators,
     from_halfspaces,
 )
-from tropform.superform import AffineMap, Polynomial, basis_form
+from tropform.superform import MAX_TERMS, AffineMap, Polynomial, Superform, basis_form
 
 
 def ray(d):
@@ -51,6 +53,64 @@ def test_round_trip_corpus():
         text = tio.emit(obj)
         again = tio.parse(text)
         assert tio.emit(again) == text
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def _vectors(r, entries):
+    return st.tuples(*[entries] * r)
+
+
+def _polyhedra(r):
+    """Polytopes, unbounded polyhedra and polyhedra with lineality, some of
+    them lower-dimensional; zero rays and lines are allowed."""
+    small = st.integers(-2, 2)
+    return st.builds(lambda pts, rays, lines: from_generators(pts, rays, lines, r),
+                     st.lists(_vectors(r, _RATIONALS), min_size=1, max_size=4),
+                     st.lists(_vectors(r, small), max_size=2),
+                     st.lists(_vectors(r, small), max_size=1))
+
+
+def _superforms(r):
+    def build(pq):
+        keys = st.tuples(st.sampled_from(list(combinations(range(r), pq[0]))),
+                         st.sampled_from(list(combinations(range(r), pq[1]))))
+        polys = st.builds(lambda t: Polynomial(r, t),
+                          st.dictionaries(_vectors(r, st.integers(0, 3)), _RATIONALS,
+                                          max_size=3))
+        return st.builds(lambda comps: Superform(r, *pq, comps),
+                         st.dictionaries(keys, polys, max_size=3))
+    return st.tuples(st.integers(0, r), st.integers(0, r)).flatmap(build)
+
+
+def _maps(r):
+    return st.integers(1, 3).flatmap(lambda k: st.builds(
+        AffineMap, st.lists(_vectors(k, st.integers(-3, 3)), min_size=r, max_size=r),
+        st.lists(_RATIONALS, min_size=r, max_size=r)))
+
+
+def _tropical_polynomials(r):
+    return st.builds(lambda terms, convention: tropical_polynomial(
+                         list(terms.items()), r, convention),
+                     st.dictionaries(_vectors(r, st.integers(0, 2)), _RATIONALS,
+                                     min_size=2, max_size=4),
+                     st.sampled_from(["min", "max"]))
+
+
+def _documents():
+    """Objects of every kind with a trop/1 emitter, corner loci included,
+    in R^1 to R^3 (corner loci in R^1 and R^2)."""
+    return st.integers(1, 3).flatmap(lambda r: st.one_of(
+        _polyhedra(r), _superforms(r), _maps(r), _tropical_polynomials(r),
+        _tropical_polynomials(min(r, 2)).map(corner_locus)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_documents())
+def test_emit_parse_emit_is_a_fixed_point(obj):
+    text = tio.emit(obj)
+    assert tio.emit(tio.parse(text)) == text
 
 
 def test_rational_survives_exactly():
@@ -454,6 +514,29 @@ def test_degree_above_the_limit_exits_2(tmp_path, capsys, e):
         assert captured.err.startswith("error: ")
         assert "exponents: total degree must be at most %d" % tio.MAX_DEGREE in captured.err
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["projection-check", "integrate"])
+def test_term_bound_exits_2_before_anything_is_built(tmp_path, capsys, command):
+    """Past superform.MAX_TERMS: pulling x^14 back along the all-ones map
+    from R^14 may build C(28, 14) terms, and integrating x_1...x_19 over a
+    segment in R^19 reads a moment for each of its 2^19 divisors."""
+    if command == "projection-check":
+        r = 14
+        argv = [command, _write(tmp_path, "f.json", AffineMap([[1] * r], [0])),
+                _write(tmp_path, "wc.json", WeightedComplex([(from_generators([(0,) * r]), 1)])),
+                _write(tmp_path, "a.json", basis_form(1, (), (), Polynomial(1, {(r,): 1}))),
+                "--window", _write(tmp_path, "w.json", box(1, -1, 1))]
+    else:
+        r = 19
+        argv = [command, _write(tmp_path, "seg.json", segment((0,) * r, (1,) * r)),
+                _write(tmp_path, "a.json",
+                       basis_form(r, (0,), (0,), Polynomial(r, {(1,) * r: 1})))]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "more than %d" % MAX_TERMS in err
 
 
 # The document arguments of every subcommand and the kinds each accepts, in

@@ -35,8 +35,8 @@ from tropform.superform import (
     _minor_sums,
     contract,
     d_second,
-    insert_sign,
     pullback,
+    shuffle_sign,
 )
 
 
@@ -100,7 +100,7 @@ def _oracle_d_second(a):
             df = f.partial(j)
             if df.is_zero:
                 continue
-            sign = block * insert_sign(j, J)
+            sign = block * shuffle_sign((j,), J)
             _accumulate(out, (I, tuple(sorted(J + (j,)))), df.scale(sign))
     return Superform(r, a.p, a.q + 1, out)
 

@@ -159,6 +159,21 @@ def test_truncate_quadrant():
     assert t.maximal_cells() == [box(2, 0, 1)]
 
 
+def test_truncate_is_refinement_by_the_window():
+    window = box(2, 0, 3)
+    inside = box(2, 1, 2)
+    crossing = from_halfspaces([((1, 0), 4), ((-1, 0), -2), ((0, 1), 1), ((0, -1), 0)], 2)
+    ray = from_generators([(1, 3)], [(1, -1)], [], 2)
+    disjoint = [box(2, 5, 6), segment((-1, -1), (-2, 0))]
+    cx = complex_from_cells([inside, crossing, ray] + disjoint)
+    t = truncate(cx, window)
+    assert window._facets is None
+    assert [c.key() for c in t.cells] == \
+        [c.key() for c in refine(cx, complex_from_cells([window])).cells]
+    assert inside in t and crossing not in t and not any(c in t for c in disjoint)
+    assert intersect(crossing, window) in t and intersect(ray, window) in t
+
+
 def test_triangulate_cube():
     cube = box(3)
     tets = triangulate(cube)
@@ -365,9 +380,9 @@ def test_dual_description_masks_are_the_tight_sets(case):
     dim, rows = case
     lines, rays, masks = polyhedra.dual_description(rows, dim)
     assert (lines, rays) == _reference_dual_description(rows, dim)
-    nonzero = [g for g in rows if any(g)]
-    assert all(dot(g, l) == 0 for g in nonzero for l in lines)
-    assert masks == [sum(1 << k for k, g in enumerate(nonzero) if dot(g, r) == 0)
+    assert all(dot(g, l) == 0 for g in rows for l in lines)
+    # bit k is row k; a zero row's bit is set at every ray
+    assert masks == [sum(1 << k for k, g in enumerate(rows) if dot(g, r) == 0)
                      for r in rays]
 
 
