@@ -93,10 +93,6 @@ class WeightedComplex:
         return WeightedComplex(pieces)
 
 
-def zero_cycle():
-    return WeightedComplex([])
-
-
 def _split(p, u, c):
     """The closed halves of p on either side of the hyperplane u.x = c when
     it crosses the relative interior of p; otherwise p itself."""
@@ -300,11 +296,7 @@ def projection_check(f, wc, a, window):
     source truncated to the preimage of the window.  They agree exactly."""
     if window.is_empty or not window.is_bounded or window.dim != f.codomain_dim:
         raise ValueError("window must be a bounded full-dimensional polytope")
-    pf = pushforward(f, wc)
-    if pf.is_zero:
-        left = Fraction(0)
-    else:
-        left = integrate_complex(pf.truncated(window), a)
+    left = integrate_complex(pushforward(f, wc).truncated(window), a)
     pa = pullback(f, a)
     pre = preimage_polyhedron(f, window)
     right = Fraction(0)

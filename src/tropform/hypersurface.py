@@ -65,10 +65,6 @@ def tropical_polynomial(terms, ambient_dim, convention="min"):
     )
 
 
-def _lattice_length(a, b):
-    return gcd(*vec_sub(b, a))
-
-
 def corner_locus(tp):
     """Weighted complex where the min (or max) is attained at least twice.
 
@@ -115,5 +111,5 @@ def corner_locus(tp):
         incidence = [(_restrict(vs, vi), _restrict(rs, ri)) for _, vs, rs in near]
         cell = _assemble(r, candidates, incidence, [verts[k] for k in vi],
                          [rays[k] for k in ri], lin)
-        weighted.append((cell, _lattice_length(ui, gamma.halfspaces[j][0])))
+        weighted.append((cell, gcd(*vec_sub(gamma.halfspaces[j][0], ui))))
     return WeightedComplex(weighted)

@@ -49,15 +49,6 @@ from .superform import (
 )
 
 
-def integrate_monomial_simplex(exponents):
-    """Integral of t^a over the standard simplex {t_i >= 0, sum t_i <= 1}."""
-    n = len(exponents)
-    num = 1
-    for a in exponents:
-        num *= factorial(a)
-    return Fraction(num, factorial(n + sum(exponents)))
-
-
 def _vertex_moments(simplices, exponents):
     """The moments of weighted simplices with integer vertices for the
     exponents dividing one of the given ones: for (w, [X_0, ..., X_n]) in
@@ -78,21 +69,17 @@ def _vertex_moments(simplices, exponents):
         divisors.update(product(*(range(a + 1) for a in e)))
     order = sorted(divisors, key=sum)
     index = {e: i for i, e in enumerate(order)}
-    # steps[d - 1][j]: the pairs (i, k) with |order[i]| = d and order[k] = order[i] - e_j
-    steps = [[[] for _ in order[0]] for _ in range(sum(order[-1]))]
-    for i, e in enumerate(order):
-        for j, a in enumerate(e):
-            if a:
-                steps[sum(e) - 1][j].append((i, index[e[:j] + (a - 1,) + e[j + 1:]]))
+    # preds[i]: the (j, k) with order[k] = order[i] - e_j, so k < i by degree
+    preds = [[(j, index[e[:j] + (a - 1,) + e[j + 1:]]) for j, a in enumerate(e) if a]
+             for e in order]
     sums = [0] * len(order)
     for w, points in simplices:
         h = [w] + [0] * (len(order) - 1)
         for x in points:
-            for level in steps:
-                for a, pairs in zip(x, level):
-                    if a:
-                        for i, k in pairs:
-                            h[i] += a * h[k]
+            for i, pairs in enumerate(preds):
+                for j, k in pairs:
+                    if x[j]:
+                        h[i] += x[j] * h[k]
         sums = list(map(add, sums, h))
     return {e: c * prod(map(factorial, e)) for e, c in zip(order, sums)}
 
@@ -210,10 +197,8 @@ def integrate_boundary(sigma, eta):
         pos = n
     else:
         raise ValueError("boundary integrand must have bidegree (n-1,n) or (n,n-1)")
-    total = Fraction(0)
-    for i, (_, _, omega) in enumerate(_facet_records(sigma)):
-        total += integrate_polytope(_facet(sigma, i), contract(eta, [omega], [pos]))
-    return total
+    return sum((integrate_polytope(_facet(sigma, i), contract(eta, [omega], [pos]))
+                for i, (_, _, omega) in enumerate(_facet_records(sigma))), Fraction(0))
 
 
 def _weighted_sum(wc, integral, form):

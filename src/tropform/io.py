@@ -30,6 +30,11 @@ MAX_DIM = 64
 # a polynomial is built from it
 MAX_DEGREE = 64
 
+# the most digits a rational string may give its numerator or denominator,
+# counting the zeros an exponent appends: Fraction("1e10000000") alone takes
+# seconds, so a longer number is rejected before it is built
+MAX_DIGITS = 4000
+
 
 class SchemaError(ValueError):
     """A document violates the trop/1 schema; the message names the field."""
@@ -39,8 +44,25 @@ def _fail(path, message):
     raise SchemaError("%s: %s" % (path, message))
 
 
+def _digit_count(text):
+    """The most digits the numerator or the denominator of the rational
+    string text can have: the digits written in either part, plus the size
+    of an exponent, which Fraction multiplies out ("1e3" is 1000)."""
+    mantissa, _, exponent = text.lower().partition("e")
+    written = max(sum(map(str.isdecimal, part)) for part in mantissa.split("/"))
+    shift = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if not shift.isdecimal():
+        return written  # no exponent, or one that Fraction rejects
+    return written + (int(shift) if len(shift) <= 9 else 10 ** 9)
+
+
 def _rational(value, path):
     if isinstance(value, str):
+        # only a long string or an exponent can exceed the limit
+        if (len(value) > MAX_DIGITS or "e" in value.lower()) \
+                and _digit_count(value) > MAX_DIGITS:
+            _fail(path, "numerator or denominator longer than MAX_DIGITS = %d digits"
+                  % MAX_DIGITS)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -88,8 +110,23 @@ def _get(obj, field, path, types=None):
     return value
 
 
+def _int_str(n):
+    """The decimal digits of the int n, at any size.  str() refuses more
+    than sys.get_int_max_str_digits() digits; every limit that can be set
+    allows the 617 of 2048 bits, so a longer n is cut at 10^k, k under half
+    its digits, and its two parts are written on their own."""
+    if n.bit_length() <= 2048:
+        return str(n)
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(abs(n), 10 ** k)
+    return ("-" if n < 0 else "") + _int_str(high) + _int_str(low).zfill(k)
+
+
 def rational_str(x):
-    return str(Fraction(x))
+    """x as "p/q", or "p" when x is an integer, exactly at any size."""
+    x = Fraction(x)
+    p = _int_str(x.numerator)
+    return p if x.denominator == 1 else "%s/%s" % (p, _int_str(x.denominator))
 
 
 # ---------------------------------------------------------------------------

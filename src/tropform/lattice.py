@@ -4,23 +4,23 @@ Everything here is over Z or Q; no floating point is used anywhere so that
 downstream residuals (Stokes, Green, balancing) come out exactly zero.
 Lattices are sublattices of Z^r given by basis rows kept in Hermite normal
 form, so equal lattices have identical representations.  That basis is
-echelon: reductions and coordinates in it use :func:`reduce_echelon` and
-:func:`coords_in_basis`.  The Hermite form is the integer elimination
+echelon: reductions in it use :func:`reduce_echelon`, and an index is a
+ratio of pivot products.  The Hermite form is the integer elimination
 behind every lattice operation: orthogonal complements are read off its
 transform, a saturation is the complement of the complement, and the
-Smith form alternates row and column Hermite forms.  A determinant, which
-needs no transform, is Bareiss' fraction-free reduction: an index is the
-|det| of basis coordinates, and the Gram system of
+Smith form alternates row and column Hermite forms.  A determinant is
+Bareiss' fraction-free reduction: the Gram system of
 :func:`reduce_mod_lattice` is solved with it by Cramer's rule.  General
-rational elimination is left only for :func:`in_span`, which no longer has
-a caller in the library; the tests and the perfbench tracer still name it.
+rational elimination (:func:`in_span`) and substitution in pivot order
+(:func:`coords_in_basis`) have no caller in the library; the tests and
+the perfbench tracer still name them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 # ---------------------------------------------------------------------------
@@ -36,10 +36,6 @@ def vec_sub(a, b):
 
 def vec_neg(a):
     return tuple(-x for x in a)
-
-
-def is_zero_vec(a):
-    return all(x == 0 for x in a)
 
 
 def primitive(v):
@@ -130,19 +126,6 @@ def rational_rank(rows):
     return len(gauss_jordan(rows)[1])
 
 
-def rational_kernel(rows, n):
-    """Basis of {x in Q^n : rows . x = 0}, one vector per free column."""
-    reduced, pivots = gauss_jordan(rows, n)
-    kern = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        kern.append(v)
-    return kern
-
-
 def determinant(rows):
     """Determinant of a square matrix over Q (1 for the empty matrix), an
     int when every entry is one.  Each row is cleared of denominators, and
@@ -173,7 +156,7 @@ def determinant(rows):
 
 def in_span(rows, v):
     """Whether v lies in the rational row span of rows."""
-    if is_zero_vec(v):
+    if not any(v):
         return True
     if not rows:
         return False
@@ -296,7 +279,7 @@ def lattice_from_rows(rows, ambient_rank):
         if len(r) != ambient_rank:
             raise ValueError("row length does not match ambient rank")
     h, _ = hnf(rows)
-    basis = tuple(tuple(r) for r in h if not is_zero_vec(r))
+    basis = tuple(tuple(r) for r in h if any(r))
     return Lattice(ambient_rank, basis)
 
 
@@ -333,7 +316,7 @@ def member(v, lat):
     if iv != list(v):
         return False
     s, w = reduce_echelon(iv, lat.basis)
-    return s == 1 and is_zero_vec(w)
+    return s == 1 and not any(w)
 
 
 def saturate(lat):
@@ -346,23 +329,22 @@ def saturate(lat):
 
 
 def lattice_index(sub, sup):
-    """Index of sub inside sup: |det| of the integer matrix of sub's basis
-    coordinates in sup's basis.  Returns None (infinite) when rank(sub) <
-    rank(sup).  Requires span(sub) subseteq span(sup) and sub to be an
-    actual sublattice of sup."""
+    """Index of sub inside sup, or None (infinite) when rank(sub) <
+    rank(sup): |det C| for sub = C sup, which is the ratio of the products
+    of their pivot entries, as echelon bases of one span share their pivot
+    columns.  Requires span(sub) subseteq span(sup) and sub <= sup."""
     if sub.ambient_rank != sup.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    coords = []
     for b in sub.basis:
-        sol = coords_in_basis(sup.basis, b)
-        if sol is None:
+        s, w = reduce_echelon(b, sup.basis)
+        if any(w):
             raise ValueError("sub is not contained in the span of sup")
-        if any(x.denominator != 1 for x in sol):
+        if s != 1:
             raise ValueError("sub is not a sublattice of sup")
-        coords.append([int(x) for x in sol])
     if sub.rank < sup.rank:
         return None
-    return abs(determinant(coords))
+    pivots = [prod(next(filter(None, b)) for b in lat.basis) for lat in (sub, sup)]
+    return pivots[0] // pivots[1]
 
 
 def coords_in_basis(basis_rows, v):
@@ -409,7 +391,7 @@ def _facet_split(n_sigma, u):
     """(w, n_rho) for the facet of a cell with the saturated direction
     lattice n_sigma cut out by the integer normal u, with <u, .> larger
     outside the cell: n_rho = n_sigma cap u^perp, and w in n_sigma with
-    <u, w> > 0 generating n_sigma / n_rho, not yet reduced modulo n_rho.
+    <u, w> > 0 generating n_sigma / n_rho, as ints reduced modulo n_rho.
     v -> <u, v> maps n_sigma onto g Z with kernel n_rho, so with U the
     transform of the Hermite form of the column (<u, b>)_b over the basis,
     U's row 0 combines the basis into w with <u, w> = g, and its other rows
@@ -419,7 +401,8 @@ def _facet_split(n_sigma, u):
         raise ValueError("outward functional does not separate across the facet")
     cols = list(zip(*n_sigma.basis))
     w, *rest = ([dot(row, col) for col in cols] for row in t)
-    return w, Lattice(n_sigma.ambient_rank, tuple(map(tuple, hnf(rest)[0])))
+    n_rho = Lattice(n_sigma.ambient_rank, tuple(map(tuple, hnf(rest)[0])))
+    return tuple(int(x) for x in reduce_mod_lattice(w, n_rho)), n_rho
 
 
 def primitive_outward(n_sigma, n_rho, outward_functional):
@@ -435,5 +418,4 @@ def primitive_outward(n_sigma, n_rho, outward_functional):
         raise ValueError("rho is not of codimension one in sigma")
     if not all(member(b, n_sigma) and dot(outward_functional, b) == 0 for b in n_rho.basis):
         raise ValueError("n_rho is not a sublattice of n_sigma on the facet hyperplane")
-    omega, _ = _facet_split(n_sigma, outward_functional)
-    return tuple(int(x) for x in reduce_mod_lattice(omega, n_rho))
+    return _facet_split(n_sigma, outward_functional)[0]

@@ -25,25 +25,21 @@ needed, is built alone from the same position (``_facet``) and kept too.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 from .lattice import (
     Lattice,
     _facet_split,
-    determinant,
     identity_matrix,
     dot,
     full_lattice,
     integer_row,
-    is_zero_vec,
     lattice_from_rows,
     orthogonal_complement,
     primitive,
     reduce_echelon,
-    reduce_mod_lattice,
     saturate,
     vec_neg,
-    vec_sub,
 )
 
 
@@ -113,7 +109,7 @@ def dual_description(rows, dim):
                             continue
                         vn = vals[n]
                         c = primitive([vp * a - vn * b for a, b in zip(rays[n], rays[p])])
-                        if not is_zero_vec(c):
+                        if any(c):
                             new.append((c, common | bit))
                 seen = set()
                 new = [(r, m) for r, m in new if not (r in seen or seen.add(r))]
@@ -184,11 +180,6 @@ class Polyhedron:
     @property
     def is_bounded(self):
         return not self.rays and not self.lineality
-
-    @property
-    def base_point(self):
-        """Lexicographically smallest canonical vertex (determinism anchor)."""
-        return self.vertices[0]
 
     def contains(self, point):
         x, t = _integral(point)
@@ -274,7 +265,7 @@ def _from_incidence(ambient_dim, candidates, bits, tight, lin):
             vert_rows[_reduce_mod_rows(x, t, lin.basis)] = m
         else:
             d = primitive(reduce_echelon(x, lin.basis)[1])
-            if not is_zero_vec(d):
+            if any(d):
                 ray_rows[d] = m
     verts, vert_rows = zip(*sorted(vert_rows.items()))
     rec, ray_rows = zip(*sorted(ray_rows.items())) if ray_rows else ((), ())
@@ -384,7 +375,7 @@ def from_generators(points, rays=(), lines=(), ambient_dim=None):
     lin = saturate(lattice_from_rows([g[:-1] for g, m in zip(gens, tight) if m == full],
                                      ambient_dim))
     extreme = set(_maximal({m for m in tight if m != full}))
-    cand = [i for i, a in enumerate(drays) if not is_zero_vec(a[:-1])]
+    cand = [i for i, a in enumerate(drays) if any(a[:-1])]
     return _from_incidence(ambient_dim, [(drays[i][:-1], -drays[i][-1]) for i in cand],
                            [1 << i for i in cand],
                            [(g, m) for g, m in zip(gens, tight) if m in extreme], lin)
@@ -467,10 +458,10 @@ def _facet_records(p):
     if p._records is None:
         out = []
         for (u, _), vs, rs in zip(p.halfspaces, p.facet_vertices, p.facet_rays):
-            w, n_rho = _facet_split(p.direction_lattice, u)
+            omega, n_rho = _facet_split(p.direction_lattice, u)
             key = (p.ambient_dim, p.lineality, tuple(p.vertices[k] for k in _bits(vs)),
                    tuple(p.rays[k] for k in _bits(rs)))
-            out.append((key, n_rho, tuple(int(x) for x in reduce_mod_lattice(w, n_rho))))
+            out.append((key, n_rho, omega))
         p._records = tuple(out)
     return p._records
 
@@ -514,9 +505,6 @@ class Complex:
     @property
     def cells(self):
         return [self._cells[k] for k in sorted(self._cells)]
-
-    def cells_of_dim(self, d):
-        return [c for c in self.cells if c.dim == d]
 
     @property
     def dim(self):
@@ -635,10 +623,3 @@ def _place(face, dim, tight):
             out.extend(s + (i0,) for s in _place(g, dim - 1, tight))
     return out
 
-
-def simplex_volume(simplex):
-    """Euclidean volume of a full-dimensional simplex (vertex tuple)."""
-    v0 = simplex[0]
-    rows = [list(vec_sub(v, v0)) for v in simplex[1:]]
-    n = len(rows)
-    return Fraction(abs(determinant(rows)), factorial(n))

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -514,6 +515,57 @@ def test_degree_above_the_limit_exits_2(tmp_path, capsys, e):
         assert captured.err.startswith("error: ")
         assert "exponents: total degree must be at most %d" % tio.MAX_DEGREE in captured.err
         assert "Traceback" not in captured.err
+
+
+@contextlib.contextmanager
+def _int_str_limit(digits):
+    """CPython's limit on int <-> str conversion set to digits, then restored."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_rationals_print_at_any_size_and_longer_strings_exit_2(tmp_path, capsys):
+    """The integral of x^64 d'x ^ d''x over [0, 10^2000] is 2 10^129999 / 13,
+    far past CPython's 4300-digit limit on int-to-str conversion: it prints
+    exactly, whatever the limit.  A rational string with a numerator or
+    denominator of more than MAX_DIGITS digits, written or appended by an
+    exponent, exits 2 with a message that names the limit and not the
+    number."""
+    seg = _write(tmp_path, "seg.json", segment((0,), (10 ** 2000,)))
+    form = tmp_path / "form.json"
+    form.write_text(_form_doc([64]))
+    text = "2" + "0" * 129999 + "/13"
+    with _int_str_limit(4300):
+        assert main(["integrate", seg, str(form)]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == text
+    rng = random.Random(3)
+    values = [-10 ** 700] + [
+        Fraction(rng.getrandbits(b) - rng.getrandbits(b), rng.getrandbits(c) | 1)
+        for b, c in ((2049, 9000), (40000, 2050), (9000, 1))]
+    with _int_str_limit(0):
+        texts = [str(x) for x in values]
+    with _int_str_limit(640):
+        assert tio.rational_str(Fraction(2 * 10 ** 129999, 13)) == text
+        assert [tio.rational_str(x) for x in values] == texts
+    doc = json.loads(tio.emit(segment((0,), (1,))))
+    limit = tio.MAX_DIGITS
+    for c in ("9" * limit, "1/" + "3" * limit, "1e%d" % (limit - 1), "-2.5E-%d" % (limit - 2)):
+        doc["halfspaces"][1]["c"] = c
+        assert tio.parse(json.dumps(doc)) == from_halfspaces([((-1,), 0), ((1,), Fraction(c))], 1)
+    big = tmp_path / "big.json"
+    for c in ("9" * 4400, "9" * (limit + 1), "1/" + "3" * (limit + 1), "1e%d" % limit,
+              "1e-1000000000", "1e" + "9" * 5000, " 1_0e+0_%d" % limit):
+        doc["halfspaces"][1]["c"] = c
+        big.write_text(json.dumps(doc))
+        assert main(["integrate", str(big), str(form)]) == 2
+        err = capsys.readouterr().err
+        assert "$.halfspaces[1].c: numerator or denominator longer than MAX_DIGITS = %d " \
+               "digits" % limit in err
+        assert c.strip() not in err
 
 
 @pytest.mark.parametrize("command", ["projection-check", "integrate"])

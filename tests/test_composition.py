@@ -18,13 +18,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import box, rand_form, rand_poly, segment
+from oracles import integrate_monomial_simplex
 
 from tropform import integrate, lattice, superform
-from tropform.integrate import (
-    integrate_monomial_simplex,
-    integrate_polynomial_simplex,
-    integrate_polytope,
-)
+from tropform.integrate import integrate_polynomial_simplex, integrate_polytope
 from tropform.lattice import coords_in_basis, determinant, vec_sub
 from tropform.polyhedra import all_faces, faces, from_generators, from_halfspaces, triangulate
 from tropform.superform import (
@@ -175,12 +172,12 @@ def _intrinsic_map(sigma):
     basis = sigma.direction_lattice.basis
     n = len(basis)
     linear = [[basis[j][i] for j in range(n)] for i in range(sigma.ambient_dim)]
-    return AffineMap(linear, sigma.base_point)
+    return AffineMap(linear, sigma.vertices[0])
 
 
 def _vertex_coords(sigma, point):
     """Coordinates of an ambient point in the intrinsic chart of sigma."""
-    sol = coords_in_basis(sigma.direction_lattice.basis, vec_sub(point, sigma.base_point))
+    sol = coords_in_basis(sigma.direction_lattice.basis, vec_sub(point, sigma.vertices[0]))
     if sol is None:
         raise ValueError("point does not lie in the affine hull")
     return tuple(sol)

@@ -18,7 +18,6 @@ from tropform.cycle import (
     current_eval,
     projection_check,
     pushforward,
-    zero_cycle,
 )
 from tropform.hypersurface import corner_locus, tropical_polynomial
 from tropform.integrate import integrate_complex, integrate_polytope
@@ -81,11 +80,11 @@ def test_unbalanced_two_rays():
 
 
 def test_balancing_zero_and_point_cycles():
-    assert check_balancing(zero_cycle()) == []
+    assert check_balancing(WeightedComplex([])) == []
     pts = WeightedComplex([(segment((0,), (0,)), 3)])
     assert check_balancing(pts) == []
     assert witness_faces(pts) == []
-    assert witness_faces(zero_cycle()) == []
+    assert witness_faces(WeightedComplex([])) == []
 
 
 def test_balancing_weight_sensitivity():
@@ -187,7 +186,7 @@ def test_pushforward_drops_collapsed_cells():
     proj = AffineMap([[1, 0]], [Fraction(0)])
     vert = WeightedComplex([(segment((0, 0), (0, 1)), 1)])
     assert pushforward(proj, vert).is_zero
-    assert pushforward(proj, zero_cycle()).is_zero
+    assert pushforward(proj, WeightedComplex([])).is_zero
 
 
 def test_pushforward_cancellation():

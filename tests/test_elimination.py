@@ -5,10 +5,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import rational_kernel
+
 from tropform.lattice import (
     determinant,
     dot,
-    rational_kernel,
     rational_rank,
     solve_exact,
 )

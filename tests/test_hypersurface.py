@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,8 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from tropform import io as tio
 from tropform import polyhedra
 from tropform.cycle import WeightedComplex, check_balancing
-from tropform.hypersurface import _lattice_length, corner_locus, tropical_polynomial
-from tropform.lattice import dot, is_zero_vec, vec_neg, vec_sub
+from tropform.hypersurface import corner_locus, tropical_polynomial
+from tropform.lattice import dot, vec_neg, vec_sub
 from tropform.polyhedra import from_generators, from_halfspaces
 
 
@@ -150,7 +151,7 @@ def _oracle_corner_locus(tp):
     for (m1, c1), (m2, c2) in combinations(terms, 2):
         u = vec_sub(m1, m2)
         hs = [(u, c2 - c1), (vec_neg(u), c1 - c2)]
-        hs += [(vec_sub(m1, m), c - c1) for m, c in terms if not is_zero_vec(vec_sub(m1, m))]
+        hs += [(vec_sub(m1, m), c - c1) for m, c in terms if m != m1]
         cell = from_halfspaces(hs, r)
         if not cell.is_empty and cell.dim == r - 1:
             cells.setdefault(cell.key(), cell)
@@ -159,7 +160,7 @@ def _oracle_corner_locus(tp):
         x = cell.rel_interior_point()
         values = [dot(m, x) + c for m, c in terms]
         active = [m for (m, _), v in zip(terms, values) if v == min(values)]
-        weighted.append((cell, _lattice_length(min(active), max(active))))
+        weighted.append((cell, gcd(*vec_sub(max(active), min(active)))))
     return WeightedComplex(weighted)
 
 

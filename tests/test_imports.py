@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, no library
 module imports inside a function body, every definition of the library is
-referenced somewhere, and every function the perfbench tracer wraps by name
-is defined.
+referenced somewhere, a public one that the library and perfbench do not
+reference is named in README as user API, and every function the perfbench
+tracer wraps by name is defined.
 
 Stdlib-only scans with ``ast``.  An imported name counts as used when it
 appears as a name anywhere in its module.  A top-level function, class or
@@ -11,11 +12,14 @@ anywhere in src/, tests/ or perfbench/, or appears as a string in src/ or
 perfbench/ (the tracer names functions by string); a string in tests/ and
 an assignment alone are no reference.  A private definition, one whose
 name starts with an underscore, must be referenced from src/ itself, so a
-helper only tests use lives in tests/.  Dunder names are read implicitly
-and are not scanned.
+helper only tests use lives in tests/.  A public definition must be
+referenced from src/ or perfbench/, or be user API: README names it by its
+qualified name (``Class.method`` for a method) at the start of a code span.
+Dunder names are read implicitly and are not scanned.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -182,6 +186,38 @@ def test_library_private_definitions_are_referenced_in_the_library():
                     for line, qual in _private_unreferenced(path.read_text(encoding="utf-8"),
                                                             used)]
     assert unreferenced == []
+
+
+def _readme_names(text):
+    """The dotted names that open a code span in README text."""
+    return set(re.findall(r"`([A-Za-z_][\w.]*)", text))
+
+
+def _public_unnamed(source, used, named):
+    """(line, qualified name) of the public definitions in source whose
+    names are not in used and whose qualified names are not in named."""
+    return [(line, qual) for line, qual, name in _definitions(source)
+            if not name.startswith("_") and name not in used and qual not in named]
+
+
+def test_checker_flags_an_unused_undocumented_public_definition():
+    source = ("def run():\n    return helper()\ndef helper():\n    pass\n"
+              "def planted():\n    pass\nclass A:\n    def api(self):\n        pass\n")
+    readme = "Call `run`, or `A.api(x)` for the\n`api` of an `A`.\n"
+    used = _references([source])
+    assert _public_unnamed(source, used, set()) == [
+        (1, "run"), (5, "planted"), (7, "A"), (8, "A.api")]
+    assert _public_unnamed(source, used, _readme_names(readme)) == [(5, "planted")]
+
+
+def test_library_public_definitions_are_referenced_or_documented():
+    used = _references(_sources("src", "perfbench"))
+    named = _readme_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    unnamed = ["%s:%d %s" % (path.name, line, qual)
+               for path in sorted(PACKAGE.glob("*.py"))
+               for line, qual in _public_unnamed(path.read_text(encoding="utf-8"),
+                                                 used, named)]
+    assert unnamed == []
 
 
 def test_traced_names_are_library_functions():

@@ -12,6 +12,7 @@ from conftest import (
     segment,
     simplex,
 )
+from oracles import integrate_monomial_simplex
 
 from tropform import integrate, polyhedra
 from tropform.cycle import WeightedComplex, preimage_polyhedron
@@ -19,7 +20,6 @@ from tropform.integrate import (
     green_residual,
     integrate_boundary,
     integrate_complex,
-    integrate_monomial_simplex,
     integrate_polytope,
     outward_vector,
     stokes_residual,

@@ -12,6 +12,8 @@ from math import lcm
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from oracles import rational_kernel
+
 from tropform.lattice import (
     coords_in_basis,
     determinant,
@@ -23,7 +25,6 @@ from tropform.lattice import (
     member,
     primitive,
     primitive_outward,
-    rational_kernel,
     rational_rank,
     reduce_echelon,
     reduce_mod_lattice,

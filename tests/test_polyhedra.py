@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import box, segment, simplex
+from oracles import simplex_volume
 
 from tropform import io as tio, polyhedra
 from tropform.lattice import (
@@ -33,7 +34,6 @@ from tropform.polyhedra import (
     from_halfspaces,
     intersect,
     refine,
-    simplex_volume,
     triangulate,
     truncate,
     validate_complex,
@@ -133,8 +133,8 @@ def test_affine_image_is_the_hull_of_the_mapped_vertices(r, k, data):
 def test_complex_face_closure_and_validation():
     sq = box(2)
     cx = complex_from_cells([sq])
-    assert len(cx.cells_of_dim(1)) == 4
-    assert len(cx.cells_of_dim(0)) == 4
+    assert len([c for c in cx.cells if c.dim == 1]) == 4
+    assert len([c for c in cx.cells if c.dim == 0]) == 4
     assert validate_complex(cx) == []
     # overlapping cells whose intersection is not a common face
     bad = Complex([box(2, 0, 2), box(2, 1, 3)])
@@ -452,6 +452,23 @@ def test_facets_chosen_by_incidence_match_rank_test(case):
     for codim in range(p.dim + 1):
         for f in faces(p, codim):
             assert (list(f.facet_vertices), list(f.facet_rays)) == _dot_incidence(f)
+
+
+@ORACLE_SETTINGS
+@given(_halfspace_sets(), st.data())
+def test_canonical_data_survive_permuted_and_redundant_halfspaces(case, data):
+    """Each row scaled by a positive integer, weakened copies (c + k, k > 0)
+    and duplicates added, and the rows shuffled: the same polyhedron, with
+    the original's key, facet halfspaces and equalities."""
+    hs, p = case
+    rows = []
+    for u, c in hs:
+        m = data.draw(st.integers(1, 3))
+        rows.append((tuple(m * x for x in u), m * c))
+        for k in data.draw(st.lists(st.integers(0, 2), max_size=2)):
+            rows.append((u, c + k))  # k == 0 duplicates the row
+    q = from_halfspaces(data.draw(st.permutations(rows)), len(hs[0][0]))
+    assert (q.key(), q.halfspaces, q.equalities) == (p.key(), p.halfspaces, p.equalities)
 
 
 def test_polyhedra_are_built_without_rank_computations(monkeypatch):
