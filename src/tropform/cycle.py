@@ -25,6 +25,7 @@ from .lattice import (
     vec_neg,
 )
 from .polyhedra import (
+    _cut,
     _facet,
     _facet_records,
     _integral,
@@ -81,13 +82,11 @@ class WeightedComplex:
 
     def truncated(self, box):
         """Weighted complex of intersections with a bounded window; pieces of
-        full dimension inherit the weight of their cell.  A bounded cell with
-        every vertex in the window is its own intersection."""
+        full dimension inherit the weight of their cell."""
         check_window(box)
         pieces = []
         for c, m in self.weighted_cells():
-            inside = c.is_bounded and all(box.contains(v) for v in c.vertices)
-            x = c if inside else intersect(c, box)
+            x = intersect(c, box)
             if not x.is_empty and x.dim == self.dim:
                 pieces.append((x, m))
         return WeightedComplex(pieces)
@@ -103,8 +102,7 @@ def _split(p, u, c):
     vals += [x for l in p.lineality for x in (dot(u, l), -dot(u, l))]
     if not min(vals) < 0 < max(vals):
         return [p]
-    return [from_halfspaces(p.all_halfspaces() + [cut], p.ambient_dim)
-            for cut in ((u, c), (vec_neg(u), -c))]
+    return [_cut(p, [cut]) for cut in ((u, c), (vec_neg(u), -c))]
 
 
 def _overlay(entries):

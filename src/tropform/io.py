@@ -9,6 +9,7 @@ emit(parse(text)) is the canonical form of text.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .cycle import WeightedComplex
@@ -371,12 +372,18 @@ def parse(text, expect=None):
     rejected before its parser runs. Raises SchemaError (naming the
     offending field) for schema violations and ValueError with position
     information for malformed JSON, or for JSON nested too deeply for the
-    parser."""
+    parser.  An integer literal longer than CPython's limit on int
+    conversion (``sys.get_int_max_str_digits()``) raises SchemaError naming
+    the limit."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError("syntax error at line %d column %d: %s"
                          % (e.lineno, e.colno, e.msg))
+    except ValueError:
+        # the one other ValueError json.loads raises
+        raise SchemaError("$: integer literal longer than %d digits, the int conversion "
+                          "limit (sys.get_int_max_str_digits())" % sys.get_int_max_str_digits())
     except RecursionError:
         raise ValueError("document nested too deeply to parse")
     if not isinstance(obj, dict):

@@ -2,9 +2,14 @@
 
 Polyhedra are intersections of halfspaces <u, x> <= c with integer normals u
 and rational constants c.  Conversion between H- and V-representations uses
-an exact double description method, which also yields the rows tight at each
-vertex and ray; either conversion runs it once.  A built polyhedron keeps
-that vertex-facet incidence, as a vertex and a ray bitmask per facet: its
+an exact double description method (DD), which also yields the rows tight at
+each vertex and ray; either conversion runs it once.  A cut of a polyhedron
+by halfspaces (``intersect``, and ``from_halfspaces`` as the cut of R^r)
+continues the DD of the polyhedron's homogenized cone over the new rows
+alone, and when the cut keeps the dimension and the lineality it keeps the
+polyhedron's hull: its equalities, direction lattice and canonical facet
+inequalities are not computed again.  A built polyhedron keeps the
+vertex-facet incidence, as a vertex and a ray bitmask per facet: its
 facets are chosen from it combinatorially, and its faces and triangulations
 are read off it with no further double description and no dot products.
 Cells are assembled on integers, a vertex v taken as x / t with x integer
@@ -25,12 +30,13 @@ needed, is built alone from the same position (``_facet``) and kept too.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import and_
 
 from .lattice import (
     Lattice,
     _facet_split,
-    identity_matrix,
     dot,
     full_lattice,
     integer_row,
@@ -62,23 +68,27 @@ EMPTY = EmptyPolyhedron()
 # ---------------------------------------------------------------------------
 # double description: minimal generators of {x : g.x <= 0 for g in rows}
 
-def dual_description(rows, dim):
-    """Minimal generators of the polyhedral cone cut out by the homogeneous
+def dual_description(rows, lines, rays, masks, bit):
+    """Minimal generators of the polyhedral cone C cut out by the homogeneous
     inequalities g.x <= 0, computed exactly, with the rows tight at each.
 
-    Returns (lines, rays, masks): ``masks[i]`` is the set of rows tight at
-    ``rays[i]`` as an int whose bit k stands for row k (a zero row is tight
-    at every ray); every line is tight at every row.  The masks are
-    carried along as the rows are added, never recomputed: a ray with value
-    0 on the new row gains its bit, the combination of an adjacent pair gets
-    the pair's common bits and the new one, a ray projected in a line step
+    The method is continued from a cone the caller gives: ``lines`` and
+    ``rays`` generate it, ``masks[i]`` holds the rows already processed
+    that are tight at ``rays[i]``, and ``bit`` is the bit of the first new
+    row, every lower bit standing for a row processed before.  The full
+    space of dimension n is the n unit lines, no ray and bit 1.
+
+    Returns (lines, rays, masks) for C cut by the new rows: ``masks[i]`` is
+    the set of rows tight at ``rays[i]`` as an int (a zero row is tight at
+    every ray); every line is tight at every row.  The masks are carried
+    along as the rows are added, never recomputed: a ray with value 0 on
+    the new row gains its bit, the combination of an adjacent pair gets the
+    pair's common bits and the new one, a ray projected in a line step
     gains the new bit, and the ray made from the eliminated line gets every
     earlier bit.  Two rays are adjacent when no third ray's mask contains
     their common bits (Fukuda & Prodon, "Double description method
     revisited", 1996)."""
-    lines = [tuple(r) for r in identity_matrix(dim)]
-    rays, masks = [], []
-    bit = 1
+    lines, rays, masks = list(lines), list(rays), list(masks)
     for g in rows:
         vals = [dot(g, l) for l in lines]
         k = next((i for i, v in enumerate(vals) if v != 0), None)
@@ -233,44 +243,70 @@ def _canonical_halfspace(u, c, hull):
 
 
 def from_halfspaces(halfspaces, ambient_dim):
-    """Polyhedron from inequalities <u, x> <= c; returns EMPTY if infeasible."""
-    candidates, rows = [], []
+    """Polyhedron from inequalities <u, x> <= c; returns EMPTY if infeasible.
+    It is R^r cut by them (``_cut``)."""
+    zero, space = (Fraction(0),) * ambient_dim, full_lattice(ambient_dim)
+    return _cut(Polyhedron(ambient_dim, (), (), (zero,), (), space.basis, space, (), ()),
+                halfspaces)
+
+
+def _cut(p, halfspaces):
+    """p cut by the inequalities <u, x> <= c; EMPTY if infeasible.
+
+    The double description of p's homogenized cone is continued over the
+    new rows alone.  That cone has p's lineality as lines and, as rays,
+    each vertex x / t as (x, t) and each ray d as (d, 0).  In a ray's mask,
+    bit k stands for p's facet k, bit K = len(p.halfspaces) for t >= 0
+    and bit K + 1 + j for new row j; p's equalities hold at every generator
+    and need no bit.  When no line is eliminated and no row is tight at
+    every generator, the result spans p's affine hull: it keeps p's
+    equalities, direction lattice and lineality, and those of p's facets
+    that remain facets are canonical already.  Otherwise the hull is
+    computed anew."""
+    r, k = p.ambient_dim, len(p.halfspaces)
+    cuts, rows = [], []
     for u, c in halfspaces:
-        if len(u) != ambient_dim:
+        if len(u) != r:
             raise ValueError("normal length does not match ambient dimension")
         u, c = tuple(integer_row(u)), Fraction(c)
-        candidates.append((u, c))
+        cuts.append((u, c))
         rows.append(tuple(x * c.denominator for x in u) + (-c.numerator,))
-    rows.append(tuple([0] * ambient_dim + [-1]))  # t >= 0
-    lines, rays, masks = dual_description(rows, ambient_dim + 1)
-    if not any(r[-1] > 0 for r in rays):
+    lines = [l + (0,) for l in p.lineality]
+    gens = [tuple(x) + (t,) for x, t in map(_integral, p.vertices)] + [d + (0,) for d in p.rays]
+    masks = [_select(p.facet_vertices, 1 << i) for i in range(len(p.vertices))]
+    masks += [_select(p.facet_rays, 1 << i) | 1 << k for i in range(len(p.rays))]
+    left, gens, masks = dual_description(rows, lines, gens, masks, 2 << k)
+    if not any(g[-1] > 0 for g in gens):
         return EMPTY
+    candidates = p.halfspaces + tuple(cuts)
+    bits = [1 << j for j in range(k)] + [2 << (k + j) for j in range(len(cuts))]
+    if len(left) == len(lines) and not reduce(and_, masks):
+        return _from_incidence(r, candidates, bits, zip(gens, masks), p.lineality, p)
     # lines always have t == 0 (they satisfy -t <= 0 and t unbounded both ways)
-    lin = saturate(lattice_from_rows([l[:-1] for l in lines], ambient_dim))
-    return _from_incidence(ambient_dim, candidates, [1 << j for j in range(len(candidates))],
-                           zip(rays, masks), lin)
+    lin = saturate(lattice_from_rows([l[:-1] for l in left], r))
+    return _from_incidence(r, candidates, bits, zip(gens, masks), lin.basis, None)
 
 
-def _from_incidence(ambient_dim, candidates, bits, tight, lin):
+def _from_incidence(ambient_dim, candidates, bits, tight, lin_basis, kept):
     """Assemble from pairs (g, m) in ``tight``: g = (x, t) a homogeneous
     generator of a minimal face, t > 0 for a vertex x / t and t == 0 for a
     ray, and m the bitmask of the candidates tight at g (candidate j has bit
     ``bits[j]``).  Vertices and rays are reduced modulo the lineality
-    ``lin``; generators equal modulo the lineality are tight at the same
-    candidates."""
+    ``lin_basis``; generators equal modulo the lineality are tight at the
+    same candidates.  ``kept`` is passed on to ``_assemble``."""
     vert_rows, ray_rows = {}, {}
     for g, m in tight:
         x, t = g[:-1], g[-1]
         if t > 0:
-            vert_rows[_reduce_mod_rows(x, t, lin.basis)] = m
+            vert_rows[_reduce_mod_rows(x, t, lin_basis)] = m
         else:
-            d = primitive(reduce_echelon(x, lin.basis)[1])
+            d = primitive(reduce_echelon(x, lin_basis)[1])
             if any(d):
                 ray_rows[d] = m
     verts, vert_rows = zip(*sorted(vert_rows.items()))
     rec, ray_rows = zip(*sorted(ray_rows.items())) if ray_rows else ((), ())
     incidence = [(_select(vert_rows, b), _select(ray_rows, b)) for b in bits]
-    return _assemble(ambient_dim, candidates, incidence, verts, rec, lin.basis)
+    return _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis, kept)
 
 
 def _select(row_masks, bit):
@@ -298,7 +334,7 @@ def _maximal(masks):
     return [g for g in masks if not any(g | h == h and g != h for h in masks)]
 
 
-def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis):
+def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis, kept):
     """Finish construction: affine hull, canonical facets, computed on
     integers; Fractions are built only for the equality and facet constants.
 
@@ -306,36 +342,43 @@ def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis):
     vertices and rays on the hyperplane of ``candidates[j]`` as bitmasks
     over them.  Every candidate is valid and every facet is cut out by some
     candidate, so a candidate defines a facet exactly when its face is
-    nonempty, proper and inclusion-maximal among the candidates' faces."""
-    # v - v0 is a positive multiple of x t0 - x0 t for v = x / t, v0 = x0 / t0
-    x0, t0 = _integral(verts[0])
-    dirs = [primitive([a * t0 - b * t for a, b in zip(x, x0)])
-            for x, t in map(_integral, verts[1:])] + list(rec) + list(lin_basis)
-    # affine hull equalities: HNF basis of the orthogonal complement of the
-    # directions, stored sorted; facets are reduced by their rows in HNF
-    # order.  The direction lattice is the complement of the complement,
-    # with no elimination where one side is Z^r: a vertex (no directions)
-    # or a full-dimensional cell (no equalities).
-    if dirs:
-        comp = orthogonal_complement(dirs, ambient_dim)
-        dir_lat = Lattice(ambient_dim, orthogonal_complement(comp, ambient_dim)) \
-            if comp else full_lattice(ambient_dim)
+    nonempty, proper and inclusion-maximal among the candidates' faces.
+    ``kept``, if not None, is a polyhedron of the same affine hull whose
+    facets lead the candidates: the cell takes its equalities and direction
+    lattice, and those facets are canonical on it already."""
+    if kept is None:
+        # v - v0 is a positive multiple of x t0 - x0 t for v = x / t, v0 = x0 / t0
+        x0, t0 = _integral(verts[0])
+        dirs = [primitive([a * t0 - b * t for a, b in zip(x, x0)])
+                for x, t in map(_integral, verts[1:])] + list(rec) + list(lin_basis)
+        # affine hull equalities: HNF basis of the orthogonal complement of
+        # the directions.  The direction lattice is the complement of the
+        # complement, with no elimination where one side is Z^r: a vertex
+        # (no directions) or a full-dimensional cell (no equalities).
+        if dirs:
+            comp = orthogonal_complement(dirs, ambient_dim)
+            dir_lat = Lattice(ambient_dim, orthogonal_complement(comp, ambient_dim)) \
+                if comp else full_lattice(ambient_dim)
+        else:
+            comp, dir_lat = full_lattice(ambient_dim).basis, Lattice(ambient_dim, ())
+        equalities, fixed = sorted((e, Fraction(dot(e, x0), t0)) for e in comp), 0
     else:
-        comp, dir_lat = full_lattice(ambient_dim).basis, Lattice(ambient_dim, ())
-    consts = [Fraction(dot(e, x0), t0) for e in comp]
-    hull = [[x * c.denominator for x in e] + [c.numerator] for e, c in zip(comp, consts)]
-    equalities = sorted(zip(comp, consts))
+        equalities, dir_lat, fixed = kept.equalities, kept.direction_lattice, len(kept.halfspaces)
+    # stored sorted, the equalities run in reverse HNF order; facets are
+    # reduced by their rows (d.den e, d.num) in HNF order
+    hull = [[x * c.denominator for x in e] + [c.numerator] for e, c in reversed(equalities)]
     # a face is one int: its vertex mask, then its ray mask shifted past it
     nv = len(verts)
     everything = (1 << (nv + len(rec))) - 1
     proper = {}
-    for h, (vs, rs) in zip(candidates, incidence):
+    for j, (vs, rs) in enumerate(incidence):
         face = vs | rs << nv
         if vs and face != everything:
-            proper.setdefault(face, h)
+            proper.setdefault(face, j)
     facets = {}
     for face in _maximal(proper):
-        normal, const = _canonical_halfspace(*proper[face], hull)
+        j = proper[face]
+        normal, const = candidates[j] if j < fixed else _canonical_halfspace(*candidates[j], hull)
         facets[normal] = (const, face & ((1 << nv) - 1), face >> nv)
     hs = sorted(facets.items())
     return Polyhedron(ambient_dim, [(u, c) for u, (c, _, _) in hs], equalities, verts, rec,
@@ -367,7 +410,7 @@ def from_generators(points, rays=(), lines=(), ambient_dim=None):
     for l in lines:
         g = primitive(l)
         gens += [g + (0,), vec_neg(g) + (0,)]
-    _, drays, masks = dual_description(gens, ambient_dim + 1)
+    _, drays, masks = dual_description(gens, full_lattice(ambient_dim + 1).basis, [], [], 1)
     # generator k has DD bit k; tight[k] holds the dual rays at which it is
     # tight, all of them for a zero generator, which joins the lineality
     tight = [_select(masks, 1 << k) for k in range(len(gens))]
@@ -378,18 +421,31 @@ def from_generators(points, rays=(), lines=(), ambient_dim=None):
     cand = [i for i, a in enumerate(drays) if any(a[:-1])]
     return _from_incidence(ambient_dim, [(drays[i][:-1], -drays[i][-1]) for i in cand],
                            [1 << i for i in cand],
-                           [(g, m) for g, m in zip(gens, tight) if m in extreme], lin)
+                           [(g, m) for g, m in zip(gens, tight) if m in extreme], lin.basis,
+                           None)
 
 
 def intersect(p, q):
-    """Intersection of two polyhedra (EMPTY allowed) in the same ambient space."""
+    """Intersection of two polyhedra (EMPTY allowed) in the same ambient
+    space; p itself when it lies in q, else p cut by q (``_cut``)."""
     if p.is_empty or q.is_empty:
         return EMPTY
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("polyhedra in different ambient spaces do not intersect")
+    if _inside(p, q):
+        return p
     if _separated(p, q) or _separated(q, p):
         return EMPTY
-    return from_halfspaces(p.all_halfspaces() + q.all_halfspaces(), p.ambient_dim)
+    return _cut(p, q.all_halfspaces())
+
+
+def _inside(p, q):
+    """True if p lies in q: every ray of p is in q's recession cone, every
+    line in q's lineality and every vertex in q."""
+    hs = q.all_halfspaces()
+    return (all(dot(u, d) <= 0 for d in p.rays for u, _ in hs)
+            and all(dot(u, l) == 0 for l in p.lineality for u, _ in hs)
+            and all(map(q.contains, p.vertices)))
 
 
 def _separated(p, q):
@@ -437,7 +493,7 @@ def _facet(p, i):
                      for vs, rs in zip(p.facet_vertices, p.facet_rays)]
         p._facets[i] = _assemble(p.ambient_dim, p.halfspaces, incidence,
                                  [p.vertices[k] for k in vi], [p.rays[k] for k in ri],
-                                 p.lineality)
+                                 p.lineality, None)
     return p._facets[i]
 
 

@@ -3,9 +3,10 @@ formula the library's own code is checked against, and none is called from
 src/."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
-from tropform.lattice import determinant, gauss_jordan, vec_sub
+from tropform.lattice import determinant, dot, gauss_jordan, solve_exact, vec_sub
 
 
 def rational_kernel(rows, n):
@@ -36,3 +37,19 @@ def integrate_monomial_simplex(exponents):
     for a in exponents:
         num *= factorial(a)
     return Fraction(num, factorial(n + sum(exponents)))
+
+
+def brute_force_vertices(halfspaces, r):
+    """Vertices of {x in R^r : <u, x> <= c for (u, c) in halfspaces}, by
+    solving every r of the rows as equations and keeping each unique
+    solution that satisfies every row: for a polyhedron with no lines these
+    are exactly its vertices, and an infeasible system has none."""
+    out = set()
+    for chosen in combinations(halfspaces, r):
+        rows = [list(u) for u, _ in chosen]
+        if determinant(rows) == 0:
+            continue
+        x = solve_exact(rows, [Fraction(c) for _, c in chosen])
+        if all(dot(u, x) <= c for u, c in halfspaces):
+            out.add(tuple(x))
+    return out

@@ -568,6 +568,31 @@ def test_rationals_print_at_any_size_and_longer_strings_exit_2(tmp_path, capsys)
         assert c.strip() not in err
 
 
+def test_integer_literals_past_the_int_conversion_limit_exit_2(tmp_path, capsys):
+    """A JSON integer literal longer than CPython's limit on int conversion,
+    as a weight, a normal entry or an exponent, exits 2 with a message that
+    names the limit, not CPython's."""
+    wc = tio.emit(WeightedComplex([(segment((0,), (1,)), 1)]))
+    seg = _write(tmp_path, "seg.json", segment((0,), (1,)))
+    big = "9" * 4400
+    docs = [wc.replace('"weight": 1', '"weight": ' + big),
+            wc.replace("[\n              1\n", "[\n              %s\n" % big),
+            _form_doc([7]).replace('"exponents": [7]', '"exponents": [%s]' % big)]
+    doc = tmp_path / "doc.json"
+    with _int_str_limit(4300):
+        for text in docs:
+            assert text.count(big) == 1
+            with pytest.raises(tio.SchemaError, match="longer than 4300 digits"):
+                tio.parse(text)
+            doc.write_text(text)
+            argv = ["integrate", seg, str(doc)] if "exponents" in text else \
+                ["check-balancing", str(doc)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "error: " in err and "4300" in err
+            assert "Exceeds the limit" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["projection-check", "integrate"])
 def test_term_bound_exits_2_before_anything_is_built(tmp_path, capsys, command):
     """Past superform.MAX_TERMS: pulling x^14 back along the all-ones map

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import box, segment, simplex
-from oracles import simplex_volume
+from oracles import brute_force_vertices, simplex_volume
 
 from tropform import io as tio, polyhedra
+from tropform.cycle import _split
 from tropform.lattice import (
     dot,
+    full_lattice,
     lattice_from_rows,
     primitive,
     rational_rank,
@@ -32,6 +34,7 @@ from tropform.polyhedra import (
     facets,
     from_generators,
     from_halfspaces,
+    _separated,
     intersect,
     refine,
     triangulate,
@@ -378,7 +381,7 @@ ORACLE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, da
 @given(_row_sets())
 def test_dual_description_masks_are_the_tight_sets(case):
     dim, rows = case
-    lines, rays, masks = polyhedra.dual_description(rows, dim)
+    lines, rays, masks = polyhedra.dual_description(rows, full_lattice(dim).basis, [], [], 1)
     assert (lines, rays) == _reference_dual_description(rows, dim)
     assert all(dot(g, l) == 0 for g in rows for l in lines)
     # bit k is row k; a zero row's bit is set at every ray
@@ -556,6 +559,132 @@ def test_intersect_of_separated_polyhedra_runs_no_double_description(monkeypatch
     assert calls
 
 
+# -- a cut continues the double description of the polyhedron it cuts ------
+
+@st.composite
+def _cut_cases(draw):
+    """In R^r, r = 1..3: two polyhedra spanned by points, at most one ray
+    and at most one line in an affine subspace of dimension 0..r, so that
+    lower-dimensional, unbounded and lineality cases all occur; a
+    hyperplane (u, c); and a list of halfspaces."""
+    r = draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+
+    def spanned():
+        base = draw(st.tuples(*[small] * r))
+        dirs = draw(st.lists(st.tuples(*[small] * r), max_size=r))
+        steps = st.tuples(*[small] * len(dirs))
+
+        def move(point, step):
+            return tuple(x + sum(a * d[i] for a, d in zip(step, dirs))
+                         for i, x in enumerate(point))
+        pts = [move(base, s) for s in draw(st.lists(steps, min_size=1, max_size=4))]
+        rays, lines = ([move((0,) * r, s) for s in draw(st.lists(steps, max_size=1))]
+                       for _ in range(2))
+        return from_generators(pts, [d for d in rays if any(d)], [l for l in lines if any(l)], r)
+    p, q = spanned(), spanned()
+    u = draw(st.tuples(*[small] * r).filter(any))
+    c = draw(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2)))
+    hs = draw(st.lists(st.tuples(st.tuples(*[small] * r), st.integers(-3, 3)), max_size=6))
+    return r, p, q, (u, c), hs
+
+
+def _check_cut(halfspaces, r, got):
+    """got is {x : <u, x> <= c for (u, c) in halfspaces}: with no lines, its
+    vertices are the brute-force ones, and whatever it is, its V-data
+    rebuild the same canonical cell."""
+    verts = brute_force_vertices(halfspaces, r)
+    if got.is_empty:
+        assert not verts
+        return
+    if not got.lineality:
+        assert set(got.vertices) == verts
+    again = from_generators(got.vertices, got.rays, got.lineality, r)
+    assert _canonical_with_incidence(got) == _canonical_with_incidence(again)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_cut_cases())
+def test_cuts_match_brute_force_vertices(case):
+    r, p, q, (u, c), hs = case
+    _check_cut(p.all_halfspaces() + q.all_halfspaces(), r, intersect(p, q))
+    halves = _split(p, u, c)
+    if len(halves) == 2:
+        for half, cut in zip(halves, ((u, c), (vec_neg(u), -c))):
+            _check_cut(p.all_halfspaces() + [cut], r, half)
+    _check_cut(hs, r, from_halfspaces(hs, r))
+
+
+def _rebuilt(x):
+    return _canonical_with_incidence(from_generators(x.vertices, x.rays, x.lineality,
+                                                     x.ambient_dim))
+
+
+def test_cut_through_the_relative_interior_keeps_the_hull():
+    sq = box(2)
+    half = intersect(sq, from_halfspaces([((1, 0), Fraction(1, 2))], 2))
+    assert half.direction_lattice is sq.direction_lattice
+    assert half.vertices == ((0, 0), (0, 1), (Fraction(1, 2), 0), (Fraction(1, 2), 1))
+    assert _canonical_with_incidence(half) == _rebuilt(half)
+
+
+def test_cut_meeting_only_a_facet_takes_the_facet_hull():
+    x = intersect(box(2), from_halfspaces(_box(2, (1, 0)), 2))
+    assert (x.dim, x.equalities) == (1, (((1, 0), Fraction(1)),))
+    assert _canonical_with_incidence(x) == _canonical_with_incidence(segment((1, 0), (1, 1)))
+    assert _canonical_with_incidence(x) == _rebuilt(x)
+
+
+def test_cut_by_a_hyperplane_through_the_relative_interior():
+    line = from_halfspaces([((1, 0), Fraction(1, 2)), ((-1, 0), Fraction(-1, 2))], 2)
+    want = segment((Fraction(1, 2), 0), (Fraction(1, 2), 1))
+    for x in (intersect(box(2), line), intersect(line, box(2))):
+        assert (x.dim, x.equalities) == (1, (((1, 0), Fraction(1, 2)),))
+        assert _canonical_with_incidence(x) == _canonical_with_incidence(want)
+        assert _canonical_with_incidence(x) == _rebuilt(x)
+
+
+def test_cut_of_a_line_of_the_lineality():
+    strip = from_generators([(0, 0), (0, 1)], [], [(1, 0)], 2)
+    right = from_halfspaces([((-1, 0), 0)], 2)
+    half_strip = from_generators([(0, 0), (0, 1)], [(1, 0)], [], 2)
+    for q, want in ((right, half_strip), (box(2), box(2))):
+        x = intersect(strip, q)
+        assert x.lineality == ()
+        assert _canonical_with_incidence(x) == _canonical_with_incidence(want)
+        assert _canonical_with_incidence(x) == _rebuilt(x)
+
+
+def test_cut_finds_what_separation_by_a_facet_misses():
+    # skew segments in R^3: no facet or equality of one has the other
+    # strictly beyond it
+    p, q = segment((1, 2, 1), (2, 3, 2)), segment((2, 0, 2), (3, 3, 1))
+    assert not _separated(p, q) and not _separated(q, p)
+    assert intersect(p, q) is EMPTY and intersect(q, p) is EMPTY
+
+
+def test_intersect_returns_a_polyhedron_inside_the_other(monkeypatch):
+    square, wide, tall = box(2), box(2, -1, 2), box(2, 0, 9)
+    quadrant = from_halfspaces([((-1, 0), 0), ((0, -1), 0)], 2)
+    corner = from_generators([(1, 1)], [(1, 0), (1, 2)], [], 2)
+    strip = from_generators([(0, 0), (0, 1)], [], [(1, 0)], 2)
+    band = from_halfspaces([((0, 1), 2), ((0, -1), 1)], 2)
+    facets(square)
+    records = polyhedra._facet_records(square)
+    calls = []
+    dd = polyhedra.dual_description
+    monkeypatch.setattr(polyhedra, "dual_description",
+                        lambda *args: calls.append(args) or dd(*args))
+    for p, q in ((square, wide), (corner, quadrant), (strip, band), (wide, wide)):
+        assert intersect(p, q) is p
+    assert calls == []
+    assert polyhedra._facet_records(square) is records
+    # a ray outside the recession cone, a line outside the lineality
+    for p, q in ((corner, tall), (strip, quadrant)):
+        assert intersect(p, q) is not p
+    assert len(calls) == 2
+
+
 # -- membership in integer arithmetic ----------------------------------------
 
 def _fraction_contains(p, point):
@@ -623,7 +752,7 @@ def _two_dd_from_generators(points, rays, lines, r):
     for d in list(rays) + list(lines) + [vec_neg(l) for l in lines]:
         if any(d):
             gens.append(primitive(d) + (0,))
-    dlines, drays, _ = polyhedra.dual_description(gens, r + 1)
+    dlines, drays, _ = polyhedra.dual_description(gens, full_lattice(r + 1).basis, [], [], 1)
     hs = [(a[:-1], -Fraction(a[-1])) for a in drays]
     for a in dlines:
         hs += [(a[:-1], -Fraction(a[-1])), (vec_neg(a[:-1]), Fraction(a[-1]))]
