@@ -10,7 +10,6 @@ malformed input or usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -67,7 +66,7 @@ def _load(path, *kinds):
 def _report(command, body):
     doc = {"format": tio.FORMAT, "kind": "report", "command": command}
     doc.update(body)
-    return json.dumps(doc, indent=2) + "\n"
+    return tio._dumps(doc)
 
 
 def _checked(command, ok, body):

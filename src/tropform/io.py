@@ -362,7 +362,25 @@ def emit(obj, kind=None):
         kind = kind_of(obj)
     doc = {"format": FORMAT, "kind": kind}
     doc.update(_KINDS[kind][1](obj))
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    return _dumps(doc)
+
+
+def _int_limit(what):
+    return SchemaError("$: %s longer than %d digits, the int conversion limit "
+                       "(sys.get_int_max_str_digits())" % (what, sys.get_int_max_str_digits()))
+
+
+def _dumps(doc):
+    """The JSON text of a document, indented by 2.  An integer in it (a
+    weight, a normal entry) longer than CPython's limit on int conversion
+    raises SchemaError naming the limit, as an input one does in
+    :func:`parse`."""
+    try:
+        return json.dumps(doc, indent=2) + "\n"
+    except ValueError:
+        # the one ValueError json.dumps raises on a document with no float
+        # and no cycle
+        raise _int_limit("integer in the output")
 
 
 def parse(text, expect=None):
@@ -382,8 +400,7 @@ def parse(text, expect=None):
                          % (e.lineno, e.colno, e.msg))
     except ValueError:
         # the one other ValueError json.loads raises
-        raise SchemaError("$: integer literal longer than %d digits, the int conversion "
-                          "limit (sys.get_int_max_str_digits())" % sys.get_int_max_str_digits())
+        raise _int_limit("integer literal")
     except RecursionError:
         raise ValueError("document nested too deeply to parse")
     if not isinstance(obj, dict):

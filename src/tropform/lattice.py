@@ -8,8 +8,14 @@ echelon: reductions in it use :func:`reduce_echelon`, and an index is a
 ratio of pivot products.  The Hermite form is the integer elimination
 behind every lattice operation: orthogonal complements are read off its
 transform, a saturation is the complement of the complement, and the
-Smith form alternates row and column Hermite forms.  A determinant is
-Bareiss' fraction-free reduction: the Gram system of
+Smith form alternates row and column Hermite forms.  The kernels that
+every polyhedron and every facet record call, the affine hull of a set
+of direction rows (:func:`_hull`), the facet split of a direction
+lattice (:func:`_facet_split`) and :func:`full_lattice`, are computed
+once per distinct integer input: each keeps its last ``_CACHE_SIZE`` =
+4096 results, tuples and frozen lattices, in a least-recently-used
+cache, as the cells of a cycle share few direction spaces.  A
+determinant is Bareiss' fraction-free reduction: the Gram system of
 :func:`reduce_mod_lattice` is solved with it by Cramer's rule.  General
 rational elimination (:func:`in_span`) and substitution in pivot order
 (:func:`coords_in_basis`) have no caller in the library; the tests and
@@ -20,7 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
+
+# entries kept by each of the caches on the pure integer kernels below
+_CACHE_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +293,7 @@ def lattice_from_rows(rows, ambient_rank):
     return Lattice(ambient_rank, basis)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def full_lattice(r):
     return Lattice(r, tuple(tuple(row) for row in identity_matrix(r)))
 
@@ -326,6 +337,23 @@ def saturate(lat):
         return lat
     r = lat.ambient_rank
     return Lattice(r, orthogonal_complement(orthogonal_complement(lat.basis, r), r))
+
+
+def _hull(dirs, r):
+    """(comp, N) for integer direction rows in Z^r: comp the HNF basis of
+    the integer vectors orthogonal to every row, the normals of an affine
+    hull spanned by these directions, and N = comp^perp their saturated
+    lattice.  Neither depends on the order of the rows or on repeats, so
+    the cache is keyed on the sorted distinct rows: the cells of a cycle
+    share few direction spaces."""
+    return _cached_hull(tuple(sorted(set(dirs))), r)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _cached_hull(rows, r):
+    """:func:`_hull` of its key."""
+    comp = orthogonal_complement(rows, r)
+    return comp, Lattice(r, orthogonal_complement(comp, r))
 
 
 def lattice_index(sub, sup):
@@ -387,6 +415,7 @@ def reduce_mod_lattice(v, lat):
     return tuple(out)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _facet_split(n_sigma, u):
     """(w, n_rho) for the facet of a cell with the saturated direction
     lattice n_sigma cut out by the integer normal u, with <u, .> larger
@@ -395,7 +424,9 @@ def _facet_split(n_sigma, u):
     v -> <u, v> maps n_sigma onto g Z with kernel n_rho, so with U the
     transform of the Hermite form of the column (<u, b>)_b over the basis,
     U's row 0 combines the basis into w with <u, w> = g, and its other rows
-    into a basis of n_rho.  ValueError if u vanishes on n_sigma."""
+    into a basis of n_rho.  ValueError if u vanishes on n_sigma.  Cached
+    on (n_sigma, u), u a tuple: the cells of a cycle share few direction
+    lattices and facet normals."""
     h, t = hnf([[dot(u, b)] for b in n_sigma.basis])
     if h[0][0] == 0:
         raise ValueError("outward functional does not separate across the facet")
@@ -418,4 +449,4 @@ def primitive_outward(n_sigma, n_rho, outward_functional):
         raise ValueError("rho is not of codimension one in sigma")
     if not all(member(b, n_sigma) and dot(outward_functional, b) == 0 for b in n_rho.basis):
         raise ValueError("n_rho is not a sublattice of n_sigma on the facet hyperplane")
-    return _facet_split(n_sigma, outward_functional)[0]
+    return _facet_split(n_sigma, tuple(outward_functional))[0]

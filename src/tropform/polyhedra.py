@@ -17,7 +17,9 @@ and t > 0 (as lrs and cdd do): directions, the affine hull and the canonical
 facet inequalities need no rational arithmetic, and Fractions are built
 only for the stored vertices, keys and constants.  The hull equalities are
 the orthogonal complement of the raw directions, and the direction lattice
-is the complement of those, both read off Hermite forms with no Smith form.
+is the complement of those, both read off Hermite forms with no Smith form
+and computed once per distinct set of directions (``lattice._hull``, a
+cache of 4096 entries), as is the split across each facet.
 Identity of cells is decided through a canonical key built from the V-data,
 which makes complex validation and deduplication deterministic; a
 polyhedron hashes its key once.  What balancing and boundary integrals need
@@ -35,13 +37,12 @@ from math import gcd, lcm
 from operator import and_
 
 from .lattice import (
-    Lattice,
     _facet_split,
+    _hull,
     dot,
     full_lattice,
     integer_row,
     lattice_from_rows,
-    orthogonal_complement,
     primitive,
     reduce_echelon,
     saturate,
@@ -352,15 +353,8 @@ def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis, kept):
         dirs = [primitive([a * t0 - b * t for a, b in zip(x, x0)])
                 for x, t in map(_integral, verts[1:])] + list(rec) + list(lin_basis)
         # affine hull equalities: HNF basis of the orthogonal complement of
-        # the directions.  The direction lattice is the complement of the
-        # complement, with no elimination where one side is Z^r: a vertex
-        # (no directions) or a full-dimensional cell (no equalities).
-        if dirs:
-            comp = orthogonal_complement(dirs, ambient_dim)
-            dir_lat = Lattice(ambient_dim, orthogonal_complement(comp, ambient_dim)) \
-                if comp else full_lattice(ambient_dim)
-        else:
-            comp, dir_lat = full_lattice(ambient_dim).basis, Lattice(ambient_dim, ())
+        # the directions; the direction lattice is the complement of those
+        comp, dir_lat = _hull(dirs, ambient_dim)
         equalities, fixed = sorted((e, Fraction(dot(e, x0), t0)) for e in comp), 0
     else:
         equalities, dir_lat, fixed = kept.equalities, kept.direction_lattice, len(kept.halfspaces)

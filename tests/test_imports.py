@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, no library
 module imports inside a function body, every definition of the library is
 referenced somewhere, a public one that the library and perfbench do not
-reference is named in README as user API, and every function the perfbench
-tracer wraps by name is defined.
+reference is named in README as user API, every function the perfbench
+tracer wraps by name is defined, and every ``functools`` cache that lives
+as long as the process and takes arguments is bounded.
 
 Stdlib-only scans with ``ast``.  An imported name counts as used when it
 appears as a name anywhere in its module.  A top-level function, class or
@@ -235,3 +236,74 @@ def test_traced_names_are_library_functions():
         defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
         missing += ["%s.%s" % (module, name) for name in names if name not in defined]
     assert missing == []
+
+
+def _maxsize(decorator, constants):
+    """The maxsize of a functools cache decorator: an int, None for an
+    unbounded cache or a maxsize that is not an int constant, and False
+    when the decorator is no functools cache.  ``lru_cache`` keeps 128
+    entries unless told otherwise."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    name = getattr(target, "id", getattr(target, "attr", None))
+    if name == "cache":
+        return None
+    if name != "lru_cache":
+        return False
+    if call is None:
+        return 128
+    args = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+    if not args:
+        return 128
+    value = args[0]
+    if isinstance(value, ast.Name):
+        value = constants.get(value.id)
+    return value.value if isinstance(value, ast.Constant) and type(value.value) is int \
+        else None
+
+
+def _unbounded_caches(source):
+    """(line, name) of each function at module level or in a top-level
+    class that takes arguments and has a functools cache of no finite
+    maxsize.  A module-level name bound to an int literal counts as that
+    int.  Such a cache lives as long as the process; a cache on a function
+    nested in another is made anew by each call and freed when it returns,
+    so the call's own work bounds it, and it is not scanned."""
+    tree = ast.parse(source)
+    constants = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+                 for t in node.targets if isinstance(t, ast.Name)}
+    scanned = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    scanned += [m for node in tree.body if isinstance(node, ast.ClassDef)
+                for m in node.body if isinstance(m, ast.FunctionDef)]
+    out = []
+    for fn in scanned:
+        a = fn.args
+        if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+            continue
+        for d in fn.decorator_list:
+            size = _maxsize(d, constants)
+            if size is None:
+                out.append((fn.lineno, fn.name))
+    return out
+
+
+def test_checker_flags_an_unbounded_cache():
+    source = ("import functools\nfrom functools import cache, lru_cache\n_SIZE = 64\n"
+              "@cache\ndef parser():\n    pass\n"
+              "@cache\ndef a(x):\n    pass\n"
+              "@functools.lru_cache(maxsize=None)\ndef b(x):\n    pass\n"
+              "@lru_cache(None)\ndef c(*xs):\n    pass\n"
+              "@lru_cache(maxsize=_SIZE)\ndef d(x):\n    pass\n"
+              "@lru_cache\ndef e(x):\n    pass\n"
+              "@functools.lru_cache(1 << 10)\ndef f(x):\n    pass\n"
+              "class A:\n    @functools.cache\n    def g(self):\n        pass\n"
+              "def h(x):\n    @cache\n    def inner(y):\n        pass\n    return inner\n")
+    assert _unbounded_caches(source) == [(8, "a"), (11, "b"), (14, "c"), (23, "f"),
+                                         (27, "g")]
+
+
+def test_library_caches_are_bounded():
+    unbounded = ["%s:%d %s" % (path.name, line, name)
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for line, name in _unbounded_caches(path.read_text(encoding="utf-8"))]
+    assert unbounded == []

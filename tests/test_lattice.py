@@ -5,6 +5,7 @@ for indices and grid-point enumeration for saturation/membership.
 """
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -15,6 +16,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oracles import rational_kernel
 
 from tropform.lattice import (
+    Lattice,
+    _cached_hull,
+    _facet_split,
+    _hull,
     coords_in_basis,
     determinant,
     dot,
@@ -162,6 +167,13 @@ def test_primitive_outward_segment():
     # facet {1} of [0,1]: outward functional u = +1
     assert primitive_outward(n_sigma, n_rho, (1,)) == (1,)
     assert primitive_outward(n_sigma, n_rho, (-1,)) == (-1,)
+
+
+def test_primitive_outward_accepts_a_list():
+    # the normal is a key of the cached facet split, so it is made a tuple
+    n_sigma, n_rho = full_lattice(2), lattice_from_rows([[0, 1]], 2)
+    assert primitive_outward(n_sigma, n_rho, [2, 0]) == (1, 0)
+    assert primitive_outward(n_sigma, n_rho, (2, 0)) == (1, 0)
 
 
 def test_primitive_outward_generates_quotient(seed=3):
@@ -456,6 +468,47 @@ def test_orthogonal_complement_runs_no_elimination(monkeypatch):
     assert orthogonal_complement([], 2) == ((1, 0), (0, 1))
     assert orthogonal_complement([(0, 3), (2, 0)], 2) == ()
     assert calls == []
+
+
+def _shuffled_rows():
+    """(rows, other, r, u): integer rows in r = 1..4 as tuples, the same
+    rows permuted with some repeated, and an integer normal u."""
+    def build(case):
+        rows, r = case
+        rows = [tuple(row) for row in rows]
+        other = st.lists(st.sampled_from(rows), max_size=3).flatmap(
+            lambda extra: st.permutations(rows + extra)) if rows else st.just([])
+        u = st.tuples(*[st.integers(-3, 3)] * r)
+        return st.tuples(st.just(rows), other, st.just(r), u)
+    return _raw_rows().flatmap(build)
+
+
+def _assert_frozen_lattice(lat):
+    assert isinstance(lat, Lattice) and isinstance(lat.basis, tuple)
+    assert all(isinstance(b, tuple) for b in lat.basis)
+    with pytest.raises(FrozenInstanceError):
+        lat.basis = ()
+
+
+@ORACLE_SETTINGS
+@given(_shuffled_rows())
+def test_cached_kernels_match_their_computation(case):
+    rows, other, r, u = case
+    _cached_hull.cache_clear()
+    comp, n_sigma = _hull(rows, r)
+    # rows that differ only in order and repeats share one cache entry
+    assert _hull(other, r) == (comp, n_sigma)
+    assert _cached_hull.cache_info()[:2] == (1, 1)
+    assert _cached_hull.__wrapped__(rows, r) == (comp, n_sigma)
+    assert _cached_hull.__wrapped__(other, r) == (comp, n_sigma)
+    assert isinstance(comp, tuple) and all(isinstance(e, tuple) for e in comp)
+    _assert_frozen_lattice(n_sigma)
+    assume(any(dot(u, b) for b in n_sigma.basis))
+    w, n_rho = _facet_split(n_sigma, u)
+    assert (w, n_rho) == _facet_split.__wrapped__(n_sigma, list(u))
+    assert _facet_split(_hull(other, r)[1], u) is _facet_split(n_sigma, u)
+    assert isinstance(w, tuple) and all(type(x) is int for x in w)
+    _assert_frozen_lattice(n_rho)
 
 
 @ORACLE_SETTINGS
