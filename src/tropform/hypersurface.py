@@ -110,6 +110,6 @@ def corner_locus(tp):
         candidates = [(vec_sub(u[:-1], ui[:-1]), c - ci) for (u, c), _, _ in near]
         incidence = [(_restrict(vs, vi), _restrict(rs, ri)) for _, vs, rs in near]
         cell = _assemble(r, candidates, incidence, [verts[k] for k in vi],
-                         [rays[k] for k in ri], lin, None)
+                         [rays[k] for k in ri], lin)
         weighted.append((cell, gcd(*vec_sub(gamma.halfspaces[j][0], ui))))
     return WeightedComplex(weighted)

@@ -365,22 +365,33 @@ def emit(obj, kind=None):
     return _dumps(doc)
 
 
-def _int_limit(what):
-    return SchemaError("$: %s longer than %d digits, the int conversion limit "
-                       "(sys.get_int_max_str_digits())" % (what, sys.get_int_max_str_digits()))
-
-
 def _dumps(doc):
-    """The JSON text of a document, indented by 2.  An integer in it (a
-    weight, a normal entry) longer than CPython's limit on int conversion
-    raises SchemaError naming the limit, as an input one does in
-    :func:`parse`."""
+    """The JSON text of a document, indented by 2, with every integer in it
+    (a weight, a normal entry) written in full at any size."""
     try:
         return json.dumps(doc, indent=2) + "\n"
     except ValueError:
         # the one ValueError json.dumps raises on a document with no float
-        # and no cycle
-        raise _int_limit("integer in the output")
+        # and no cycle: an int past CPython's limit on int conversion
+        return _json(doc, "\n") + "\n"
+
+
+def _json(value, newline):
+    """``json.dumps(value, indent=2)`` with ints written by :func:`_int_str`;
+    ``newline`` is the line break and indent the value starts at."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return _int_str(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = ["%s: %s" % (json.dumps(k), _json(v, inner)) for k, v in value.items()]
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [_json(v, inner) for v in value], "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
 
 
 def parse(text, expect=None):
@@ -400,7 +411,8 @@ def parse(text, expect=None):
                          % (e.lineno, e.colno, e.msg))
     except ValueError:
         # the one other ValueError json.loads raises
-        raise _int_limit("integer literal")
+        raise SchemaError("$: integer literal longer than %d digits, the int conversion "
+                          "limit (sys.get_int_max_str_digits())" % sys.get_int_max_str_digits())
     except RecursionError:
         raise ValueError("document nested too deeply to parse")
     if not isinstance(obj, dict):

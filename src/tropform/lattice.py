@@ -7,14 +7,14 @@ form, so equal lattices have identical representations.  That basis is
 echelon: reductions in it use :func:`reduce_echelon`, and an index is a
 ratio of pivot products.  The Hermite form is the integer elimination
 behind every lattice operation: orthogonal complements are read off its
-transform, a saturation is the complement of the complement, and the
-Smith form alternates row and column Hermite forms.  The kernels that
-every polyhedron and every facet record call, the affine hull of a set
-of direction rows (:func:`_hull`), the facet split of a direction
-lattice (:func:`_facet_split`) and :func:`full_lattice`, are computed
-once per distinct integer input: each keeps its last ``_CACHE_SIZE`` =
-4096 results, tuples and frozen lattices, in a least-recently-used
-cache, as the cells of a cycle share few direction spaces.  A
+transform, and the Smith form alternates row and column Hermite forms.
+The kernels that every polyhedron and every facet record call, the
+affine hull of a set of direction rows (:func:`_hull`), the facet split
+of a direction lattice (:func:`_facet_split`) and :func:`full_lattice`,
+are computed once per distinct integer input: each keeps its last
+``_CACHE_SIZE`` = 4096 results, tuples and frozen lattices, in a
+least-recently-used cache, as the cells of a cycle share few direction
+spaces; a saturation is the hull's direction lattice, from that cache.  A
 determinant is Bareiss' fraction-free reduction: the Gram system of
 :func:`reduce_mod_lattice` is solved with it by Cramer's rule.  General
 rational elimination (:func:`in_span`) and substitution in pivot order
@@ -332,11 +332,10 @@ def member(v, lat):
 
 def saturate(lat):
     """Saturation span_R(lat) cap Z^r, the orthogonal complement of the
-    orthogonal complement of lat; idempotent."""
-    if lat.rank == 0:  # the lineality of most polyhedra: skip four HNFs
+    orthogonal complement of lat (:func:`_hull`); idempotent."""
+    if lat.rank == 0:  # the lineality of most polyhedra: skip the cache
         return lat
-    r = lat.ambient_rank
-    return Lattice(r, orthogonal_complement(orthogonal_complement(lat.basis, r), r))
+    return _hull(lat.basis, lat.ambient_rank)[1]
 
 
 def _hull(dirs, r):

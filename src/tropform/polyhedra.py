@@ -6,14 +6,13 @@ an exact double description method (DD), which also yields the rows tight at
 each vertex and ray; either conversion runs it once.  A cut of a polyhedron
 by halfspaces (``intersect``, and ``from_halfspaces`` as the cut of R^r)
 continues the DD of the polyhedron's homogenized cone over the new rows
-alone, and when the cut keeps the dimension and the lineality it keeps the
-polyhedron's hull: its equalities, direction lattice and canonical facet
-inequalities are not computed again.  A built polyhedron keeps the
-vertex-facet incidence, as a vertex and a ray bitmask per facet: its
-facets are chosen from it combinatorially, and its faces and triangulations
-are read off it with no further double description and no dot products.
-Cells are assembled on integers, a vertex v taken as x / t with x integer
-and t > 0 (as lrs and cdd do): directions, the affine hull and the canonical
+alone; it finds an empty intersection the same way.  A built polyhedron
+keeps the vertex-facet incidence, as a vertex and a ray bitmask per facet:
+its facets are chosen from it combinatorially, and its faces and
+triangulations are read off it with no further double description and no
+dot products.  Every cell, built, cut or read off as a facet, is assembled
+on integers by ``_assemble``, a vertex v taken as x / t with x integer and
+t > 0 (as lrs and cdd do): directions, the affine hull and the canonical
 facet inequalities need no rational arithmetic, and Fractions are built
 only for the stored vertices, keys and constants.  The hull equalities are
 the orthogonal complement of the raw directions, and the direction lattice
@@ -32,9 +31,7 @@ needed, is built alone from the same position (``_facet``) and kept too.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
-from operator import and_
 
 from .lattice import (
     _facet_split,
@@ -259,11 +256,9 @@ def _cut(p, halfspaces):
     each vertex x / t as (x, t) and each ray d as (d, 0).  In a ray's mask,
     bit k stands for p's facet k, bit K = len(p.halfspaces) for t >= 0
     and bit K + 1 + j for new row j; p's equalities hold at every generator
-    and need no bit.  When no line is eliminated and no row is tight at
-    every generator, the result spans p's affine hull: it keeps p's
-    equalities, direction lattice and lineality, and those of p's facets
-    that remain facets are canonical already.  Otherwise the hull is
-    computed anew."""
+    and need no bit.  The lines left span the lineality of the cut, which
+    is assembled as any cell is, p's facets and the new rows its
+    candidate facets."""
     r, k = p.ambient_dim, len(p.halfspaces)
     cuts, rows = [], []
     for u, c in halfspaces:
@@ -279,22 +274,19 @@ def _cut(p, halfspaces):
     left, gens, masks = dual_description(rows, lines, gens, masks, 2 << k)
     if not any(g[-1] > 0 for g in gens):
         return EMPTY
-    candidates = p.halfspaces + tuple(cuts)
     bits = [1 << j for j in range(k)] + [2 << (k + j) for j in range(len(cuts))]
-    if len(left) == len(lines) and not reduce(and_, masks):
-        return _from_incidence(r, candidates, bits, zip(gens, masks), p.lineality, p)
     # lines always have t == 0 (they satisfy -t <= 0 and t unbounded both ways)
     lin = saturate(lattice_from_rows([l[:-1] for l in left], r))
-    return _from_incidence(r, candidates, bits, zip(gens, masks), lin.basis, None)
+    return _from_incidence(r, p.halfspaces + tuple(cuts), bits, zip(gens, masks), lin.basis)
 
 
-def _from_incidence(ambient_dim, candidates, bits, tight, lin_basis, kept):
+def _from_incidence(ambient_dim, candidates, bits, tight, lin_basis):
     """Assemble from pairs (g, m) in ``tight``: g = (x, t) a homogeneous
     generator of a minimal face, t > 0 for a vertex x / t and t == 0 for a
     ray, and m the bitmask of the candidates tight at g (candidate j has bit
     ``bits[j]``).  Vertices and rays are reduced modulo the lineality
     ``lin_basis``; generators equal modulo the lineality are tight at the
-    same candidates.  ``kept`` is passed on to ``_assemble``."""
+    same candidates."""
     vert_rows, ray_rows = {}, {}
     for g, m in tight:
         x, t = g[:-1], g[-1]
@@ -307,7 +299,7 @@ def _from_incidence(ambient_dim, candidates, bits, tight, lin_basis, kept):
     verts, vert_rows = zip(*sorted(vert_rows.items()))
     rec, ray_rows = zip(*sorted(ray_rows.items())) if ray_rows else ((), ())
     incidence = [(_select(vert_rows, b), _select(ray_rows, b)) for b in bits]
-    return _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis, kept)
+    return _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis)
 
 
 def _select(row_masks, bit):
@@ -335,7 +327,7 @@ def _maximal(masks):
     return [g for g in masks if not any(g | h == h and g != h for h in masks)]
 
 
-def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis, kept):
+def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis):
     """Finish construction: affine hull, canonical facets, computed on
     integers; Fractions are built only for the equality and facet constants.
 
@@ -343,21 +335,15 @@ def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis, kept):
     vertices and rays on the hyperplane of ``candidates[j]`` as bitmasks
     over them.  Every candidate is valid and every facet is cut out by some
     candidate, so a candidate defines a facet exactly when its face is
-    nonempty, proper and inclusion-maximal among the candidates' faces.
-    ``kept``, if not None, is a polyhedron of the same affine hull whose
-    facets lead the candidates: the cell takes its equalities and direction
-    lattice, and those facets are canonical on it already."""
-    if kept is None:
-        # v - v0 is a positive multiple of x t0 - x0 t for v = x / t, v0 = x0 / t0
-        x0, t0 = _integral(verts[0])
-        dirs = [primitive([a * t0 - b * t for a, b in zip(x, x0)])
-                for x, t in map(_integral, verts[1:])] + list(rec) + list(lin_basis)
-        # affine hull equalities: HNF basis of the orthogonal complement of
-        # the directions; the direction lattice is the complement of those
-        comp, dir_lat = _hull(dirs, ambient_dim)
-        equalities, fixed = sorted((e, Fraction(dot(e, x0), t0)) for e in comp), 0
-    else:
-        equalities, dir_lat, fixed = kept.equalities, kept.direction_lattice, len(kept.halfspaces)
+    nonempty, proper and inclusion-maximal among the candidates' faces."""
+    # v - v0 is a positive multiple of x t0 - x0 t for v = x / t, v0 = x0 / t0
+    x0, t0 = _integral(verts[0])
+    dirs = [primitive([a * t0 - b * t for a, b in zip(x, x0)])
+            for x, t in map(_integral, verts[1:])] + list(rec) + list(lin_basis)
+    # affine hull equalities: HNF basis of the orthogonal complement of
+    # the directions; the direction lattice is the complement of those
+    comp, dir_lat = _hull(dirs, ambient_dim)
+    equalities = sorted((e, Fraction(dot(e, x0), t0)) for e in comp)
     # stored sorted, the equalities run in reverse HNF order; facets are
     # reduced by their rows (d.den e, d.num) in HNF order
     hull = [[x * c.denominator for x in e] + [c.numerator] for e, c in reversed(equalities)]
@@ -371,8 +357,7 @@ def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis, kept):
             proper.setdefault(face, j)
     facets = {}
     for face in _maximal(proper):
-        j = proper[face]
-        normal, const = candidates[j] if j < fixed else _canonical_halfspace(*candidates[j], hull)
+        normal, const = _canonical_halfspace(*candidates[proper[face]], hull)
         facets[normal] = (const, face & ((1 << nv) - 1), face >> nv)
     hs = sorted(facets.items())
     return Polyhedron(ambient_dim, [(u, c) for u, (c, _, _) in hs], equalities, verts, rec,
@@ -415,8 +400,7 @@ def from_generators(points, rays=(), lines=(), ambient_dim=None):
     cand = [i for i, a in enumerate(drays) if any(a[:-1])]
     return _from_incidence(ambient_dim, [(drays[i][:-1], -drays[i][-1]) for i in cand],
                            [1 << i for i in cand],
-                           [(g, m) for g, m in zip(gens, tight) if m in extreme], lin.basis,
-                           None)
+                           [(g, m) for g, m in zip(gens, tight) if m in extreme], lin.basis)
 
 
 def intersect(p, q):
@@ -428,8 +412,6 @@ def intersect(p, q):
         raise ValueError("polyhedra in different ambient spaces do not intersect")
     if _inside(p, q):
         return p
-    if _separated(p, q) or _separated(q, p):
-        return EMPTY
     return _cut(p, q.all_halfspaces())
 
 
@@ -440,17 +422,6 @@ def _inside(p, q):
     return (all(dot(u, d) <= 0 for d in p.rays for u, _ in hs)
             and all(dot(u, l) == 0 for l in p.lineality for u, _ in hs)
             and all(map(q.contains, p.vertices)))
-
-
-def _separated(p, q):
-    """True if q lies strictly beyond some halfspace of p: every vertex of q
-    strictly, every ray weakly, the lineality parallel to its hyperplane.
-    A vertex v is compared as the integer vector x = t v, t > 0."""
-    verts = [_integral(v) for v in q.vertices]
-    return any(all(dot(u, x) * c.denominator > c.numerator * t for x, t in verts)
-               and all(dot(u, r) >= 0 for r in q.rays)
-               and all(dot(u, l) == 0 for l in q.lineality)
-               for u, c in p.all_halfspaces())
 
 
 def affine_image(linear_rows, translate, p):
@@ -487,7 +458,7 @@ def _facet(p, i):
                      for vs, rs in zip(p.facet_vertices, p.facet_rays)]
         p._facets[i] = _assemble(p.ambient_dim, p.halfspaces, incidence,
                                  [p.vertices[k] for k in vi], [p.rays[k] for k in ri],
-                                 p.lineality, None)
+                                 p.lineality)
     return p._facets[i]
 
 

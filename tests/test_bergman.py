@@ -19,9 +19,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import witness_faces
+from conftest import box, rand_form, witness_faces
 
-from tropform.cycle import WeightedComplex, check_balancing, pushforward
+from tropform.cycle import WeightedComplex, check_balancing, projection_check, pushforward
 from tropform.lattice import lattice_from_rows, reduce_mod_lattice, vec_neg
 from tropform.polyhedra import from_generators
 from tropform.superform import AffineMap
@@ -138,3 +138,30 @@ def _fans_and_maps(draw):
 def test_pushforwards_of_bergman_fans_are_balanced(case):
     wc, f = case
     assert check_balancing(pushforward(f, wc)) == []
+
+
+# (k, n, the linear part of an invertible map of R^(n-1), of determinant
+# +-2): the image of one ray or cone has lattice index 2, so the
+# push-forward has a piece of weight 2 inside the window
+PROJECTIONS = [
+    (2, 4, [[2, 1, 0], [0, 1, 0], [0, 0, 1]]),
+    (2, 4, [[1, 1, 0], [1, -1, 0], [0, 1, 1]]),
+    (2, 5, [[1, 0, 1, 0], [0, 2, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]]),
+    (3, 5, [[1, 1, 0, 0], [0, 2, 0, 1], [0, 0, 1, 0], [0, 0, 1, 1]]),
+]
+
+
+@pytest.mark.parametrize("k, n, linear", PROJECTIONS)
+def test_projection_formula_on_bergman_fans(k, n, linear):
+    """The projection formula for a curve in R^3, a curve in R^4 and a
+    surface in R^4: a random (d, d)-form, d = k - 1, integrates over the
+    push-forward truncated to a box as its pullback does over the fan
+    truncated to the preimage of the box."""
+    rng = random.Random(10 * k + n)
+    wc = bergman_fan(uniform(k, n), random_apex(rng, n))
+    f = AffineMap(linear, [Fraction(rng.randint(-1, 1)) for _ in range(n - 1)])
+    a = rand_form(rng, n - 1, k - 1, k - 1, deg=1)
+    window = box(n - 1, -6, 6)
+    assert 2 in [m for _, m in pushforward(f, wc).truncated(window).weighted_cells()]
+    left, right = projection_check(f, wc, a, window)
+    assert left == right != 0
