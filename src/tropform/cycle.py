@@ -13,10 +13,11 @@ associated Dirac supercurrent is d'-closed (and d''-closed).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .lattice import (
+    _linear_image,
     dot,
-    lattice_from_rows,
     lattice_index,
     member,
     primitive,
@@ -58,8 +59,17 @@ class WeightedComplex:
             if w != m:
                 raise ValueError("weight %s is not an integer" % m)
             self._weights[c] = self._weights.get(c, 0) + w
-        # sorted once: the cells never change after construction
-        self._cells = sorted(self._weights.items(), key=lambda cm: cm[0].key())
+        # sorted once, as the cells never change after construction, in the
+        # order of their keys, compared on ints: every vertex coordinate is
+        # scaled to the common denominator of all of them
+        den = lcm(*{x.denominator for c in self._weights for v in c.vertices for x in v})
+
+        def order(cm):
+            c = cm[0]
+            return (c.ambient_dim, c.lineality,
+                    [[x.numerator * (den // x.denominator) for x in v] for v in c.vertices],
+                    c.rays)
+        self._cells = sorted(self._weights.items(), key=order)
         if len(set(c.ambient_dim for c in self._weights)) > 1:
             raise ValueError("weighted cells must lie in one ambient space")
         dims = set(c.dim for c in self._weights)
@@ -239,24 +249,22 @@ def current_eval(cur, a, window):
 # ---------------------------------------------------------------------------
 # push-forward
 
-def _image_lattice(f, lat):
-    """Image of a lattice under the integer linear part of f (not saturated)."""
-    return lattice_from_rows([f.apply_linear(b) for b in lat.basis], f.codomain_dim)
-
-
 def pushforward(f, wc):
     """Push-forward of a weighted complex along an integral affine map, as a
     cycle represented up to refinement.
 
-    The n-dimensional images of the maximal cells are grouped by affine
-    hull and overlaid within each hull: an image is cut by the facet
+    The n-dimensional images of the maximal cells, those on which the map
+    is injective, are read off the cells' vertex-facet incidence with no
+    double description (``affine_image``), grouped by affine hull and
+    overlaid within each hull: an image is cut by the facet
     hyperplanes of the images that share its hull, only where one crosses
     the relative interior.  Each piece receives the weight
     sum [N_piece : F(N_cell)] * m_cell over the cells whose image covers it.
     Pieces of different hulls are not cut against each other, so they may
     meet in part of a face.  Cells with rank F(N_cell) < n have
     lower-dimensional image and are dropped; the result may be the zero
-    cycle."""
+    cycle.  The rank and F(N_cell) come from ``lattice._linear_image``,
+    which ``affine_image`` reads too."""
     cells = wc.maximal_cells()
     if cells and cells[0].ambient_dim != f.domain_dim:
         raise ValueError("map domain is R^%d but the cycle lies in R^%d"
@@ -265,7 +273,7 @@ def pushforward(f, wc):
     for cell, m in wc.weighted_cells():
         if m == 0:
             continue
-        sub = _image_lattice(f, cell.direction_lattice)
+        sub = _linear_image(f.linear, cell.direction_lattice)[0]
         if sub.rank == wc.dim:
             img = affine_image(f.linear, f.translate, cell)
             weight = m * lattice_index(sub, img.direction_lattice)
@@ -302,7 +310,7 @@ def projection_check(f, wc, a, window):
     for cell, m in wc.weighted_cells():
         if m == 0:
             continue
-        if _image_lattice(f, cell.direction_lattice).rank < n:
+        if _linear_image(f.linear, cell.direction_lattice)[0].rank < n:
             continue  # pullback form restricts to zero on such cells
         dom = intersect(cell, pre)
         if dom.is_empty or dom.dim < n:

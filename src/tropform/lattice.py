@@ -10,8 +10,10 @@ behind every lattice operation: orthogonal complements are read off its
 transform, and the Smith form alternates row and column Hermite forms.
 The kernels that every polyhedron and every facet record call, the
 affine hull of a set of direction rows (:func:`_hull`), the facet split
-of a direction lattice (:func:`_facet_split`) and :func:`full_lattice`,
-are computed once per distinct integer input: each keeps its last
+of a direction lattice (:func:`_facet_split`), the image of a direction
+lattice under a linear map with the facet normals' map when it is
+injective (:func:`_linear_image`) and :func:`full_lattice`, are computed
+once per distinct integer input: each keeps its last
 ``_CACHE_SIZE`` = 4096 results, tuples and frozen lattices, in a
 least-recently-used cache, as the cells of a cycle share few direction
 spaces; a saturation is the hull's direction lattice, from that cache.  A
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import mul
 
 # entries kept by each of the caches on the pure integer kernels below
 _CACHE_SIZE = 4096
@@ -37,7 +40,7 @@ _CACHE_SIZE = 4096
 # small vector/matrix helpers (integers or Fractions)
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_sub(a, b):
@@ -433,6 +436,31 @@ def _facet_split(n_sigma, u):
     w, *rest = ([dot(row, col) for col in cols] for row in t)
     n_rho = Lattice(n_sigma.ambient_rank, tuple(map(tuple, hnf(rest)[0])))
     return tuple(int(x) for x in reduce_mod_lattice(w, n_rho)), n_rho
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _linear_image(a, n):
+    """(A N, S, P) for the integer map A, a tuple of rows, and the lattice
+    N: A N is the image lattice in Hermite form, not saturated.  When A is
+    injective on N, S holds the pivot columns of A N and P the integer rows
+    sign(det M) adj(M) B, with B the basis of N and M the square matrix of
+    the columns S of the rows A b, b in B.  Then for any integer vector u,
+    the vector u' that is P u on S and 0 elsewhere has <u', A b> =
+    |det M| <u, b> for every b in N, as M P = |det M| B.  S and P are None
+    when A is not injective on N.  Cached on (A, N): the cells of a cycle
+    share few direction lattices."""
+    rows = [[dot(row, b) for row in a] for b in n.basis]
+    image = lattice_from_rows(rows, len(a))
+    if image.rank < n.rank:
+        return image, None, None
+    pivots = tuple(next(i for i, x in enumerate(b) if x) for b in image.basis)
+    m = [[row[i] for i in pivots] for row in rows]
+    adj = [[(-1) ** (i + j) * determinant([row[:i] + row[i + 1:]
+                                           for k, row in enumerate(m) if k != j])
+            for j in range(len(m))] for i in range(len(m))]
+    sign = 1 if determinant(m) > 0 else -1
+    p = tuple(tuple(sign * dot(col, c) for col in zip(*n.basis)) for c in adj)
+    return image, pivots, p
 
 
 def primitive_outward(n_sigma, n_rho, outward_functional):

@@ -3,7 +3,10 @@
 Polyhedra are intersections of halfspaces <u, x> <= c with integer normals u
 and rational constants c.  Conversion between H- and V-representations uses
 an exact double description method (DD), which also yields the rows tight at
-each vertex and ray; either conversion runs it once.  A cut of a polyhedron
+each vertex and ray; either conversion runs it once.  An affine image
+along a map injective on the polyhedron runs none: it keeps the
+polyhedron's incidence, with facet normals mapped through
+``lattice._linear_image``.  A cut of a polyhedron
 by halfspaces (``intersect``, and ``from_halfspaces`` as the cut of R^r)
 continues the DD of the polyhedron's homogenized cone over the new rows
 alone; it finds an empty intersection the same way.  A built polyhedron
@@ -36,6 +39,7 @@ from math import gcd, lcm
 from .lattice import (
     _facet_split,
     _hull,
+    _linear_image,
     dot,
     full_lattice,
     integer_row,
@@ -426,23 +430,43 @@ def _inside(p, q):
 
 def affine_image(linear_rows, translate, p):
     """Image of p under x -> A x + tau (A integer matrix given by rows).
-    A vertex v = x / t (x integer, t > 0) maps to (A x + t tau) / t, on
-    ints, with one Fraction per output coordinate."""
+
+    Where A is injective on p's direction lattice N, the image is affinely
+    isomorphic to p and has p's vertex-facet incidence, so it is assembled
+    from that incidence with no double description: a vertex x / t (x
+    integer, t > 0) maps to the generator (A x D + t tau D, t D), D the
+    common denominator of tau, a ray d to A d and the lineality to the
+    saturation of its image; each generator keeps its facet mask.  The
+    facet <u, x> <= c of p becomes the candidate <u', y> <= c', u' from
+    ``lattice._linear_image`` (<u', A b> is a positive multiple of <u, b>
+    on N) and c' its value at a vertex of the facet.  Elsewhere the face
+    lattice changes, and the image is the hull of the mapped generators."""
     if p.is_empty:
         return EMPTY
-    out_dim = len(linear_rows)
+    a = tuple(map(tuple, linear_rows))
     shift = [Fraction(c) for c in translate]
-
-    def apply(v):
-        x, t = _integral(v)
-        return tuple(Fraction(dot(row, x) * c.denominator + t * c.numerator, t * c.denominator)
-                     for row, c in zip(linear_rows, shift))
-
-    def apply_lin(v):
-        return tuple(dot(row, v) for row in linear_rows)
-
-    return from_generators([apply(v) for v in p.vertices], [apply_lin(r) for r in p.rays],
-                           [apply_lin(l) for l in p.lineality], ambient_dim=out_dim)
+    d = lcm(*(c.denominator for c in shift))
+    tau = [c.numerator * (d // c.denominator) for c in shift]
+    verts = [tuple(dot(row, x) * d + t * c for row, c in zip(a, tau)) + (t * d,)
+             for x, t in map(_integral, p.vertices)]
+    rays = [tuple(dot(row, r) for row in a) for r in p.rays]
+    lines = [tuple(dot(row, l) for row in a) for l in p.lineality]
+    _, pivots, to_image = _linear_image(a, p.direction_lattice)
+    if pivots is None:
+        points = [tuple(Fraction(y, g[-1]) for y in g[:-1]) for g in verts]
+        return from_generators(points, rays, lines, ambient_dim=len(a))
+    cands = []
+    for (u, _), vs in zip(p.halfspaces, p.facet_vertices):
+        w = [0] * len(a)
+        for i, row in zip(pivots, to_image):
+            w[i] = dot(row, u)
+        g = verts[(vs & -vs).bit_length() - 1]
+        cands.append((w, Fraction(dot(w, g[:-1]), g[-1])))
+    tight = [(g, _select(p.facet_vertices, 1 << i)) for i, g in enumerate(verts)]
+    tight += [(r + (0,), _select(p.facet_rays, 1 << i)) for i, r in enumerate(rays)]
+    lin = saturate(lattice_from_rows(lines, len(a)))
+    return _from_incidence(len(a), cands, [1 << j for j in range(len(cands))], tight,
+                           lin.basis)
 
 
 def _facet(p, i):

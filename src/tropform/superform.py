@@ -454,9 +454,6 @@ class AffineMap:
         return tuple(sum(Fraction(a) * Fraction(x) for a, x in zip(row, point)) + t
                      for row, t in zip(self.linear, self.translate))
 
-    def apply_linear(self, v):
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.linear)
-
     def compose(self, other):
         """self after other."""
         return AffineMap(mat_mul(self.linear, other.linear), self.apply(other.translate))

@@ -64,6 +64,19 @@ MUTANTS = (
            "    if False:\n        raise CheckFailure(text)",
            ("tests/test_cli.py::test_cli_check_balancing",
             "tests/test_cli.py::test_cli_validate_reports_structured_violations")),
+    Mutant("image-normal-without-the-sign-of-det",
+           "src/tropform/lattice.py",
+           "sign = 1 if determinant(m) > 0 else -1",
+           "sign = 1",
+           ("tests/test_cycle.py::test_pushforward_preserves_balancing",
+            "tests/test_acceptance.py::test_criterion_06_pushforward_balanced",
+            "tests/test_bergman.py::test_pushforwards_of_bergman_fans_are_balanced",
+            "tests/test_polyhedra.py::test_affine_image_is_the_hull_of_the_mapped_vertices")),
+    Mutant("image-candidate-is-the-cell-normal",
+           "src/tropform/polyhedra.py",
+           "cands.append((w, Fraction(dot(w, g[:-1]), g[-1])))",
+           "cands.append((u, Fraction(dot(u, g[:-1]), g[-1])))",
+           ("tests/test_polyhedra.py::test_affine_image_is_the_hull_of_the_mapped_vertices",)),
     Mutant("full_lattice-unbounded-cache",
            "src/tropform/lattice.py",
            "@lru_cache(maxsize=_CACHE_SIZE)\ndef full_lattice(r):",
