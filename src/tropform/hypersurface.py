@@ -75,8 +75,8 @@ def corner_locus(tp):
     attain the minimum somewhere.  A ridge is an inclusion-maximal
     nonempty meet of two facet masks.  On the ridge of the facets of m_i
     and m_j, the other facets' rows read <m_i - m_k, x> <= c_k - c_i, so
-    they are the candidate facets of the cell, with their masks as
-    incidence; vertices and rays drop t and are reduced modulo the
+    they are the candidate facets of the cell, with their masks on the
+    ridge as incidence; vertices and rays drop t and are reduced modulo the
     projected lineality of Gamma, which is nonzero when the exponents span
     less than R^r.  The weight is the lattice length of m_i - m_j."""
     r = tp.ambient_dim
@@ -88,28 +88,24 @@ def corner_locus(tp):
     lin = lattice_from_rows([l[:-1] for l in gamma.lineality], r).basis
     verts = [_reduce_mod_rows(*_integral(v[:-1]), lin) for v in gamma.vertices]
     rays = [primitive(reduce_echelon(d[:-1], lin)[1]) for d in gamma.rays]
-    # a face of Gamma is one int: its vertex mask, then its ray mask
-    nv = len(verts)
-    all_verts = (1 << nv) - 1
-    facets = list(zip(gamma.halfspaces, gamma.facet_vertices, gamma.facet_rays))
-    masks = [vs | rs << nv for _, vs, rs in facets]
+    gens, vertex_bits = verts + rays, (1 << len(verts)) - 1
+    masks = gamma.facet_masks
     meets = {}
     for i, j in combinations(range(len(masks)), 2):
         meet = masks[i] & masks[j]
-        if meet & all_verts:
+        if meet & vertex_bits:
             meets.setdefault(meet, (i, j))
     weighted = []
     for ridge in _maximal(meets):
         i, j = meets[ridge]
-        vi = sorted(_bits(ridge & all_verts), key=verts.__getitem__)
-        ri = sorted(_bits(ridge >> nv), key=rays.__getitem__)
+        vi = sorted(_bits(ridge & vertex_bits), key=gens.__getitem__)
+        ri = sorted(_bits(ridge & ~vertex_bits), key=gens.__getitem__)
         ui, ci = gamma.halfspaces[i]
         # only facets through a vertex of the ridge can cut out a facet of
         # it; the facets of m_i and m_j hold all of it and are not proper
-        near = [f for f, m in zip(facets, masks) if m & ridge & all_verts]
-        candidates = [(vec_sub(u[:-1], ui[:-1]), c - ci) for (u, c), _, _ in near]
-        incidence = [(_restrict(vs, vi), _restrict(rs, ri)) for _, vs, rs in near]
-        cell = _assemble(r, candidates, incidence, [verts[k] for k in vi],
-                         [rays[k] for k in ri], lin)
+        near = [(h, m) for h, m in zip(gamma.halfspaces, masks) if m & ridge & vertex_bits]
+        candidates = [(vec_sub(u[:-1], ui[:-1]), c - ci) for (u, c), _ in near]
+        cell = _assemble(r, candidates, [_restrict(m, vi + ri) for _, m in near],
+                         [gens[k] for k in vi], [gens[k] for k in ri], lin)
         weighted.append((cell, gcd(*vec_sub(gamma.halfspaces[j][0], ui))))
     return WeightedComplex(weighted)

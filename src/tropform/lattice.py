@@ -336,8 +336,6 @@ def member(v, lat):
 def saturate(lat):
     """Saturation span_R(lat) cap Z^r, the orthogonal complement of the
     orthogonal complement of lat (:func:`_hull`); idempotent."""
-    if lat.rank == 0:  # the lineality of most polyhedra: skip the cache
-        return lat
     return _hull(lat.basis, lat.ambient_rank)[1]
 
 

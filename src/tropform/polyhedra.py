@@ -10,10 +10,10 @@ polyhedron's incidence, with facet normals mapped through
 by halfspaces (``intersect``, and ``from_halfspaces`` as the cut of R^r)
 continues the DD of the polyhedron's homogenized cone over the new rows
 alone; it finds an empty intersection the same way.  A built polyhedron
-keeps the vertex-facet incidence, as a vertex and a ray bitmask per facet:
-its facets are chosen from it combinatorially, and its faces and
-triangulations are read off it with no further double description and no
-dot products.  Every cell, built, cut or read off as a facet, is assembled
+keeps the vertex-facet incidence, one bitmask per facet over its vertices,
+then its rays: its facets are chosen from it combinatorially, and its faces
+and triangulations are read off it with no further double description and
+no dot products.  Every cell, built, cut or read off as a facet, is assembled
 on integers by ``_assemble``, a vertex v taken as x / t with x integer and
 t > 0 (as lrs and cdd do): directions, the affine hull and the canonical
 facet inequalities need no rational arithmetic, and Fractions are built
@@ -143,20 +143,20 @@ class Polyhedron:
     ``vertices`` are the canonical base points of the minimal faces (reduced
     modulo the lineality space), sorted; ``rays`` the primitive extreme ray
     representatives, sorted; ``lineality`` an HNF basis of the lineality
-    lattice.  ``facet_vertices[i]`` and ``facet_rays[i]`` are the vertices
-    and rays on the facet ``halfspaces[i]``, as bitmasks over ``vertices``
-    and ``rays`` (bit k stands for index k); every line lies on every facet.
+    lattice.  ``facet_masks[i]`` holds the generators on the facet
+    ``halfspaces[i]`` as a bitmask over ``vertices + rays`` (bit k for
+    index k, the vertices on the low bits); every line lies on every facet.
     """
 
     is_empty = False
     # no per-instance dict: face caches keep many small polyhedra alive
     __slots__ = ("ambient_dim", "halfspaces", "equalities", "vertices", "rays", "lineality",
-                 "direction_lattice", "facet_vertices", "facet_rays", "dim",
+                 "direction_lattice", "facet_masks", "dim",
                  "_facets", "_records", "_moments", "_key", "_hash",
                  "__weakref__")
 
     def __init__(self, ambient_dim, halfspaces, equalities, vertices, rays, lineality,
-                 direction_lattice, facet_vertices, facet_rays):
+                 direction_lattice, facet_masks):
         self.ambient_dim = ambient_dim
         self.halfspaces = tuple(halfspaces)      # canonical facet inequalities
         self.equalities = tuple(equalities)      # canonical affine-hull equations
@@ -164,8 +164,7 @@ class Polyhedron:
         self.rays = tuple(rays)
         self.lineality = tuple(lineality)
         self.direction_lattice = direction_lattice
-        self.facet_vertices = tuple(facet_vertices)
-        self.facet_rays = tuple(facet_rays)
+        self.facet_masks = tuple(facet_masks)
         self.dim = self.direction_lattice.rank
         self._facets = None      # _facet, by position, on first use
         self._records = None     # _facet_records, on first use
@@ -248,7 +247,7 @@ def from_halfspaces(halfspaces, ambient_dim):
     """Polyhedron from inequalities <u, x> <= c; returns EMPTY if infeasible.
     It is R^r cut by them (``_cut``)."""
     zero, space = (Fraction(0),) * ambient_dim, full_lattice(ambient_dim)
-    return _cut(Polyhedron(ambient_dim, (), (), (zero,), (), space.basis, space, (), ()),
+    return _cut(Polyhedron(ambient_dim, (), (), (zero,), (), space.basis, space, ()),
                 halfspaces)
 
 
@@ -273,8 +272,7 @@ def _cut(p, halfspaces):
         rows.append(tuple(x * c.denominator for x in u) + (-c.numerator,))
     lines = [l + (0,) for l in p.lineality]
     gens = [tuple(x) + (t,) for x, t in map(_integral, p.vertices)] + [d + (0,) for d in p.rays]
-    masks = [_select(p.facet_vertices, 1 << i) for i in range(len(p.vertices))]
-    masks += [_select(p.facet_rays, 1 << i) | 1 << k for i in range(len(p.rays))]
+    masks = [_select(p.facet_masks, 1 << i) | (g[-1] == 0) << k for i, g in enumerate(gens)]
     left, gens, masks = dual_description(rows, lines, gens, masks, 2 << k)
     if not any(g[-1] > 0 for g in gens):
         return EMPTY
@@ -302,8 +300,8 @@ def _from_incidence(ambient_dim, candidates, bits, tight, lin_basis):
                 ray_rows[d] = m
     verts, vert_rows = zip(*sorted(vert_rows.items()))
     rec, ray_rows = zip(*sorted(ray_rows.items())) if ray_rows else ((), ())
-    incidence = [(_select(vert_rows, b), _select(ray_rows, b)) for b in bits]
-    return _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis)
+    masks = [_select(vert_rows + ray_rows, b) for b in bits]
+    return _assemble(ambient_dim, candidates, masks, verts, rec, lin_basis)
 
 
 def _select(row_masks, bit):
@@ -331,15 +329,16 @@ def _maximal(masks):
     return [g for g in masks if not any(g | h == h and g != h for h in masks)]
 
 
-def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis):
+def _assemble(ambient_dim, candidates, masks, verts, rec, lin_basis):
     """Finish construction: affine hull, canonical facets, computed on
     integers; Fractions are built only for the equality and facet constants.
 
-    ``verts`` and ``rec`` are sorted, and ``incidence[j]`` holds the
-    vertices and rays on the hyperplane of ``candidates[j]`` as bitmasks
-    over them.  Every candidate is valid and every facet is cut out by some
-    candidate, so a candidate defines a facet exactly when its face is
-    nonempty, proper and inclusion-maximal among the candidates' faces."""
+    ``verts`` and ``rec`` are sorted, and ``masks[j]`` holds the generators
+    on the hyperplane of ``candidates[j]`` as a bitmask over ``verts + rec``,
+    as ``facet_masks`` does.  Every candidate is valid and every facet is
+    cut out by some candidate, so a candidate defines a facet exactly when
+    its face holds a vertex, is proper and is inclusion-maximal among the
+    candidates' faces."""
     # v - v0 is a positive multiple of x t0 - x0 t for v = x / t, v0 = x0 / t0
     x0, t0 = _integral(verts[0])
     dirs = [primitive([a * t0 - b * t for a, b in zip(x, x0)])
@@ -351,22 +350,18 @@ def _assemble(ambient_dim, candidates, incidence, verts, rec, lin_basis):
     # stored sorted, the equalities run in reverse HNF order; facets are
     # reduced by their rows (d.den e, d.num) in HNF order
     hull = [[x * c.denominator for x in e] + [c.numerator] for e, c in reversed(equalities)]
-    # a face is one int: its vertex mask, then its ray mask shifted past it
-    nv = len(verts)
-    everything = (1 << (nv + len(rec))) - 1
+    vertex_bits, everything = (1 << len(verts)) - 1, (1 << (len(verts) + len(rec))) - 1
     proper = {}
-    for j, (vs, rs) in enumerate(incidence):
-        face = vs | rs << nv
-        if vs and face != everything:
+    for j, face in enumerate(masks):
+        if face & vertex_bits and face != everything:
             proper.setdefault(face, j)
     facets = {}
     for face in _maximal(proper):
         normal, const = _canonical_halfspace(*candidates[proper[face]], hull)
-        facets[normal] = (const, face & ((1 << nv) - 1), face >> nv)
+        facets[normal] = (const, face)
     hs = sorted(facets.items())
-    return Polyhedron(ambient_dim, [(u, c) for u, (c, _, _) in hs], equalities, verts, rec,
-                      lin_basis, dir_lat, [vs for _, (_, vs, _) in hs],
-                      [rs for _, (_, _, rs) in hs])
+    return Polyhedron(ambient_dim, [(u, c) for u, (c, _) in hs], equalities, verts, rec,
+                      lin_basis, dir_lat, [face for _, (_, face) in hs])
 
 
 def from_generators(points, rays=(), lines=(), ambient_dim=None):
@@ -388,6 +383,8 @@ def from_generators(points, rays=(), lines=(), ambient_dim=None):
         return EMPTY
     if ambient_dim is None:
         ambient_dim = len(points[0])
+    if any(len(g) != ambient_dim for g in (*points, *rays, *lines)):
+        raise ValueError("generator length does not match ambient dimension")
     gens = [tuple(x) + (t,) for x, t in map(_integral, points)]
     gens += [primitive(r) + (0,) for r in rays]
     for l in lines:
@@ -456,14 +453,15 @@ def affine_image(linear_rows, translate, p):
         points = [tuple(Fraction(y, g[-1]) for y in g[:-1]) for g in verts]
         return from_generators(points, rays, lines, ambient_dim=len(a))
     cands = []
-    for (u, _), vs in zip(p.halfspaces, p.facet_vertices):
+    for (u, _), m in zip(p.halfspaces, p.facet_masks):
         w = [0] * len(a)
         for i, row in zip(pivots, to_image):
             w[i] = dot(row, u)
-        g = verts[(vs & -vs).bit_length() - 1]
+        # the lowest bit of a facet is a vertex
+        g = verts[(m & -m).bit_length() - 1]
         cands.append((w, Fraction(dot(w, g[:-1]), g[-1])))
-    tight = [(g, _select(p.facet_vertices, 1 << i)) for i, g in enumerate(verts)]
-    tight += [(r + (0,), _select(p.facet_rays, 1 << i)) for i, r in enumerate(rays)]
+    gens = verts + [r + (0,) for r in rays]
+    tight = [(g, _select(p.facet_masks, 1 << i)) for i, g in enumerate(gens)]
     lin = saturate(lattice_from_rows(lines, len(a)))
     return _from_incidence(len(a), cands, [1 << j for j in range(len(cands))], tight,
                            lin.basis)
@@ -471,19 +469,24 @@ def affine_image(linear_rows, translate, p):
 
 def _facet(p, i):
     """The facet of p on ``halfspaces[i]``, a canonical polyhedron read off
-    the incidence: the candidates for its facets are the facet
-    inequalities of p, tight on it where their masks meet its own.  It is
-    built on first use and kept on p."""
+    the incidence: its candidate facets are the facet inequalities of p,
+    with their masks restricted to its generators.  It is built on first
+    use and kept on p."""
     if p._facets is None:
         p._facets = [None] * len(p.halfspaces)
     if p._facets[i] is None:
-        vi, ri = _bits(p.facet_vertices[i]), _bits(p.facet_rays[i])
-        incidence = [(_restrict(vs, vi), _restrict(rs, ri))
-                     for vs, rs in zip(p.facet_vertices, p.facet_rays)]
-        p._facets[i] = _assemble(p.ambient_dim, p.halfspaces, incidence,
-                                 [p.vertices[k] for k in vi], [p.rays[k] for k in ri],
-                                 p.lineality)
+        on = _bits(p.facet_masks[i])
+        p._facets[i] = _assemble(p.ambient_dim, p.halfspaces,
+                                 [_restrict(m, on) for m in p.facet_masks],
+                                 *_generators(p, on), p.lineality)
     return p._facets[i]
+
+
+def _generators(p, positions):
+    """The vertices, then the rays of p at the given positions."""
+    nv = len(p.vertices)
+    return (tuple(p.vertices[k] for k in positions if k < nv),
+            tuple(p.rays[k - nv] for k in positions if k >= nv))
 
 
 def facets(p):
@@ -502,10 +505,9 @@ def _facet_records(p):
     on first use and kept on p as a tuple."""
     if p._records is None:
         out = []
-        for (u, _), vs, rs in zip(p.halfspaces, p.facet_vertices, p.facet_rays):
+        for (u, _), m in zip(p.halfspaces, p.facet_masks):
             omega, n_rho = _facet_split(p.direction_lattice, u)
-            key = (p.ambient_dim, p.lineality, tuple(p.vertices[k] for k in _bits(vs)),
-                   tuple(p.rays[k] for k in _bits(rs)))
+            key = (p.ambient_dim, p.lineality) + _generators(p, _bits(m))
             out.append((key, n_rho, omega))
         p._records = tuple(out)
     return p._records
@@ -649,7 +651,7 @@ def triangulate(p):
     if not p.is_bounded:
         raise ValueError("cannot triangulate an unbounded polyhedron")
     verts = p.vertices
-    simplices = _place((1 << len(verts)) - 1, p.dim, p.facet_vertices)
+    simplices = _place((1 << len(verts)) - 1, p.dim, p.facet_masks)
     return [tuple(verts[i] for i in s) for s in simplices]
 
 

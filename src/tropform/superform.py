@@ -441,6 +441,8 @@ class AffineMap:
         self.translate = tuple(Fraction(x) for x in translate)
         if len(self.linear) != len(self.translate):
             raise ValueError("linear part and translate disagree on codomain")
+        if len(set(map(len, self.linear))) > 1:
+            raise ValueError("rows of the linear part differ in length")
 
     @property
     def codomain_dim(self):

@@ -53,3 +53,20 @@ def brute_force_vertices(halfspaces, r):
         if all(dot(u, x) <= c for u, c in halfspaces):
             out.add(tuple(x))
     return out
+
+
+def equal_up_to_refinement(fine, coarse):
+    """True when the weighted complex fine refines coarse within each affine
+    hull and both represent one cycle: at the relative interior point of
+    every cell of fine, the weights of the cells of coarse in its hull that
+    contain the point sum to its weight, and every cell of coarse contains
+    the relative interior point of some cell of fine in its hull."""
+    coarse_cells = coarse.weighted_cells()
+    points = []
+    for p, m in fine.weighted_cells():
+        x = p.rel_interior_point()
+        points.append((p.equalities, x))
+        if sum(w for q, w in coarse_cells if q.equalities == p.equalities and q.contains(x)) != m:
+            return False
+    return all(any(e == q.equalities and q.contains(x) for e, x in points)
+               for q, _ in coarse_cells)

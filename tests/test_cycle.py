@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import box, dense_terms, rand_form, segment, witness_faces
+from oracles import equal_up_to_refinement
 
 from tropform import io as tio
 from tropform import cycle, integrate, polyhedra
@@ -336,23 +337,6 @@ def _cycle_and_map(draw):
             loci == 1 and invertible)
 
 
-def _equal_up_to_refinement(fine, coarse):
-    """True when the weighted complex fine refines coarse within each affine
-    hull and both represent one cycle: at the relative interior point of
-    every cell of fine, the weights of the cells of coarse in its hull that
-    contain the point sum to its weight, and every cell of coarse contains
-    the relative interior point of some cell of fine in its hull."""
-    coarse_cells = coarse.weighted_cells()
-    points = []
-    for p, m in fine.weighted_cells():
-        x = p.rel_interior_point()
-        points.append((p.equalities, x))
-        if sum(w for q, w in coarse_cells if q.equalities == p.equalities and q.contains(x)) != m:
-            return False
-    return all(any(e == q.equalities and q.contains(x) for e, x in points)
-               for q, _ in coarse_cells)
-
-
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_cycle_and_map())
 def test_pushforward_matches_pairwise_refinement(case):
@@ -362,16 +346,16 @@ def test_pushforward_matches_pairwise_refinement(case):
     # it, so its pieces refine the new ones; without crossings they agree
     if no_crossing:
         assert tio.emit(new) == tio.emit(oracle)
-    assert _equal_up_to_refinement(oracle, new)
+    assert equal_up_to_refinement(oracle, new)
 
 
 def test_equal_up_to_refinement_tells_cycles_apart():
     whole = WeightedComplex([(segment((0,), (2,)), 1)])
     halves = WeightedComplex([(segment((0,), (1,)), 1), (segment((1,), (2,)), 1)])
-    assert _equal_up_to_refinement(halves, whole)
-    assert not _equal_up_to_refinement(
+    assert equal_up_to_refinement(halves, whole)
+    assert not equal_up_to_refinement(
         WeightedComplex([(segment((0,), (1,)), 1), (segment((1,), (2,)), 2)]), whole)
-    assert not _equal_up_to_refinement(
+    assert not equal_up_to_refinement(
         halves, WeightedComplex([(segment((0,), (2,)), 1), (segment((3,), (4,)), 1)]))
 
 

@@ -8,6 +8,8 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import equal_up_to_refinement
+
 from tropform import io as tio
 from tropform import polyhedra
 from tropform.cycle import WeightedComplex, check_balancing
@@ -165,12 +167,12 @@ def _oracle_corner_locus(tp):
 
 
 @st.composite
-def _tropical_polynomials(draw):
+def _tropical_polynomials(draw, r=None, convention=None):
     """Supports in R^1, R^2, R^3 spanning a line, a plane or everything,
     with negative exponents and rational coefficients, under both
-    conventions.  A support spanning less than R^r gives a hypograph with
-    lineality."""
-    r = draw(st.integers(1, 3))
+    conventions, or in the given R^r under the given convention.  A support
+    spanning less than R^r gives a hypograph with lineality."""
+    r = draw(st.integers(1, 3)) if r is None else r
     span = draw(st.integers(1, r))
     small = st.integers(-2, 2)
     base = draw(st.tuples(*[small] * r))
@@ -181,12 +183,12 @@ def _tropical_polynomials(draw):
     assume(len(support) >= 2)
     coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
     return tropical_polynomial([(m, draw(coeff)) for m in support], r,
-                               draw(st.sampled_from(["min", "max"])))
+                               convention or draw(st.sampled_from(["min", "max"])))
 
 
 def _cells(wc):
     return [(c.key(), c.halfspaces, c.equalities, c.direction_lattice.basis,
-             c.facet_vertices, c.facet_rays, m) for c, m in wc.weighted_cells()]
+             c.facet_masks, m) for c, m in wc.weighted_cells()]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -195,6 +197,35 @@ def test_corner_locus_matches_pairwise_construction(tp):
     got, want = corner_locus(tp), _oracle_corner_locus(tp)
     assert tio.emit(got) == tio.emit(want)
     assert _cells(got) == _cells(want)
+
+
+def _tropical_product(f, g):
+    """f ⊙ g: exponents add and coefficients add, and of the sums at one
+    exponent the min (or max) is kept."""
+    best = min if f.convention == "min" else max
+    terms = {}
+    for (m, c), (n, d) in product(f.terms, g.terms):
+        e = tuple(a + b for a, b in zip(m, n))
+        terms[e] = best(terms.get(e, c + d), c + d)
+    return tropical_polynomial(terms.items(), f.ambient_dim, f.convention)
+
+
+@st.composite
+def _tropical_pairs(draw):
+    f = draw(_tropical_polynomials())
+    return f, draw(_tropical_polynomials(f.ambient_dim, f.convention))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_tropical_pairs())
+def test_corner_locus_is_multiplicative(pair):
+    """V(f ⊙ g) = V(f) + V(g) as cycles: the locus of the product refines
+    the two loci taken together, with the weights of overlapping cells
+    added.  In f ⊙ f every cell overlaps, and its weight doubles."""
+    f, g = pair
+    for h in (g, f):
+        both = WeightedComplex(corner_locus(f).weighted_cells() + corner_locus(h).weighted_cells())
+        assert equal_up_to_refinement(corner_locus(_tropical_product(f, h)), both)
 
 
 def test_corner_locus_runs_one_double_description(monkeypatch):

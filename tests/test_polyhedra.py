@@ -391,11 +391,12 @@ def _rank_facets(candidates, p):
 
 
 def _dot_incidence(p):
-    """Vertex and ray masks of every facet of p, by dot products."""
-    return ([sum(1 << k for k, v in enumerate(p.vertices) if dot(u, v) == c)
-             for u, c in p.halfspaces],
-            [sum(1 << k for k, r in enumerate(p.rays) if dot(u, r) == 0)
-             for u, c in p.halfspaces])
+    """The mask of every facet of p over its vertices, then its rays, by dot
+    products."""
+    nv = len(p.vertices)
+    return [sum(1 << k for k, v in enumerate(p.vertices) if dot(u, v) == c)
+            | sum(1 << nv + k for k, r in enumerate(p.rays) if dot(u, r) == 0)
+            for u, c in p.halfspaces]
 
 
 @st.composite
@@ -430,13 +431,13 @@ def test_facets_chosen_by_incidence_match_rank_test(case):
     todo = [p]
     while todo:
         q = todo.pop()
-        assert (list(q.facet_vertices), list(q.facet_rays)) == _dot_incidence(q)
+        assert list(q.facet_masks) == _dot_incidence(q)
         for f in facets(q):
             assert f.halfspaces == _rank_facets(q.halfspaces, f)
             todo.append(f)
     for codim in range(p.dim + 1):
         for f in faces(p, codim):
-            assert (list(f.facet_vertices), list(f.facet_rays)) == _dot_incidence(f)
+            assert list(f.facet_masks) == _dot_incidence(f)
 
 
 @ORACLE_SETTINGS
@@ -766,7 +767,7 @@ def _generator_sets(draw):
 
 
 def _canonical_with_incidence(p):
-    return _canonical(p) + (p.facet_vertices, p.facet_rays)
+    return _canonical(p) + (p.facet_masks,)
 
 
 @ORACLE_SETTINGS
@@ -815,6 +816,15 @@ def test_from_generators_runs_one_double_description(monkeypatch):
     assert wedge.lineality == ((1, -1, 0),)
     assert wedge.vertices == ((0, 0, 0), (0, 1, 0))
     assert wedge.rays == ((0, 0, 1), (0, 2, 1))
+
+
+def test_from_generators_rejects_generators_of_another_dimension():
+    for points, rays, lines, r in [([(0, 0), (1, 1)], [(1, 0, 5)], [], None),
+                                   ([(0, 0), (1,)], [], [], None),
+                                   ([(0, 0), (1, 0)], [], [], 3),
+                                   ([(0, 0)], [], [(1, 1, 1)], 2)]:
+        with pytest.raises(ValueError, match="generator length"):
+            from_generators(points, rays, lines, r)
 
 
 def test_from_halfspaces_rejects_non_integral_normals():

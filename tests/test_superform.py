@@ -52,6 +52,12 @@ def test_affine_map_rejects_non_integral_linear_part():
     assert AffineMap([[Fraction(2), 1.0]], [0]).linear == ((2, 1),)
 
 
+def test_affine_map_rejects_ragged_linear_rows():
+    for rows in ([[1], [1, 2]], [[1, 0], [0]]):
+        with pytest.raises(ValueError, match="differ in length"):
+            AffineMap(rows, [0, 0])
+
+
 def test_polynomial_compose_affine():
     f = P(1, {(2,): 1})  # x^2
     # substitute x = 2t + 1
