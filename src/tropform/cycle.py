@@ -97,7 +97,7 @@ class WeightedComplex:
         pieces = []
         for c, m in self.weighted_cells():
             x = intersect(c, box)
-            if not x.is_empty and x.dim == self.dim:
+            if x.dim == self.dim:
                 pieces.append((x, m))
         return WeightedComplex(pieces)
 

@@ -236,10 +236,8 @@ def _parse_polyhedron(obj, path):
 
 def _parse_complex(obj, path):
     cells = _get(obj, "cells", path, list)
-    parsed = [_parse_polyhedron(c, "%s.cells[%d]" % (path, i))
-              for i, c in enumerate(cells)]
-    parsed = [p for p in parsed if not p.is_empty]
-    return complex_from_cells(parsed)
+    return complex_from_cells([_parse_polyhedron(c, "%s.cells[%d]" % (path, i))
+                               for i, c in enumerate(cells)])
 
 
 def _parse_weighted_complex(obj, path):
@@ -368,12 +366,7 @@ def emit(obj, kind=None):
 def _dumps(doc):
     """The JSON text of a document, indented by 2, with every integer in it
     (a weight, a normal entry) written in full at any size."""
-    try:
-        return json.dumps(doc, indent=2) + "\n"
-    except ValueError:
-        # the one ValueError json.dumps raises on a document with no float
-        # and no cycle: an int past CPython's limit on int conversion
-        return _json(doc, "\n") + "\n"
+    return _json(doc, "\n") + "\n"
 
 
 def _json(value, newline):

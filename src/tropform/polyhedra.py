@@ -6,14 +6,15 @@ an exact double description method (DD), which also yields the rows tight at
 each vertex and ray; either conversion runs it once.  An affine image
 along a map injective on the polyhedron runs none: it keeps the
 polyhedron's incidence, with facet normals mapped through
-``lattice._linear_image``.  A cut of a polyhedron
-by halfspaces (``intersect``, and ``from_halfspaces`` as the cut of R^r)
-continues the DD of the polyhedron's homogenized cone over the new rows
-alone; it finds an empty intersection the same way.  A built polyhedron
-keeps the vertex-facet incidence, one bitmask per facet over its vertices,
-then its rays: its facets are chosen from it combinatorially, and its faces
-and triangulations are read off it with no further double description and
-no dot products.  Every cell, built, cut or read off as a facet, is assembled
+``lattice._linear_image``.  A cut of a polyhedron by halfspaces
+(``intersect``, and ``from_halfspaces`` as the cut of R^r) continues the DD
+of the polyhedron's homogenized cone over the new rows that do not hold on
+it already, and is the polyhedron itself when none is left; it finds an
+empty intersection the same way.  A built polyhedron keeps the vertex-facet
+incidence, one bitmask per facet over its vertices, then its rays: its
+facets are chosen from it combinatorially, and its faces and triangulations
+are read off it with no further double description and no dot products.
+Every cell, built, cut or read off as a facet, is assembled
 on integers by ``_assemble``, a vertex v taken as x / t with x integer and
 t > 0 (as lrs and cdd do): directions, the affine hull and the canonical
 facet inequalities need no rational arithmetic, and Fractions are built
@@ -193,6 +194,8 @@ class Polyhedron:
         return not self.rays and not self.lineality
 
     def contains(self, point):
+        if len(point) != self.ambient_dim:
+            raise ValueError("point length does not match ambient dimension")
         x, t = _integral(point)
         return (all(dot(u, x) * c.denominator <= c.numerator * t for u, c in self.halfspaces)
                 and all(dot(e, x) * c.denominator == c.numerator * t
@@ -244,34 +247,41 @@ def _canonical_halfspace(u, c, hull):
 
 
 def from_halfspaces(halfspaces, ambient_dim):
-    """Polyhedron from inequalities <u, x> <= c; returns EMPTY if infeasible.
-    It is R^r cut by them (``_cut``)."""
+    """Polyhedron from inequalities <u, x> <= c, u integral and c rational;
+    EMPTY if infeasible.  It is R^r cut by them (``_cut``), and the one
+    entry that checks rows given from outside."""
+    rows = []
+    for u, c in halfspaces:
+        if len(u) != ambient_dim:
+            raise ValueError("normal length does not match ambient dimension")
+        rows.append((tuple(integer_row(u)), Fraction(c)))
     zero, space = (Fraction(0),) * ambient_dim, full_lattice(ambient_dim)
-    return _cut(Polyhedron(ambient_dim, (), (), (zero,), (), space.basis, space, ()),
-                halfspaces)
+    return _cut(Polyhedron(ambient_dim, (), (), (zero,), (), space.basis, space, ()), rows)
 
 
 def _cut(p, halfspaces):
-    """p cut by the inequalities <u, x> <= c; EMPTY if infeasible.
+    """p cut by the inequalities <u, x> <= c, u an integer tuple and c a
+    Fraction; p itself when each holds on p, EMPTY if infeasible.
 
-    The double description of p's homogenized cone is continued over the
-    new rows alone.  That cone has p's lineality as lines and, as rays,
-    each vertex x / t as (x, t) and each ray d as (d, 0).  In a ray's mask,
-    bit k stands for p's facet k, bit K = len(p.halfspaces) for t >= 0
-    and bit K + 1 + j for new row j; p's equalities hold at every generator
-    and need no bit.  The lines left span the lineality of the cut, which
-    is assembled as any cell is, p's facets and the new rows its
-    candidate facets."""
+    The double description of p's homogenized cone, with p's lineality as
+    lines and each vertex x / t as the ray (x, t), each ray d as (d, 0), is
+    continued over the rows that do not hold on p: those not 0 on every
+    line or not at most 0 on every ray.  In a ray's mask, bit k stands for
+    p's facet k, bit K = len(p.halfspaces) for t >= 0 and bit K + 1 + j for
+    kept row j; p's equalities hold at every generator and need no bit.
+    The lines left span the lineality of the cut, which is assembled as any
+    cell is, p's facets and the kept rows its candidate facets."""
     r, k = p.ambient_dim, len(p.halfspaces)
-    cuts, rows = [], []
-    for u, c in halfspaces:
-        if len(u) != r:
-            raise ValueError("normal length does not match ambient dimension")
-        u, c = tuple(integer_row(u)), Fraction(c)
-        cuts.append((u, c))
-        rows.append(tuple(x * c.denominator for x in u) + (-c.numerator,))
     lines = [l + (0,) for l in p.lineality]
     gens = [tuple(x) + (t,) for x, t in map(_integral, p.vertices)] + [d + (0,) for d in p.rays]
+    cuts, rows = [], []
+    for u, c in halfspaces:
+        g = tuple(x * c.denominator for x in u) + (-c.numerator,)
+        if any(dot(g, l) for l in lines) or any(dot(g, x) > 0 for x in gens):
+            cuts.append((u, c))
+            rows.append(g)
+    if not rows:
+        return p
     masks = [_select(p.facet_masks, 1 << i) | (g[-1] == 0) << k for i, g in enumerate(gens)]
     left, gens, masks = dual_description(rows, lines, gens, masks, 2 << k)
     if not any(g[-1] > 0 for g in gens):
@@ -406,23 +416,12 @@ def from_generators(points, rays=(), lines=(), ambient_dim=None):
 
 def intersect(p, q):
     """Intersection of two polyhedra (EMPTY allowed) in the same ambient
-    space; p itself when it lies in q, else p cut by q (``_cut``)."""
+    space: p cut by q (``_cut``), which is p itself when p lies in q."""
     if p.is_empty or q.is_empty:
         return EMPTY
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("polyhedra in different ambient spaces do not intersect")
-    if _inside(p, q):
-        return p
     return _cut(p, q.all_halfspaces())
-
-
-def _inside(p, q):
-    """True if p lies in q: every ray of p is in q's recession cone, every
-    line in q's lineality and every vertex in q."""
-    hs = q.all_halfspaces()
-    return (all(dot(u, d) <= 0 for d in p.rays for u, _ in hs)
-            and all(dot(u, l) == 0 for l in p.lineality for u, _ in hs)
-            and all(map(q.contains, p.vertices)))
 
 
 def affine_image(linear_rows, translate, p):
@@ -553,10 +552,6 @@ class Complex:
     def cells(self):
         return [self._cells[k] for k in sorted(self._cells)]
 
-    @property
-    def dim(self):
-        return max((c.dim for c in self._cells.values()), default=-1)
-
     def maximal_cells(self):
         """Cells that are no facet of another cell; the cells are closed
         under faces, so these are the cells in no other cell."""
@@ -567,16 +562,11 @@ class Complex:
     def __contains__(self, cell):
         return cell.key() in self._cells
 
-    def __len__(self):
-        return len(self._cells)
-
 
 def complex_from_cells(cells):
     """Complex generated by the given cells: add all their closed faces."""
     closed = {}
     for c in cells:
-        if c.is_empty:
-            continue
         for f in all_faces(c):
             closed[f.key()] = f
     return Complex(closed.values())
@@ -612,13 +602,7 @@ def validate_complex(cx):
 def _intersections(cx, cells):
     """Complex of the nonempty intersections of the maximal cells of cx with
     the given cells."""
-    pieces = []
-    for a in cx.maximal_cells():
-        for b in cells:
-            x = intersect(a, b)
-            if not x.is_empty:
-                pieces.append(x)
-    return complex_from_cells(pieces)
+    return complex_from_cells(intersect(a, b) for a in cx.maximal_cells() for b in cells)
 
 
 def refine(cx, dx):

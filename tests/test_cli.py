@@ -114,6 +114,24 @@ def test_emit_parse_emit_is_a_fixed_point(obj):
     assert tio.emit(tio.parse(text)) == text
 
 
+_JSON_KEYS = st.text(max_size=6)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=6), st.integers(),
+              # past 2048 bits, where ints are written in two parts, and
+              # below CPython's 4300-digit limit, where json.dumps writes them
+              st.builds(lambda sign, e: sign * 7 ** e, st.sampled_from([-1, 1]),
+                        st.integers(800, 1500))),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_JSON_KEYS, inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=4))
+def test_dumps_matches_json_dumps(doc):
+    assert tio._dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
 def test_rational_survives_exactly():
     form = basis_form(1, (0,), (0,), Polynomial(1, {(0,): Fraction(1, 3)}))
     text = tio.emit(form)

@@ -266,6 +266,19 @@ def test_projection_check_random(seed=47):
         done += 1
 
 
+def test_projection_check_skips_contracted_and_zero_weight_cells():
+    """The tropical line V(min(0, x, y)) pushed to the x-axis.  Its ray
+    (0, 1) is contracted, so F* a restricts to zero on it, and it meets the
+    preimage of the window in an unbounded set; a segment of weight 0 adds
+    nothing.  Both sides are the integral of x^2 + 3 over [-2, 2]."""
+    line = corner_locus(tropical_polynomial([((0, 0), 0), ((1, 0), 0), ((0, 1), 0)], 2))
+    assert [c.rays for c in line.maximal_cells()] == [((-1, -1),), ((0, 1),), ((1, 0),)]
+    wc = WeightedComplex(line.weighted_cells() + [(segment((0, 1), (1, 1)), 0)])
+    a = basis_form(1, (0,), (0,), P(1, {(2,): 1, (0,): 3}))
+    assert projection_check(AffineMap([[1, 0]], [0]), wc, a, box(1, -2, 2)) == \
+        (Fraction(52, 3), Fraction(52, 3))
+
+
 def _oracle_pushforward(f, wc):
     """Reference push-forward: images grouped by affine hull, every ordered
     pair of images intersected, and every cut applied to every piece as two

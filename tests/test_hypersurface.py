@@ -3,19 +3,29 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import box
 from oracles import equal_up_to_refinement
 
 from tropform import io as tio
 from tropform import polyhedra
-from tropform.cycle import WeightedComplex, check_balancing
+from tropform.cycle import Current, WeightedComplex, check_balancing, current_eval
 from tropform.hypersurface import corner_locus, tropical_polynomial
+from tropform.integrate import integrate_polytope
 from tropform.lattice import dot, vec_neg, vec_sub
-from tropform.polyhedra import from_generators, from_halfspaces
+from tropform.polyhedra import from_generators, from_halfspaces, intersect
+from tropform.superform import (
+    Polynomial,
+    basis_form,
+    d_prime,
+    d_second,
+    function_form,
+    wedge,
+)
 
 
 def test_tropical_line():
@@ -226,6 +236,49 @@ def test_corner_locus_is_multiplicative(pair):
     for h in (g, f):
         both = WeightedComplex(corner_locus(f).weighted_cells() + corner_locus(h).weighted_cells())
         assert equal_up_to_refinement(corner_locus(_tropical_product(f, h)), both)
+
+
+def _affine_function(m, c):
+    """<m, x> + c as a polynomial."""
+    r = len(m)
+    terms = {(0,) * r: c}
+    terms.update(((0,) * i + (1,) + (0,) * (r - i - 1), a) for i, a in enumerate(m))
+    return Polynomial(r, terms)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 2).flatmap(_tropical_polynomials))
+def test_poincare_lelong(tp):
+    """Tropical Poincaré–Lelong (Lagerberg, Math. Z. 270, 2012): for
+    phi = min_m (<m, x> + c_m), d'd''phi is minus the Dirac current of the
+    corner locus, and plus it for max.  On eta = b^2 d'x_I (x) d''x_J with
+    |I| = |J| = r - 1 and b = prod (x_i - lo)(hi - x_i), which vanishes
+    with its first derivatives on the boundary of W = [lo, hi]^r, the
+    integral of phi d'd''eta over W is the sum over the regions R_m, where
+    the term of m attains the min (or max), of the integrals of
+    <m, x> + c_m.  W holds every vertex of the locus strictly inside."""
+    r = tp.ambient_dim
+    sign = 1 if tp.convention == "min" else -1
+    wc = corner_locus(tp)
+    coords = [x for c in wc.maximal_cells() for v in c.vertices for x in v]
+    lo, hi = floor(min(coords)) - 1, ceil(max(coords)) + 1
+    window = box(r, lo, hi)
+    b = Polynomial.constant(r, 1)
+    for i in range(r):
+        x = Polynomial.variable(r, i)
+        b = b * (x - Polynomial.constant(r, lo)) * (Polynomial.constant(r, hi) - x)
+    regions = []
+    for m, c in tp.terms:
+        region = from_halfspaces([(tuple(sign * a for a in vec_sub(m, n)), sign * (d - c))
+                                  for n, d in tp.terms if n != m], r)
+        regions.append((intersect(region, window), function_form(_affine_function(m, c))))
+    for I in combinations(range(r), r - 1):
+        for J in combinations(range(r), r - 1):
+            eta = basis_form(r, I, J, b * b)
+            dd_eta = d_prime(d_second(eta))
+            left = sum(integrate_polytope(piece, wedge(phi_m, dd_eta))
+                       for piece, phi_m in regions if piece.dim == r)
+            assert left == -sign * current_eval(Current.dirac(wc), eta, window)
 
 
 def test_corner_locus_runs_one_double_description(monkeypatch):

@@ -97,6 +97,16 @@ def test_contains_and_rel_interior():
         assert s.contains(f.rel_interior_point())
 
 
+def test_contains_rejects_a_point_of_another_dimension():
+    # a dot product stops at the shorter vector, so (1/2,) would pass the
+    # unit square's rows on x alone
+    square = box(2)
+    for point in ((Fraction(1, 2),), (0, 0, 0)):
+        with pytest.raises(ValueError, match="point length does not match ambient dimension"):
+            square.contains(point)
+    assert square.contains((Fraction(1, 2), 0))
+
+
 def test_intersect():
     quad = from_halfspaces([((-1, 0), Fraction(0)), ((0, -1), Fraction(0))], 2)
     window = box(2, -1, 1)
@@ -830,6 +840,8 @@ def test_from_generators_rejects_generators_of_another_dimension():
 def test_from_halfspaces_rejects_non_integral_normals():
     with pytest.raises(ValueError, match="non-integral"):
         from_halfspaces([((Fraction(1, 2),), 1), ((-1,), 0)], 1)
+    with pytest.raises(ValueError, match="normal length does not match ambient dimension"):
+        from_halfspaces([((1,), 1), ((-1, 0), 0)], 1)
     # an integral Fraction is accepted: 0 <= x <= 2
     assert from_halfspaces([((Fraction(2),), 4), ((-1,), 0)], 1).vertices == ((0,), (2,))
 
