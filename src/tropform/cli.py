@@ -24,10 +24,8 @@ from .cycle import (
 from .hypersurface import corner_locus
 from .integrate import (
     green_residual,
-    integrate_boundary,
     integrate_complex,
     integrate_complex_boundary,
-    integrate_polytope,
     stokes_residual,
 )
 from .polyhedra import faces, intersect, refine, truncate, validate_complex
@@ -104,12 +102,8 @@ def _cmd_check_balancing(args):
 
 def _cmd_integrate(args):
     """``integrate`` and ``integrate-boundary``, told apart by args.command."""
-    domain = _truncated(args.domain, args.window)
-    if args.command == "integrate":
-        cell, cells = integrate_polytope, integrate_complex
-    else:
-        cell, cells = integrate_boundary, integrate_complex_boundary
-    value = (cells if hasattr(domain, "weighted_cells") else cell)(domain, args.form)
+    integral = integrate_complex if args.command == "integrate" else integrate_complex_boundary
+    value = integral(_truncated(args.domain, args.window), args.form)
     return _report(args.command, {"value": tio.rational_str(value)})
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .lattice import (
+    _integral,
     _linear_image,
     dot,
     lattice_index,
@@ -29,7 +30,6 @@ from .polyhedra import (
     _cut,
     _facet,
     _facet_records,
-    _integral,
     affine_image,
     check_window,
     from_halfspaces,

@@ -22,11 +22,17 @@ from itertools import combinations
 from math import gcd
 
 from .cycle import WeightedComplex
-from .lattice import integer_row, lattice_from_rows, primitive, reduce_echelon, vec_sub
+from .lattice import (
+    _integral,
+    integer_row,
+    lattice_from_rows,
+    primitive,
+    reduce_echelon,
+    vec_sub,
+)
 from .polyhedra import (
     _assemble,
     _bits,
-    _integral,
     _maximal,
     _reduce_mod_rows,
     _restrict,

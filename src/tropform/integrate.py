@@ -201,34 +201,32 @@ def integrate_boundary(sigma, eta):
                 for i, (_, _, omega) in enumerate(_facet_records(sigma))), Fraction(0))
 
 
-def _weighted_sum(wc, integral, form):
-    """sum_sigma m_sigma integral(sigma, form) over the maximal cells of wc,
-    which must all be bounded."""
-    cells = wc.weighted_cells()
+def _weighted_sum(domain, integral, form):
+    """sum_sigma m_sigma integral(sigma, form) over the maximal cells of a
+    weighted complex, all bounded; a polyhedron, EMPTY too, is one cell."""
+    if not hasattr(domain, "weighted_cells"):
+        return integral(domain, form)
+    cells = domain.weighted_cells()
     if not all(cell.is_bounded for cell, _ in cells):
         raise ValueError("truncate the complex before integrating")
     return sum((m * integral(cell, form) for cell, m in cells if m), Fraction(0))
 
 
-def integrate_complex(wc, a):
-    """Weighted integral sum_sigma m_sigma int_sigma a over the maximal cells."""
-    return _weighted_sum(wc, integrate_polytope, a)
+def integrate_complex(domain, a):
+    """sum_sigma m_sigma int_sigma a; a polyhedron is one cell of weight 1."""
+    return _weighted_sum(domain, integrate_polytope, a)
 
 
-def integrate_complex_boundary(wc, eta):
-    """Weighted boundary integral sum_sigma m_sigma int_{boundary sigma} eta."""
-    return _weighted_sum(wc, integrate_boundary, eta)
+def integrate_complex_boundary(domain, eta):
+    """sum_sigma m_sigma int_{boundary sigma} eta; a polyhedron is one cell."""
+    return _weighted_sum(domain, integrate_boundary, eta)
 
 
 def stokes_residual(domain, eta_prime, eta_second):
-    """(int d'eta' - int_boundary eta', int d''eta'' - int_boundary eta'');
-    both are exactly zero by Stokes' formula.  ``domain`` is a bounded
-    polyhedron or a weighted complex of bounded cells."""
-    if hasattr(domain, "weighted_cells"):
-        whole, boundary = integrate_complex, integrate_complex_boundary
-    else:
-        whole, boundary = integrate_polytope, integrate_boundary
-    return tuple(whole(domain, d(eta)) - boundary(domain, eta)
+    """(int d'eta' - int_boundary eta', int d''eta'' - int_boundary eta'')
+    over a bounded polyhedron or a weighted complex of bounded cells, as in
+    ``integrate_complex``; both are exactly zero by Stokes' formula."""
+    return tuple(integrate_complex(domain, d(eta)) - integrate_complex_boundary(domain, eta)
                  for d, eta in ((d_prime, eta_prime), (d_second, eta_second)))
 
 

@@ -135,15 +135,14 @@ def rational_str(x):
 
 def _emit_polyhedron(p):
     if p.is_empty:
-        return {"ambient_dim": getattr(p, "ambient_dim", 0),
-                "halfspaces": [], "equalities": [], "empty": True}
+        return {"ambient_dim": 0, "halfspaces": [], "equalities": [], "empty": True}
     return {
         "ambient_dim": p.ambient_dim,
         "halfspaces": [{"u": list(u), "c": rational_str(c)}
                        for u, c in p.halfspaces],
         "equalities": [{"u": list(u), "c": rational_str(c)}
                        for u, c in p.equalities],
-        "empty": bool(p.is_empty),
+        "empty": False,
     }
 
 
@@ -295,7 +294,10 @@ def _parse_superform(obj, path):
 
 def _parse_map(obj, path):
     k = _dimension(obj, "domain_dim", path)
-    r = _dimension(obj, "codomain_dim", path)
+    here = "%s.codomain_dim" % path
+    r = _integer(_get(obj, "codomain_dim", path), here)
+    if not 1 <= r <= MAX_DIM:
+        _fail(here, "must be between 1 and %d, got %d" % (MAX_DIM, r))
     linear = _get(obj, "linear", path, list)
     if len(linear) != r:
         _fail("%s.linear" % path, "expected %d rows" % r)

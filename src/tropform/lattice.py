@@ -1,7 +1,8 @@
 """Exact integer and rational linear algebra for lattice computations.
 
-Everything here is over Z or Q; no floating point is used anywhere so that
-downstream residuals (Stokes, Green, balancing) come out exactly zero.
+Everything here is over Z or Q, with no floating point, so that residuals
+(Stokes, Green, balancing) come out exactly zero; a rational vector is
+cleared of denominators in one place, :func:`_integral`.
 Lattices are sublattices of Z^r given by basis rows kept in Hermite normal
 form, so equal lattices have identical representations.  That basis is
 echelon: reductions in it use :func:`reduce_echelon`, and an index is a
@@ -67,13 +68,17 @@ def integer_row(v):
     return row
 
 
+def _integral(point):
+    """(x, t) with point = x / t: x a list of ints, t > 0 the least common denominator."""
+    t = lcm(*(x.denominator for x in point))
+    return [x.numerator * (t // x.denominator) for x in point], t
+
+
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
-    if not b:
-        return [[] for _ in a]
     cols = len(b[0])
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
             for i in range(len(a))]
@@ -145,10 +150,9 @@ def determinant(rows):
     the integer matrix is reduced by Bareiss' fraction-free elimination, in
     which every division is exact."""
     m, scale = [], 1
-    for row in rows:
-        d = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (d // x.denominator) for x in row])
-        scale *= d
+    for row, t in map(_integral, rows):
+        m.append(row)
+        scale *= t
     n, sign, prev = len(m), 1, 1
     for k in range(n - 1):
         if not m[k][k]:
@@ -398,11 +402,8 @@ def reduce_mod_lattice(v, lat):
     v = w / t for w integral, the coordinates solve the integer Gram system
     G c = B w / t, so by Cramer's rule c_k = det G_k / (t det G), G_k being
     G with column k replaced by B w, and det G > 0."""
-    if lat.rank == 0:
-        return tuple(Fraction(x) for x in v)
     b = lat.basis
-    t = lcm(*(x.denominator for x in v))
-    w = [x.numerator * (t // x.denominator) for x in v]
+    w, t = _integral(v)
     gram = [[dot(x, y) for y in b] for x in b]
     rhs = [dot(x, w) for x in b]
     scale = t * determinant(gram)

@@ -35,11 +35,12 @@ needed, is built alone from the same position (``_facet``) and kept too.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .lattice import (
     _facet_split,
     _hull,
+    _integral,
     _linear_image,
     dot,
     full_lattice,
@@ -57,9 +58,6 @@ class EmptyPolyhedron:
 
     is_empty = True
     dim = -1
-
-    def key(self):
-        return ("empty",)
 
     def __repr__(self):
         return "EmptyPolyhedron()"
@@ -219,12 +217,6 @@ class Polyhedron:
         return hs
 
 
-def _integral(point):
-    """(x, t) with x an integer vector and t > 0 such that point = x / t."""
-    t = lcm(*(x.denominator for x in point))
-    return [x.numerator * (t // x.denominator) for x in point], t
-
-
 def _reduce_mod_rows(x, t, rows):
     """The point x / t (x integer, t > 0) with the pivot coordinates of
     ``rows`` (an HNF basis) zeroed by a rational combination of them."""
@@ -288,17 +280,18 @@ def _cut(p, halfspaces):
         return EMPTY
     bits = [1 << j for j in range(k)] + [2 << (k + j) for j in range(len(cuts))]
     # lines always have t == 0 (they satisfy -t <= 0 and t unbounded both ways)
-    lin = saturate(lattice_from_rows([l[:-1] for l in left], r))
-    return _from_incidence(r, p.halfspaces + tuple(cuts), bits, zip(gens, masks), lin.basis)
+    return _from_incidence(r, p.halfspaces + tuple(cuts), bits, zip(gens, masks),
+                           [l[:-1] for l in left])
 
 
-def _from_incidence(ambient_dim, candidates, bits, tight, lin_basis):
+def _from_incidence(ambient_dim, candidates, bits, tight, lines):
     """Assemble from pairs (g, m) in ``tight``: g = (x, t) a homogeneous
     generator of a minimal face, t > 0 for a vertex x / t and t == 0 for a
     ray, and m the bitmask of the candidates tight at g (candidate j has bit
-    ``bits[j]``).  Vertices and rays are reduced modulo the lineality
-    ``lin_basis``; generators equal modulo the lineality are tight at the
-    same candidates."""
+    ``bits[j]``).  The lineality lattice is the saturation of the integer
+    rows ``lines``, taken here alone; generators equal modulo it, to which
+    vertices and rays are reduced, are tight at the same candidates."""
+    lin_basis = saturate(lattice_from_rows(lines, ambient_dim)).basis
     vert_rows, ray_rows = {}, {}
     for g, m in tight:
         x, t = g[:-1], g[-1]
@@ -405,13 +398,12 @@ def from_generators(points, rays=(), lines=(), ambient_dim=None):
     # tight, all of them for a zero generator, which joins the lineality
     tight = [_select(masks, 1 << k) for k in range(len(gens))]
     full = (1 << len(drays)) - 1
-    lin = saturate(lattice_from_rows([g[:-1] for g, m in zip(gens, tight) if m == full],
-                                     ambient_dim))
     extreme = set(_maximal({m for m in tight if m != full}))
     cand = [i for i, a in enumerate(drays) if any(a[:-1])]
     return _from_incidence(ambient_dim, [(drays[i][:-1], -drays[i][-1]) for i in cand],
                            [1 << i for i in cand],
-                           [(g, m) for g, m in zip(gens, tight) if m in extreme], lin.basis)
+                           [(g, m) for g, m in zip(gens, tight) if m in extreme],
+                           [g[:-1] for g, m in zip(gens, tight) if m == full])
 
 
 def intersect(p, q):
@@ -440,9 +432,7 @@ def affine_image(linear_rows, translate, p):
     if p.is_empty:
         return EMPTY
     a = tuple(map(tuple, linear_rows))
-    shift = [Fraction(c) for c in translate]
-    d = lcm(*(c.denominator for c in shift))
-    tau = [c.numerator * (d // c.denominator) for c in shift]
+    tau, d = _integral([Fraction(c) for c in translate])
     verts = [tuple(dot(row, x) * d + t * c for row, c in zip(a, tau)) + (t * d,)
              for x, t in map(_integral, p.vertices)]
     rays = [tuple(dot(row, r) for row in a) for r in p.rays]
@@ -461,9 +451,7 @@ def affine_image(linear_rows, translate, p):
         cands.append((w, Fraction(dot(w, g[:-1]), g[-1])))
     gens = verts + [r + (0,) for r in rays]
     tight = [(g, _select(p.facet_masks, 1 << i)) for i, g in enumerate(gens)]
-    lin = saturate(lattice_from_rows(lines, len(a)))
-    return _from_incidence(len(a), cands, [1 << j for j in range(len(cands))], tight,
-                           lin.basis)
+    return _from_incidence(len(a), cands, [1 << j for j in range(len(cands))], tight, lines)
 
 
 def _facet(p, i):
@@ -560,7 +548,7 @@ class Complex:
         return [self._cells[k] for k in sorted(set(self._cells) - facet_keys)]
 
     def __contains__(self, cell):
-        return cell.key() in self._cells
+        return not cell.is_empty and cell.key() in self._cells
 
 
 def complex_from_cells(cells):

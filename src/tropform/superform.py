@@ -432,13 +432,16 @@ def contract(a, vectors, positions):
 # integral affine maps and pullback
 
 class AffineMap:
-    """x -> A x + t with integer linear part A (rows) and rational shift."""
+    """x -> A x + t from R^k to R^r, r >= 1, with the integer linear part A
+    given by its r rows of length k and the rational shift t."""
 
     __slots__ = ("linear", "translate")
 
     def __init__(self, linear, translate):
         self.linear = tuple(tuple(integer_row(row)) for row in linear)
         self.translate = tuple(Fraction(x) for x in translate)
+        if not self.linear:
+            raise ValueError("the linear part of an affine map has no rows")
         if len(self.linear) != len(self.translate):
             raise ValueError("linear part and translate disagree on codomain")
         if len(set(map(len, self.linear))) > 1:
@@ -450,14 +453,20 @@ class AffineMap:
 
     @property
     def domain_dim(self):
-        return len(self.linear[0]) if self.linear else 0
+        return len(self.linear[0])
 
     def apply(self, point):
+        if len(point) != self.domain_dim:
+            raise ValueError("point in R^%d, but the map starts in R^%d"
+                             % (len(point), self.domain_dim))
         return tuple(sum(Fraction(a) * Fraction(x) for a, x in zip(row, point)) + t
                      for row, t in zip(self.linear, self.translate))
 
     def compose(self, other):
-        """self after other."""
+        """self after other; ValueError unless other lands where self starts."""
+        if other.codomain_dim != self.domain_dim:
+            raise ValueError("inner map lands in R^%d, but the outer map starts in R^%d"
+                             % (other.codomain_dim, self.domain_dim))
         return AffineMap(mat_mul(self.linear, other.linear), self.apply(other.translate))
 
 

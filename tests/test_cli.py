@@ -27,6 +27,7 @@ from tropform.polyhedra import (
     EMPTY,
     Complex,
     complex_from_cells,
+    faces,
     from_generators,
     from_halfspaces,
 )
@@ -269,6 +270,48 @@ def test_cli_current_eval(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     # (d' delta)(x^2 d''x) = -delta(d'(x^2 d''x)) = -4
     assert out["value"] == "-4"
+
+
+def test_cli_current_eval_of_the_zero_cycle(tmp_path, capsys):
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"format": "trop/1", "kind": "weighted-complex",
+                                "ambient_dim": 1, "cells": []}))
+    alpha = _write(tmp_path, "alpha.json", basis_form(1, (), (0,)))
+    w = _write(tmp_path, "w.json", box(1, -5, 5))
+    assert main(["current-eval", str(zero), alpha, "--window", w, "--ops", "d'"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "0"
+
+
+def test_a_map_into_r0_is_a_schema_error(tmp_path, capsys):
+    """A map with no rows would lose its domain, so codomain_dim 0 is
+    rejected where the document enters."""
+    text = json.dumps({"format": "trop/1", "kind": "map", "domain_dim": 2,
+                       "codomain_dim": 0, "linear": [], "translate": []})
+    message = "$.codomain_dim: must be between 1 and %d, got 0" % tio.MAX_DIM
+    with pytest.raises(tio.SchemaError) as caught:
+        tio.parse(text)
+    assert str(caught.value) == message
+    f = tmp_path / "f.json"
+    f.write_text(text)
+    point = _write(tmp_path, "point.json", WeightedComplex([(from_generators([(0, 0)]), 1)]))
+    assert main(["pushforward", str(f), point]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_the_empty_polyhedron_round_trips():
+    text = tio.emit(EMPTY)
+    assert tio.kind_of(EMPTY) == "polyhedron"
+    assert json.loads(text) == {"format": "trop/1", "kind": "polyhedron", "ambient_dim": 0,
+                                "halfspaces": [], "equalities": [], "empty": True}
+    assert tio.parse(text) is EMPTY
+
+
+def test_polyhedron_lists_round_trip(tmp_path, capsys):
+    cube = box(3)
+    want = [f.key() for f in faces(cube, 1)]
+    assert [p.key() for p in tio.parse(tio.emit(faces(cube, 1)))] == want
+    assert main(["faces", _write(tmp_path, "cube.json", cube), "1"]) == 0
+    assert [p.key() for p in tio.parse(capsys.readouterr().out)] == want
 
 
 def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

@@ -139,6 +139,14 @@ def test_dirac_operator_sign():
         -current_eval(plain, d_prime(alpha), window)
 
 
+def test_current_of_the_zero_cycle_is_zero():
+    zero = Current.dirac(WeightedComplex([]))
+    a = basis_form(1, (0,), (0,), P(1, {(1,): 1}))
+    window = box(1, -5, 5)
+    assert current_eval(zero, a, window) == 0
+    assert current_eval(zero.apply("d_prime"), basis_form(1, (), (0,)), window) == 0
+
+
 def test_embedded_current():
     from tropform.superform import function_form
     omega = function_form(P(2, {(0, 0): 1}))

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import (
     box,
     interleaved_volume_form,
@@ -20,6 +22,7 @@ from tropform.integrate import (
     green_residual,
     integrate_boundary,
     integrate_complex,
+    integrate_complex_boundary,
     integrate_polytope,
     outward_vector,
     stokes_residual,
@@ -246,3 +249,28 @@ def test_integrate_complex_additivity():
     wc = WeightedComplex([(segment((0,), (1,)), 1), (segment((1,), (2,)), 1)])
     a = basis_form(1, (0,), (0,), P(1, {(1,): 1}))
     assert integrate_complex(wc, a) == 2
+
+
+def test_a_polyhedron_is_integrated_as_one_cell_of_weight_1(seed=34):
+    """integrate_complex and integrate_complex_boundary take a polyhedron,
+    EMPTY included, as integrate_polytope and integrate_boundary do, and
+    keep their errors."""
+    rng = random.Random(seed)
+    for sigma in (box(1), box(2), simplex(2), simplex(3), segment((0, 0), (1, 2))):
+        n, r = sigma.dim, sigma.ambient_dim
+        a = rand_form(rng, r, n, n, deg=2)
+        eta = rand_form(rng, r, n - 1, n, deg=2)
+        want = integrate_polytope(sigma, a)
+        assert want != 0 and integrate_complex(sigma, a) == want
+        want = integrate_boundary(sigma, eta)
+        assert want != 0 and integrate_complex_boundary(sigma, eta) == want
+    a, eta = interleaved_volume_form(2), rand_form(rng, 2, 1, 2, deg=2)
+    assert integrate_complex(polyhedra.EMPTY, a) == integrate_polytope(polyhedra.EMPTY, a) == 0
+    assert integrate_complex_boundary(polyhedra.EMPTY, eta) \
+        == integrate_boundary(polyhedra.EMPTY, eta) == 0
+    half_line = from_halfspaces([((-1,), Fraction(0))], 1)
+    for integral in (integrate_complex, integrate_complex_boundary):
+        with pytest.raises(ValueError, match="cannot integrate over an unbounded polyhedron"):
+            integral(half_line, interleaved_volume_form(1))
+    with pytest.raises(ValueError, match="truncate the complex before integrating"):
+        integrate_complex(WeightedComplex([(half_line, 1)]), interleaved_volume_form(1))

@@ -201,6 +201,12 @@ def test_empty_marker():
     assert from_generators([]) is EMPTY
 
 
+def test_the_empty_set_is_no_cell_of_a_complex():
+    cx = Complex([box(1), EMPTY])
+    assert cx.cells == [box(1)]
+    assert box(1) in cx and EMPTY not in cx
+
+
 # -- faces and triangulations from the incidence, against the DD path ------
 
 def _dd_facets(p):

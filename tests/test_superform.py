@@ -58,6 +58,33 @@ def test_affine_map_rejects_ragged_linear_rows():
             AffineMap(rows, [0, 0])
 
 
+def test_affine_map_apply_checks_the_point_length():
+    f = AffineMap([[1, 2]], [0])
+    assert f.apply((1, 1)) == (3,)
+    for point in ((1, 1, 1), (1,)):
+        with pytest.raises(ValueError, match=r"point in R\^%d, but the map starts in R\^2$"
+                           % len(point)):
+            f.apply(point)
+
+
+def test_affine_map_compose_checks_that_the_maps_meet():
+    g = AffineMap([[1, 1]], [1]).compose(AffineMap([[1], [2]], [0, Fraction(1, 2)]))
+    assert (g.linear, g.translate) == (((3,),), (Fraction(3, 2),))
+    with pytest.raises(ValueError, match=r"inner map lands in R\^1, but the outer map "
+                                         r"starts in R\^2$"):
+        AffineMap([[1, 1]], [0]).compose(AffineMap([[1]], [0]))
+    with pytest.raises(ValueError, match=r"inner map lands in R\^2, but the outer map "
+                                         r"starts in R\^1$"):
+        AffineMap([[1]], [0]).compose(AffineMap([[1], [1]], [0, 0]))
+
+
+def test_affine_map_without_rows_is_rejected():
+    for linear, translate in (([], []), ((), ())):
+        with pytest.raises(ValueError, match="has no rows"):
+            AffineMap(linear, translate)
+    assert AffineMap([[]], [1]).domain_dim == 0
+
+
 def test_polynomial_compose_affine():
     f = P(1, {(2,): 1})  # x^2
     # substitute x = 2t + 1
