@@ -16,6 +16,7 @@ from functools import cache
 from . import io as tio
 from .cycle import (
     Current,
+    WeightedComplex,
     check_balancing,
     current_eval,
     projection_check,
@@ -28,7 +29,7 @@ from .integrate import (
     integrate_complex_boundary,
     stokes_residual,
 )
-from .polyhedra import faces, intersect, refine, truncate, validate_complex
+from .polyhedra import faces, refine, truncate, validate_complex
 
 
 class InputError(Exception):
@@ -76,11 +77,12 @@ def _checked(command, ok, body):
 
 
 def _truncated(domain, window):
+    """The domain cut to a bounded window, if one is given, as a cycle: a
+    polyhedron is the cycle of weight 1 on it, and lower-dimensional pieces go."""
     if window is None:
         return domain
-    if hasattr(domain, "truncated"):
-        return domain.truncated(window)
-    return intersect(domain, window)
+    cycle = domain if hasattr(domain, "truncated") else WeightedComplex([(domain, 1)])
+    return cycle.truncated(window)
 
 
 # ---------------------------------------------------------------------------

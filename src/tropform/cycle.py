@@ -47,9 +47,10 @@ class WeightedComplex:
 
     def __init__(self, weighted_cells):
         """weighted_cells: iterable of (polyhedron, integer weight), all of
-        one dimension in one ambient space.  These are the maximal cells;
-        their faces are not stored, and weights of equal cells add up.  A
-        weight that is not an integer raises ValueError."""
+        one dimension in one ambient space, checked before a cell whose
+        weights sum to 0 is dropped.  These are the maximal cells; their faces
+        are not stored, and weights of equal cells add up.  A weight that is
+        not an integer raises ValueError."""
         # keyed by the polyhedron, whose hash is that of its key, taken once
         self._weights = {}
         for c, m in weighted_cells:
@@ -59,6 +60,11 @@ class WeightedComplex:
             if w != m:
                 raise ValueError("weight %s is not an integer" % m)
             self._weights[c] = self._weights.get(c, 0) + w
+        if len(set(c.ambient_dim for c in self._weights)) > 1:
+            raise ValueError("weighted cells must lie in one ambient space")
+        if len(set(c.dim for c in self._weights)) > 1:
+            raise ValueError("weighted cells must have equal dimension")
+        self._weights = {c: w for c, w in self._weights.items() if w}
         # sorted once, as the cells never change after construction, in the
         # order of their keys, compared on ints: every vertex coordinate is
         # scaled to the common denominator of all of them
@@ -70,15 +76,11 @@ class WeightedComplex:
                     [[x.numerator * (den // x.denominator) for x in v] for v in c.vertices],
                     c.rays)
         self._cells = sorted(self._weights.items(), key=order)
-        if len(set(c.ambient_dim for c in self._weights)) > 1:
-            raise ValueError("weighted cells must lie in one ambient space")
-        dims = set(c.dim for c in self._weights)
-        if len(dims) > 1:
-            raise ValueError("weighted cells must have equal dimension")
-        self.dim = dims.pop() if dims else -1
+        self.dim = self._cells[0][0].dim if self._cells else -1
 
     @property
     def is_zero(self):
+        """True for the zero cycle, which has no cell."""
         return self.dim < 0
 
     def weighted_cells(self):
@@ -94,12 +96,8 @@ class WeightedComplex:
         """Weighted complex of intersections with a bounded window; pieces of
         full dimension inherit the weight of their cell."""
         check_window(box)
-        pieces = []
-        for c, m in self.weighted_cells():
-            x = intersect(c, box)
-            if x.dim == self.dim:
-                pieces.append((x, m))
-        return WeightedComplex(pieces)
+        pieces = ((intersect(c, box), m) for c, m in self._cells)
+        return WeightedComplex((x, m) for x, m in pieces if x.dim == self.dim)
 
 
 def _split(p, u, c):
@@ -154,8 +152,6 @@ def check_balancing(wc):
         return []
     found = {}
     for sigma, m in wc.weighted_cells():
-        if m == 0:
-            continue
         for i, (key, lat, omega) in enumerate(_facet_records(sigma)):
             _, _, excess = found.setdefault(key, ((sigma, i), lat, [0] * len(omega)))
             for j, x in enumerate(omega):
@@ -271,8 +267,6 @@ def pushforward(f, wc):
                          % (f.domain_dim, cells[0].ambient_dim))
     hulls = {}
     for cell, m in wc.weighted_cells():
-        if m == 0:
-            continue
         sub = _linear_image(f.linear, cell.direction_lattice)[0]
         if sub.rank == wc.dim:
             img = affine_image(f.linear, f.translate, cell)
@@ -282,7 +276,7 @@ def pushforward(f, wc):
     for group in hulls.values():
         for _, piece, weights in _overlay(group):
             pieces[piece.key()] = (piece, sum(weights))
-    return WeightedComplex([(p, m) for p, m in pieces.values() if m])
+    return WeightedComplex(pieces.values())
 
 
 def preimage_polyhedron(f, p):
@@ -308,8 +302,6 @@ def projection_check(f, wc, a, window):
     right = Fraction(0)
     n = wc.dim
     for cell, m in wc.weighted_cells():
-        if m == 0:
-            continue
         if _linear_image(f.linear, cell.direction_lattice)[0].rank < n:
             continue  # pullback form restricts to zero on such cells
         dom = intersect(cell, pre)

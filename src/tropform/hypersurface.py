@@ -23,9 +23,9 @@ from math import gcd
 
 from .cycle import WeightedComplex
 from .lattice import (
+    _hull,
     _integral,
     integer_row,
-    lattice_from_rows,
     primitive,
     reduce_echelon,
     vec_sub,
@@ -89,9 +89,9 @@ def corner_locus(tp):
     sign = -1 if tp.convention == "max" else 1
     gamma = from_halfspaces([(tuple(-sign * x for x in m) + (1,), sign * c)
                              for m, c in tp.terms], r + 1)
-    # the projection is injective on the lineality lattice of Gamma, and its
-    # image, Z^r cut by a subspace, is saturated
-    lin = lattice_from_rows([l[:-1] for l in gamma.lineality], r).basis
+    # each generator of Gamma is reduced once here, not once per ridge as
+    # through _from_incidence, which gives the same loci 1.1-1.3x slower
+    lin = _hull([l[:-1] for l in gamma.lineality], r)[1].basis
     verts = [_reduce_mod_rows(*_integral(v[:-1]), lin) for v in gamma.vertices]
     rays = [primitive(reduce_echelon(d[:-1], lin)[1]) for d in gamma.rays]
     gens, vertex_bits = verts + rays, (1 << len(verts)) - 1

@@ -209,7 +209,7 @@ def _weighted_sum(domain, integral, form):
     cells = domain.weighted_cells()
     if not all(cell.is_bounded for cell, _ in cells):
         raise ValueError("truncate the complex before integrating")
-    return sum((m * integral(cell, form) for cell, m in cells if m), Fraction(0))
+    return sum((m * integral(cell, form) for cell, m in cells), Fraction(0))
 
 
 def integrate_complex(domain, a):

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .cycle import WeightedComplex
 from .hypersurface import TropicalPolynomial, tropical_polynomial
-from .polyhedra import EMPTY, Complex, Polyhedron, complex_from_cells, from_halfspaces
+from .polyhedra import (EMPTY, Complex, EmptyPolyhedron, Polyhedron, complex_from_cells,
+                        from_halfspaces)
 from .superform import AffineMap, Polynomial, Superform
 from .lattice import vec_neg
 
@@ -233,18 +234,28 @@ def _parse_polyhedron(obj, path):
     return from_halfspaces(rows, r)
 
 
+def _parse_cell(obj, path, r):
+    """A polyhedron of a complex in R^r; an empty one may give any dimension."""
+    p = _parse_polyhedron(obj, path)
+    if not p.is_empty and p.ambient_dim != r:
+        _fail("%s.ambient_dim" % path, "expected %d as the complex, got %d" % (r, p.ambient_dim))
+    return p
+
+
 def _parse_complex(obj, path):
+    r = _dimension(obj, "ambient_dim", path)
     cells = _get(obj, "cells", path, list)
-    return complex_from_cells([_parse_polyhedron(c, "%s.cells[%d]" % (path, i))
+    return complex_from_cells([_parse_cell(c, "%s.cells[%d]" % (path, i), r)
                                for i, c in enumerate(cells)])
 
 
 def _parse_weighted_complex(obj, path):
+    r = _dimension(obj, "ambient_dim", path)
     cells = _get(obj, "cells", path, list)
     weighted = []
     for i, entry in enumerate(cells):
         here = "%s.cells[%d]" % (path, i)
-        p = _parse_polyhedron(_get(entry, "polyhedron", here), "%s.polyhedron" % here)
+        p = _parse_cell(_get(entry, "polyhedron", here), "%s.polyhedron" % here, r)
         m = _integer(_get(entry, "weight", here), "%s.weight" % here)
         weighted.append((p, m))
     try:
@@ -336,7 +347,7 @@ def _parse_polyhedron_list(obj, path):
 
 # kind -> (Python types, emitter, parser); kind_of tries the types in order
 _KINDS = {
-    "polyhedron": (Polyhedron, _emit_polyhedron, _parse_polyhedron),
+    "polyhedron": ((Polyhedron, EmptyPolyhedron), _emit_polyhedron, _parse_polyhedron),
     "weighted-complex": (WeightedComplex, _emit_weighted_complex, _parse_weighted_complex),
     "complex": (Complex, _emit_complex, _parse_complex),
     "superform": (Superform, _emit_superform, _parse_superform),
@@ -348,8 +359,6 @@ _KINDS = {
 
 
 def kind_of(obj):
-    if obj is EMPTY:
-        return "polyhedron"
     for kind, (types, _, _) in _KINDS.items():
         if isinstance(obj, types):
             return kind

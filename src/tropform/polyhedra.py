@@ -45,10 +45,8 @@ from .lattice import (
     dot,
     full_lattice,
     integer_row,
-    lattice_from_rows,
     primitive,
     reduce_echelon,
-    saturate,
     vec_neg,
 )
 
@@ -289,9 +287,10 @@ def _from_incidence(ambient_dim, candidates, bits, tight, lines):
     generator of a minimal face, t > 0 for a vertex x / t and t == 0 for a
     ray, and m the bitmask of the candidates tight at g (candidate j has bit
     ``bits[j]``).  The lineality lattice is the saturation of the integer
-    rows ``lines``, taken here alone; generators equal modulo it, to which
-    vertices and rays are reduced, are tight at the same candidates."""
-    lin_basis = saturate(lattice_from_rows(lines, ambient_dim)).basis
+    rows ``lines``, dependent or not, read off their cached hull
+    (``lattice._hull``); generators equal modulo it, to which vertices and
+    rays are reduced, are tight at the same candidates."""
+    lin_basis = _hull(lines, ambient_dim)[1].basis
     vert_rows, ray_rows = {}, {}
     for g, m in tight:
         x, t = g[:-1], g[-1]
@@ -587,16 +586,11 @@ def validate_complex(cx):
     return violations
 
 
-def _intersections(cx, cells):
-    """Complex of the nonempty intersections of the maximal cells of cx with
-    the given cells."""
-    return complex_from_cells(intersect(a, b) for a in cx.maximal_cells() for b in cells)
-
-
 def refine(cx, dx):
     """Common refinement: complex of pairwise intersections of cells of cx
     with cells of dx (restricted to the support of cx where dx covers it)."""
-    return _intersections(cx, dx.maximal_cells())
+    others = dx.maximal_cells()
+    return complex_from_cells(intersect(a, b) for a in cx.maximal_cells() for b in others)
 
 
 def check_window(box):
@@ -608,7 +602,7 @@ def check_window(box):
 def truncate(cx, box):
     """Intersect every cell with a bounded full-dimensional polytope."""
     check_window(box)
-    return _intersections(cx, [box])
+    return complex_from_cells(intersect(a, box) for a in cx.maximal_cells())
 
 
 def triangulate(p):

@@ -230,6 +230,73 @@ def test_cli_integrate_boundary_on_a_cell_and_a_complex(tmp_path, capsys):
                                                   tio.rational_str(want))
 
 
+@pytest.mark.parametrize("command", ["integrate", "integrate-boundary", "stokes"])
+def test_cli_window_cuts_a_polyhedron_as_a_cycle(tmp_path, capsys, command):
+    """--window cuts a polyhedron domain as the cycle of weight 1 on it: a
+    window that meets the unit square in an edge leaves no 2-dimensional
+    piece, so the integral and the residuals are 0, as for the square given
+    as a one-cell weighted complex; an unbounded window exits 2 for both."""
+    poly = Polynomial(2, {(1, 0): Fraction(1), (0, 1): Fraction(2)})
+    forms = {"integrate": [basis_form(2, (0, 1), (0, 1), poly)],
+             "integrate-boundary": [basis_form(2, (0,), (0, 1), poly)],
+             "stokes": [basis_form(2, (0,), (0, 1), poly), basis_form(2, (0, 1), (1,), poly)]}
+    paths = [_write(tmp_path, "form%d.json" % i, a) for i, a in enumerate(forms[command])]
+    edge = _write(tmp_path, "edge.json", from_halfspaces(
+        [((1, 0), 2), ((-1, 0), -1), ((0, 1), 1), ((0, -1), 0)], 2))
+    half_plane = _write(tmp_path, "half.json", from_halfspaces([((2, 0), 1)], 2))
+    cut = _write(tmp_path, "cut.json", from_halfspaces(
+        [((2, 0), 1), ((-1, 0), 1), ((0, 1), 2), ((0, -1), 1)], 2))
+    reports = []
+    for domain in (box(2), WeightedComplex([(box(2), 1)])):
+        d = _write(tmp_path, "d.json", domain)
+        assert main([command, d, *paths, "--window", cut]) == 0
+        reports.append(capsys.readouterr().out)
+        assert main([command, d, *paths, "--window", edge]) == 0
+        out = json.loads(capsys.readouterr().out)
+        field, zero = ("residuals", ["0", "0"]) if command == "stokes" else ("value", "0")
+        assert out[field] == zero
+        assert main([command, d, *paths, "--window", half_plane]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: truncation window must be a bounded polytope\n"
+        assert captured.out == ""
+    # a window that keeps [0, 1/2] x [0, 1] gives one report for both kinds
+    assert reports[0] == reports[1] and json.loads(reports[0])["command"] == command
+
+
+def test_a_complex_reads_its_ambient_dim(tmp_path, capsys):
+    """Both complex kinds read their ambient_dim: a nonempty cell in another
+    space is a schema error naming that cell's ambient_dim, and an empty
+    cell may give any dimension."""
+    def body(obj):
+        doc = json.loads(tio.emit(obj))
+        del doc["format"], doc["kind"]
+        return doc
+    weighted = {"format": "trop/1", "kind": "weighted-complex", "ambient_dim": 5,
+                "cells": [{"polyhedron": body(segment((0,), (1,))), "weight": 1}]}
+    plain = {"format": "trop/1", "kind": "complex", "ambient_dim": 3,
+             "cells": [body(EMPTY), body(segment((0,), (1,))), body(box(2))]}
+    for command, doc, field in (
+            ("check-balancing", weighted, "$.cells[0].polyhedron.ambient_dim"),
+            ("validate", plain, "$.cells[1].ambient_dim")):
+        text = json.dumps(doc)
+        with pytest.raises(tio.SchemaError) as caught:
+            tio.parse(text)
+        assert str(caught.value) == "%s: expected %d as the complex, got 1" % (
+            field, doc["ambient_dim"])
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s: %s\n" % (path, caught.value)
+        assert captured.out == ""
+    empty = dict(body(EMPTY), ambient_dim=7)
+    for doc, cell in ((dict(plain, ambient_dim=2, cells=[empty, body(box(2))]), box(2)),
+                      (dict(weighted, ambient_dim=1, cells=[
+                          {"polyhedron": empty, "weight": 2}, weighted["cells"][0]]),
+                       segment((0,), (1,)))):
+        assert tio.parse(json.dumps(doc)).maximal_cells() == [cell]
+
+
 def test_cli_pushforward_and_out(tmp_path, capsys):
     f = _write(tmp_path, "f.json", AffineMap([[2]], [Fraction(0)]))
     wc = _write(tmp_path, "wc.json",
@@ -481,10 +548,22 @@ def _mixed_ambient_doc(tmp_path):
                                    "check-balancing-mixed-ambient", "deep-nesting",
                                    "refine-2d-whole-r3", "kind-not-a-string",
                                    "equalities-number", "equalities-true",
-                                   "equalities-null"])
+                                   "equalities-null", "projection-check-no-window",
+                                   "current-eval-no-window", "map-linear-rows",
+                                   "map-translate-entries", "polyhedron-negative-dim",
+                                   "superform-negative-exponent",
+                                   "tropical-duplicate-exponent", "tropical-single-term",
+                                   "top-level-array"])
 def test_cli_library_value_errors_exit_2(tmp_path, capsys, probe):
     half_plane = from_halfspaces([((1, 0), Fraction(1))], 2)
     planar = WeightedComplex([(segment((0, 0), (1, 1)), 1)])
+    # the field path the message names, for the probes of a schema error
+    field = {"check-balancing-mixed-ambient": "$.cells", "map-linear-rows": "$.linear: ",
+             "map-translate-entries": "$.translate: ",
+             "polyhedron-negative-dim": "$.ambient_dim: ",
+             "superform-negative-exponent": "$.components[0].poly[0].exponents: ",
+             "tropical-duplicate-exponent": "$.terms: ", "tropical-single-term": "$.terms: ",
+             "top-level-array": "$: "}.get(probe, "")
     if probe == "faces-empty":
         argv = ["faces", _empty_polyhedron_doc(tmp_path), "0"]
     elif probe == "refine-2d-3d":
@@ -536,13 +615,45 @@ def test_cli_library_value_errors_exit_2(tmp_path, capsys, probe):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000 + "]" * 100000)
         argv = ["faces", str(path), "1"]
+    elif probe.endswith("-no-window"):
+        cycle = _write(tmp_path, "wc.json", planar)
+        form = _write(tmp_path, "a.json", basis_form(2, (0,), (0,)))
+        argv = (["projection-check", _write(tmp_path, "f.json", AffineMap([[1, 0]], [0])),
+                 cycle, form] if probe.startswith("projection") else
+                ["current-eval", cycle, form])
+    elif probe.startswith("map-"):
+        body = json.loads(tio.emit(AffineMap([[1, 0], [0, 1]], [0, 0])))
+        del body["linear" if probe == "map-linear-rows" else "translate"][0]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(body))
+        argv = ["pushforward", str(path), _write(tmp_path, "wc.json", planar)]
+    elif probe == "polyhedron-negative-dim":
+        path = tmp_path / "p.json"
+        path.write_text(_polyhedron_doc(False, -1))
+        argv = ["faces", str(path), "0"]
+    elif probe == "superform-negative-exponent":
+        path = tmp_path / "a.json"
+        path.write_text(_form_doc([-1]))
+        argv = ["integrate", _write(tmp_path, "seg.json", segment((0,), (1,))), str(path)]
+    elif probe.startswith("tropical-"):
+        body = json.loads(tio.emit(tropical_polynomial([((1, 0), 0), ((0, 1), 0)], 2)))
+        if probe == "tropical-single-term":
+            del body["terms"][1]
+        else:
+            body["terms"][1]["exponent"] = [1, 0]
+        path = tmp_path / "tp.json"
+        path.write_text(json.dumps(body))
+        argv = ["hypersurface", str(path)]
+    elif probe == "top-level-array":
+        path = tmp_path / "array.json"
+        path.write_text("[]")
+        argv = ["faces", str(path), "0"]
     else:
         argv = ["check-balancing", _mixed_ambient_doc(tmp_path)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
-    if probe == "check-balancing-mixed-ambient":
-        assert "$.cells" in captured.err
+    assert field in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

@@ -147,6 +147,60 @@ def test_current_of_the_zero_cycle_is_zero():
     assert current_eval(zero.apply("d_prime"), basis_form(1, (), (0,)), window) == 0
 
 
+def test_weights_that_cancel_leave_no_cell():
+    """A cell whose weights sum to 0 is dropped where the complex is built:
+    all of them cancelling gives the zero cycle, which evaluates to 0 on a
+    form of any bidegree, and truncation emits none of them.  Every cell is
+    still checked first, also one whose weights cancel."""
+    square, edge = box(2), segment((0, 0), (1, 0))
+    zero = WeightedComplex([(square, 2), (square, -2)])
+    assert zero.is_zero and zero.dim == -1 and zero.weighted_cells() == []
+    assert zero.weight(square) == 0
+    assert current_eval(Current.dirac(zero), basis_form(2, (0,), (0,)), box(2, -1, 2)) == 0
+    kept = WeightedComplex([(square, 1), (box(2, 1, 2), 3), (box(2, 1, 2), -3)])
+    assert tio.emit(kept.truncated(box(2, -1, 3))) == tio.emit(WeightedComplex([(square, 1)]))
+    with pytest.raises(ValueError, match="equal dimension"):
+        WeightedComplex([(square, 1), (edge, 2), (edge, -2)])
+    with pytest.raises(ValueError, match="not an integer"):
+        WeightedComplex([(edge, Fraction(1, 2)), (edge, Fraction(-1, 2))])
+
+
+# 1-dimensional cells of R^2, some unbounded and some meeting in part of a face
+SUPPORT_POOL = (ray((1, 0)), ray((0, 1)), ray((-1, -1)), ray((1, 1)),
+                segment((0, 0), (2, 0)), segment((1, 0), (3, 0)), segment((1, 1), (2, 3)),
+                ray((1, 2), (1, 0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(weighted=st.lists(st.tuples(st.integers(0, len(SUPPORT_POOL) - 1),
+                                   st.integers(-3, 3)), max_size=6),
+       cancelled=st.lists(st.tuples(st.integers(0, len(SUPPORT_POOL) - 1),
+                                    st.integers(1, 3)), max_size=3))
+def test_a_cycle_is_its_cells_of_nonzero_weight(weighted, cancelled):
+    """A weighted complex stores no weight 0 and is zero exactly when every
+    cell's weights sum to 0; balancing, push-forward along an invertible map
+    and integration over a window give what the complex built from the
+    nonzero sums alone gives."""
+    entries = [(SUPPORT_POOL[i], m) for i, m in weighted]
+    entries += [(SUPPORT_POOL[i], s * m) for i, m in cancelled for s in (1, -1)]
+    wc = WeightedComplex(entries)
+    sums = {}
+    for i, m in weighted:
+        sums[i] = sums.get(i, 0) + m
+    nonzero = WeightedComplex([(SUPPORT_POOL[i], m) for i, m in sums.items() if m])
+    assert all(m != 0 for _, m in wc.weighted_cells())
+    assert wc.is_zero == all(m == 0 for m in sums.values())
+    assert wc.weighted_cells() == nonzero.weighted_cells()
+    assert [(rho.key(), t) for rho, t in check_balancing(wc)] == \
+        [(rho.key(), t) for rho, t in check_balancing(nonzero)]
+    f = AffineMap([[2, 1], [1, 1]], [Fraction(1), Fraction(-1, 2)])
+    assert pushforward(f, wc).weighted_cells() == pushforward(f, nonzero).weighted_cells()
+    window = box(2, -2, 3)
+    a = basis_form(2, (0,), (1,), P(2, {(1, 0): 1, (0, 2): 3}))
+    assert integrate_complex(wc.truncated(window), a) == \
+        integrate_complex(nonzero.truncated(window), a)
+
+
 def test_embedded_current():
     from tropform.superform import function_form
     omega = function_form(P(2, {(0, 0): 1}))
