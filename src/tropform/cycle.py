@@ -13,10 +13,8 @@ associated Dirac supercurrent is d'-closed (and d''-closed).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .lattice import (
-    _integral,
     _linear_image,
     dot,
     lattice_index,
@@ -30,6 +28,7 @@ from .polyhedra import (
     _cut,
     _facet,
     _facet_records,
+    _key_order,
     affine_image,
     check_window,
     from_halfspaces,
@@ -66,16 +65,9 @@ class WeightedComplex:
             raise ValueError("weighted cells must have equal dimension")
         self._weights = {c: w for c, w in self._weights.items() if w}
         # sorted once, as the cells never change after construction, in the
-        # order of their keys, compared on ints: every vertex coordinate is
-        # scaled to the common denominator of all of them
-        den = lcm(*{x.denominator for c in self._weights for v in c.vertices for x in v})
-
-        def order(cm):
-            c = cm[0]
-            return (c.ambient_dim, c.lineality,
-                    [[x.numerator * (den // x.denominator) for x in v] for v in c.vertices],
-                    c.rays)
-        self._cells = sorted(self._weights.items(), key=order)
+        # output order of their keys
+        order = _key_order([c.key() for c in self._weights])
+        self._cells = sorted(self._weights.items(), key=lambda cm: order(cm[0].key()))
         self.dim = self._cells[0][0].dim if self._cells else -1
 
     @property
@@ -105,7 +97,7 @@ def _split(p, u, c):
     it crosses the relative interior of p; otherwise p itself."""
     # the sign of <u, v> - c, for v = x / t, is that of <u, x> d - n t
     n, d = c.numerator, c.denominator
-    vals = [dot(u, x) * d - n * t for x, t in map(_integral, p.vertices)]
+    vals = [dot(u, v[:-1]) * d - n * v[-1] for v in p.points]
     vals += [dot(u, r) for r in p.rays]
     vals += [x for l in p.lineality for x in (dot(u, l), -dot(u, l))]
     if not min(vals) < 0 < max(vals):
@@ -133,9 +125,10 @@ def _overlay(entries):
 
 
 def check_balancing(wc):
-    """Violations of the balancing condition: list of (face, excess), sorted
-    by face key, where the excess is the canonical representative modulo
-    N_rho of sum m_sigma w_{rho,sigma}; empty iff wc is a tropical cycle.
+    """Violations of the balancing condition: list of (face, excess), in the
+    output order of the face keys (``polyhedra._key_order``), where the
+    excess is the canonical representative modulo N_rho of
+    sum m_sigma w_{rho,sigma}; empty iff wc is a tropical cycle.
 
     The sums are read off each cell's facet records (key, N_rho, w) and
     taken per affine hull, keyed on integers by N_rho's basis and a vertex
@@ -158,9 +151,9 @@ def check_balancing(wc):
                 excess[j] += m * x
     hulls = {}
     for key, (_, lat, _) in found.items():
-        x, t = _integral(key[2][0])
-        s, w = reduce_echelon(x, lat.basis)
-        hulls.setdefault((lat.basis, primitive(w + [s * t])), []).append(key)
+        v = key[2][0]
+        s, w = reduce_echelon(v[:-1], lat.basis)
+        hulls.setdefault((lat.basis, primitive(w + [s * v[-1]])), []).append(key)
     # (face key, sum) -> the face, where it is already built
     totals = {}
     for keys in hulls.values():
@@ -170,12 +163,13 @@ def check_balancing(wc):
         entries = [(_facet(*found[k][0]), found[k][2]) for k in keys]
         for rho, _, sums in _overlay(entries):
             totals[rho.key(), tuple(map(sum, zip(*sums)))] = rho
+    bad = [(key, total) for key, total in totals if not member(total, found[key][1])]
+    order = _key_order([key for key, _ in bad])
     out = []
-    for key, total in sorted(totals):
+    for key, total in sorted(bad, key=lambda kt: (order(kt[0]), kt[1])):
         cell_facet, lat, _ = found[key]
-        if not member(total, lat):
-            rho = totals[key, total] or _facet(*cell_facet)
-            out.append((rho, reduce_mod_lattice(total, lat)))
+        rho = totals[key, total] or _facet(*cell_facet)
+        out.append((rho, reduce_mod_lattice(total, lat)))
     return out
 
 

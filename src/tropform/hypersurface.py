@@ -24,7 +24,6 @@ from math import gcd
 from .cycle import WeightedComplex
 from .lattice import (
     _hull,
-    _integral,
     integer_row,
     primitive,
     reduce_echelon,
@@ -34,6 +33,7 @@ from .polyhedra import (
     _assemble,
     _bits,
     _maximal,
+    _rational_order,
     _reduce_mod_rows,
     _restrict,
     from_halfspaces,
@@ -92,9 +92,11 @@ def corner_locus(tp):
     # each generator of Gamma is reduced once here, not once per ridge as
     # through _from_incidence, which gives the same loci 1.1-1.3x slower
     lin = _hull([l[:-1] for l in gamma.lineality], r)[1].basis
-    verts = [_reduce_mod_rows(*_integral(v[:-1]), lin) for v in gamma.vertices]
+    verts = [_reduce_mod_rows(v[:r], v[-1], lin) for v in gamma.points]
     rays = [primitive(reduce_echelon(d[:-1], lin)[1]) for d in gamma.rays]
     gens, vertex_bits = verts + rays, (1 << len(verts)) - 1
+    # a ridge lists its vertices in rational order, its rays sorted
+    rank = list(map(_rational_order(verts), verts)) + rays
     masks = gamma.facet_masks
     meets = {}
     for i, j in combinations(range(len(masks)), 2):
@@ -104,8 +106,8 @@ def corner_locus(tp):
     weighted = []
     for ridge in _maximal(meets):
         i, j = meets[ridge]
-        vi = sorted(_bits(ridge & vertex_bits), key=gens.__getitem__)
-        ri = sorted(_bits(ridge & ~vertex_bits), key=gens.__getitem__)
+        vi = sorted(_bits(ridge & vertex_bits), key=rank.__getitem__)
+        ri = sorted(_bits(ridge & ~vertex_bits), key=rank.__getitem__)
         ui, ci = gamma.halfspaces[i]
         # only facets through a vertex of the ridge can cut out a facet of
         # it; the facets of m_i and m_j hold all of it and are not proper

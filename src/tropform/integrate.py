@@ -125,14 +125,14 @@ def _moment_table(sigma, exponents):
     given exponents, and each exponent asked of sigma before, to the
     ``_vertex_moments`` of the simplices of sigma's placing triangulation,
     each weighted by |det| of its edges at the pivot columns of the
-    direction lattice's basis, on the vertices scaled to integers by t;
-    q = t^n times the product of the pivots.  The triangulation, its
-    weights and M are kept on sigma, and M grows by the exponents it
-    lacks."""
+    direction lattice's basis, on the vertices scaled to integers by t,
+    the least common multiple of the t of sigma's points (x, t); q = t^n
+    times the product of the pivots.  The triangulation, its weights and M
+    are kept on sigma, and M grows by the exponents it lacks."""
     if sigma._moments is None:
         basis = sigma.direction_lattice.basis
         pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
-        t = lcm(*(x.denominator for v in sigma.vertices for x in v))
+        t = lcm(*(v[-1] for v in sigma.points))
         simplices = []
         for simplex in triangulate(sigma):
             xs = _scaled(simplex, t)

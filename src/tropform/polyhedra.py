@@ -14,28 +14,33 @@ empty intersection the same way.  A built polyhedron keeps the vertex-facet
 incidence, one bitmask per facet over its vertices, then its rays: its
 facets are chosen from it combinatorially, and its faces and triangulations
 are read off it with no further double description and no dot products.
-Every cell, built, cut or read off as a facet, is assembled
-on integers by ``_assemble``, a vertex v taken as x / t with x integer and
-t > 0 (as lrs and cdd do): directions, the affine hull and the canonical
-facet inequalities need no rational arithmetic, and Fractions are built
-only for the stored vertices, keys and constants.  The hull equalities are
+A vertex v is stored as the homogeneous integer point (x, t) with v = x / t,
+t > 0 and gcd(x, t) = 1, as lrs and cdd compute it: ``points`` is the
+stored form, and ``vertices`` a view that builds the Fractions when asked.
+Every cell, built, cut or read off as a facet, is assembled on integers by
+``_assemble``: directions, the affine hull and the canonical facet
+inequalities need no rational arithmetic, and Fractions are built only for
+the equality and facet constants.  The hull equalities are
 the orthogonal complement of the raw directions, and the direction lattice
 is the complement of those, both read off Hermite forms with no Smith form
 and computed once per distinct set of directions (``lattice._hull``, a
 cache of 4096 entries), as is the split across each facet.
-Identity of cells is decided through a canonical key built from the V-data,
-which makes complex validation and deduplication deterministic; a
-polyhedron hashes its key once.  What balancing and boundary integrals need
-of a facet, its key, direction lattice and outward vector, is read off the
-incidence as a record (``_facet_records``) without building the facet,
-and kept on the polyhedron once read; the facet itself, where it is
-needed, is built alone from the same position (``_facet``) and kept too.
+Identity of cells is decided through a canonical key of ints built from the
+V-data, which makes complex validation and deduplication deterministic; a
+polyhedron hashes its key once.  The key is not the output order: points,
+cells and faces are listed in the lexicographic order of their rational
+vertices (``_rational_order``, ``_key_order``).  What balancing and
+boundary integrals need of a facet, its key, direction lattice and outward
+vector, is read off the incidence as a record (``_facet_records``) without
+building the facet, and kept on the polyhedron once read; the facet itself,
+where it is needed, is built alone from the same position (``_facet``) and
+kept too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .lattice import (
     _facet_split,
@@ -137,27 +142,31 @@ class Polyhedron:
     its vertex-facet incidence.
 
     Construct through :func:`from_halfspaces` or :func:`from_generators`.
-    ``vertices`` are the canonical base points of the minimal faces (reduced
-    modulo the lineality space), sorted; ``rays`` the primitive extreme ray
+    ``points`` are the canonical base points of the minimal faces (reduced
+    modulo the lineality space), each the normalized homogeneous integer
+    point (x_1, ..., x_r, t) of the vertex x / t, listed in the
+    lexicographic order of the vertices; ``vertices`` is their Fraction
+    view, built on each access.  ``rays`` are the primitive extreme ray
     representatives, sorted; ``lineality`` an HNF basis of the lineality
     lattice.  ``facet_masks[i]`` holds the generators on the facet
-    ``halfspaces[i]`` as a bitmask over ``vertices + rays`` (bit k for
+    ``halfspaces[i]`` as a bitmask over ``points + rays`` (bit k for
     index k, the vertices on the low bits); every line lies on every facet.
+    ``key()``, all ints, decides identity; it does not order the output.
     """
 
     is_empty = False
     # no per-instance dict: face caches keep many small polyhedra alive
-    __slots__ = ("ambient_dim", "halfspaces", "equalities", "vertices", "rays", "lineality",
+    __slots__ = ("ambient_dim", "halfspaces", "equalities", "points", "rays", "lineality",
                  "direction_lattice", "facet_masks", "dim",
                  "_facets", "_records", "_moments", "_key", "_hash",
                  "__weakref__")
 
-    def __init__(self, ambient_dim, halfspaces, equalities, vertices, rays, lineality,
+    def __init__(self, ambient_dim, halfspaces, equalities, points, rays, lineality,
                  direction_lattice, facet_masks):
         self.ambient_dim = ambient_dim
         self.halfspaces = tuple(halfspaces)      # canonical facet inequalities
         self.equalities = tuple(equalities)      # canonical affine-hull equations
-        self.vertices = tuple(vertices)
+        self.points = tuple(points)
         self.rays = tuple(rays)
         self.lineality = tuple(lineality)
         self.direction_lattice = direction_lattice
@@ -166,7 +175,7 @@ class Polyhedron:
         self._facets = None      # _facet, by position, on first use
         self._records = None     # _facet_records, on first use
         self._moments = None     # integrate's simplices and moment table, on first use
-        self._key = (ambient_dim, self.lineality, self.vertices, self.rays)
+        self._key = (ambient_dim, self.lineality, self.points, self.rays)
         self._hash = None
 
     def key(self):
@@ -176,7 +185,7 @@ class Polyhedron:
         return isinstance(other, Polyhedron) and self._key == other._key
 
     def __hash__(self):
-        # the key is a tuple of Fraction tuples: hash it once, on first use
+        # the key nests a tuple per point: hash it once, on first use
         if self._hash is None:
             self._hash = hash(self._key)
         return self._hash
@@ -184,6 +193,11 @@ class Polyhedron:
     def __repr__(self):
         return "Polyhedron(dim=%d, vertices=%r, rays=%r, lineality=%r)" % (
             self.dim, self.vertices, self.rays, self.lineality)
+
+    @property
+    def vertices(self):
+        """The vertices x / t of ``points`` as Fraction tuples."""
+        return tuple(tuple(Fraction(a, p[-1]) for a in p[:-1]) for p in self.points)
 
     @property
     def is_bounded(self):
@@ -198,13 +212,13 @@ class Polyhedron:
                         for e, c in self.equalities))
 
     def rel_interior_point(self):
-        """A rational point in the relative interior."""
-        n = len(self.vertices)
-        pt = [sum(Fraction(v[i]) for v in self.vertices) / n for i in range(self.ambient_dim)]
-        for r in self.rays:
-            for i in range(self.ambient_dim):
-                pt[i] += r[i]
-        return tuple(pt)
+        """A rational point in the relative interior: the mean of the
+        vertices plus the sum of the rays."""
+        den = lcm(*(p[-1] for p in self.points))
+        n = den * len(self.points)
+        return tuple(Fraction(sum(p[i] * (den // p[-1]) for p in self.points)
+                              + n * sum(d[i] for d in self.rays), n)
+                     for i in range(self.ambient_dim))
 
     def all_halfspaces(self):
         """Facets plus equalities written as pairs of inequalities."""
@@ -217,9 +231,27 @@ class Polyhedron:
 
 def _reduce_mod_rows(x, t, rows):
     """The point x / t (x integer, t > 0) with the pivot coordinates of
-    ``rows`` (an HNF basis) zeroed by a rational combination of them."""
+    ``rows`` (an HNF basis) zeroed by a rational combination of them, as a
+    normalized homogeneous point: (x', t') with t' > 0 and gcd(x', t') = 1."""
     s, w = reduce_echelon(x, rows)
-    return tuple(Fraction(a, s * t) for a in w)
+    return primitive(w + [s * t])
+
+
+def _rational_order(points):
+    """Sort key on homogeneous points (x, t), t > 0, that lists them in the
+    lexicographic order of the rational points x / t: each x is scaled to
+    the common denominator of the given points and the ints are compared."""
+    den = lcm(*{p[-1] for p in points})
+    return lambda p: [a * (den // p[-1]) for a in p[:-1]]
+
+
+def _key_order(keys):
+    """Sort key on cell keys (ambient_dim, lineality, points, rays) that
+    lists them in the output order: as the keys with each point's rational
+    vertex in its place compare, through ``_rational_order`` over every
+    point of the given keys."""
+    order = _rational_order([p for k in keys for p in k[2]])
+    return lambda k: (k[0], k[1], [order(p) for p in k[2]], k[3])
 
 
 def _canonical_halfspace(u, c, hull):
@@ -245,8 +277,8 @@ def from_halfspaces(halfspaces, ambient_dim):
         if len(u) != ambient_dim:
             raise ValueError("normal length does not match ambient dimension")
         rows.append((tuple(integer_row(u)), Fraction(c)))
-    zero, space = (Fraction(0),) * ambient_dim, full_lattice(ambient_dim)
-    return _cut(Polyhedron(ambient_dim, (), (), (zero,), (), space.basis, space, ()), rows)
+    origin, space = (0,) * ambient_dim + (1,), full_lattice(ambient_dim)
+    return _cut(Polyhedron(ambient_dim, (), (), (origin,), (), space.basis, space, ()), rows)
 
 
 def _cut(p, halfspaces):
@@ -263,7 +295,7 @@ def _cut(p, halfspaces):
     cell is, p's facets and the kept rows its candidate facets."""
     r, k = p.ambient_dim, len(p.halfspaces)
     lines = [l + (0,) for l in p.lineality]
-    gens = [tuple(x) + (t,) for x, t in map(_integral, p.vertices)] + [d + (0,) for d in p.rays]
+    gens = list(p.points) + [d + (0,) for d in p.rays]
     cuts, rows = [], []
     for u, c in halfspaces:
         g = tuple(x * c.denominator for x in u) + (-c.numerator,)
@@ -300,9 +332,10 @@ def _from_incidence(ambient_dim, candidates, bits, tight, lines):
             d = primitive(reduce_echelon(x, lin_basis)[1])
             if any(d):
                 ray_rows[d] = m
-    verts, vert_rows = zip(*sorted(vert_rows.items()))
-    rec, ray_rows = zip(*sorted(ray_rows.items())) if ray_rows else ((), ())
-    masks = [_select(vert_rows + ray_rows, b) for b in bits]
+    verts = sorted(vert_rows, key=_rational_order(vert_rows))
+    rec = sorted(ray_rows)
+    row_masks = [vert_rows[v] for v in verts] + [ray_rows[d] for d in rec]
+    masks = [_select(row_masks, b) for b in bits]
     return _assemble(ambient_dim, candidates, masks, verts, rec, lin_basis)
 
 
@@ -335,16 +368,17 @@ def _assemble(ambient_dim, candidates, masks, verts, rec, lin_basis):
     """Finish construction: affine hull, canonical facets, computed on
     integers; Fractions are built only for the equality and facet constants.
 
-    ``verts`` and ``rec`` are sorted, and ``masks[j]`` holds the generators
+    ``verts`` are normalized homogeneous points in rational order and
+    ``rec`` primitive rays, sorted; ``masks[j]`` holds the generators
     on the hyperplane of ``candidates[j]`` as a bitmask over ``verts + rec``,
     as ``facet_masks`` does.  Every candidate is valid and every facet is
     cut out by some candidate, so a candidate defines a facet exactly when
     its face holds a vertex, is proper and is inclusion-maximal among the
     candidates' faces."""
     # v - v0 is a positive multiple of x t0 - x0 t for v = x / t, v0 = x0 / t0
-    x0, t0 = _integral(verts[0])
-    dirs = [primitive([a * t0 - b * t for a, b in zip(x, x0)])
-            for x, t in map(_integral, verts[1:])] + list(rec) + list(lin_basis)
+    x0, t0 = verts[0][:-1], verts[0][-1]
+    dirs = [primitive([a * t0 - b * v[-1] for a, b in zip(v[:-1], x0)])
+            for v in verts[1:]] + list(rec) + list(lin_basis)
     # affine hull equalities: HNF basis of the orthogonal complement of
     # the directions; the direction lattice is the complement of those
     comp, dir_lat = _hull(dirs, ambient_dim)
@@ -432,8 +466,8 @@ def affine_image(linear_rows, translate, p):
         return EMPTY
     a = tuple(map(tuple, linear_rows))
     tau, d = _integral([Fraction(c) for c in translate])
-    verts = [tuple(dot(row, x) * d + t * c for row, c in zip(a, tau)) + (t * d,)
-             for x, t in map(_integral, p.vertices)]
+    verts = [tuple(dot(row, v[:-1]) * d + v[-1] * c for row, c in zip(a, tau)) + (v[-1] * d,)
+             for v in p.points]
     rays = [tuple(dot(row, r) for row in a) for r in p.rays]
     lines = [tuple(dot(row, l) for row in a) for l in p.lineality]
     _, pivots, to_image = _linear_image(a, p.direction_lattice)
@@ -469,17 +503,19 @@ def _facet(p, i):
 
 
 def _generators(p, positions):
-    """The vertices, then the rays of p at the given positions."""
-    nv = len(p.vertices)
-    return (tuple(p.vertices[k] for k in positions if k < nv),
+    """The points, then the rays of p at the given positions."""
+    nv = len(p.points)
+    return (tuple(p.points[k] for k in positions if k < nv),
             tuple(p.rays[k - nv] for k in positions if k >= nv))
 
 
 def facets(p):
-    """Closed faces of codimension 1, sorted by key."""
+    """Closed faces of codimension 1, in the output order of their keys."""
     if p.is_empty or p.dim <= 0:
         return []
-    return sorted((_facet(p, i) for i in range(len(p.halfspaces))), key=Polyhedron.key)
+    out = [_facet(p, i) for i in range(len(p.halfspaces))]
+    order = _key_order([f.key() for f in out])
+    return sorted(out, key=lambda f: order(f.key()))
 
 
 def _facet_records(p):
@@ -508,7 +544,7 @@ def faces(p, codim):
     level = [p]
     for _ in range(codim):
         found = {f.key(): f for cell in level for f in facets(cell)}
-        level = [found[k] for k in sorted(found)]
+        level = [found[k] for k in sorted(found, key=_key_order(found))]
     return level
 
 
@@ -537,14 +573,15 @@ class Complex:
 
     @property
     def cells(self):
-        return [self._cells[k] for k in sorted(self._cells)]
+        return [self._cells[k] for k in sorted(self._cells, key=_key_order(self._cells))]
 
     def maximal_cells(self):
         """Cells that are no facet of another cell; the cells are closed
         under faces, so these are the cells in no other cell."""
         facet_keys = {f.key() for c in self._cells.values() if c.dim > 0
                       for f in faces(c, 1)}
-        return [self._cells[k] for k in sorted(set(self._cells) - facet_keys)]
+        keys = set(self._cells) - facet_keys
+        return [self._cells[k] for k in sorted(keys, key=_key_order(keys))]
 
     def __contains__(self, cell):
         return not cell.is_empty and cell.key() in self._cells

@@ -35,6 +35,12 @@ def cube(center, half):
     return from_halfspaces(hs, r)
 
 
+def output_key(p):
+    """The key of p with each point as its Fraction vertex: the library
+    lists cells, faces and violations in the order of these."""
+    return p.ambient_dim, p.lineality, p.vertices, p.rays
+
+
 def witness_faces(wc):
     """Codimension-1 faces rho of wc, sorted by key, near which the Dirac
     current of wc is not d'-closed, found by integration alone.

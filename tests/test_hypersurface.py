@@ -8,7 +8,7 @@ from math import ceil, floor, gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import box
+from conftest import box, dense_terms, output_key
 from oracles import equal_up_to_refinement
 
 from tropform import io as tio
@@ -17,7 +17,14 @@ from tropform.cycle import Current, WeightedComplex, check_balancing, current_ev
 from tropform.hypersurface import corner_locus, tropical_polynomial
 from tropform.integrate import integrate_polytope
 from tropform.lattice import dot, vec_neg, vec_sub
-from tropform.polyhedra import from_generators, from_halfspaces, intersect
+from tropform.polyhedra import (
+    complex_from_cells,
+    faces,
+    facets,
+    from_generators,
+    from_halfspaces,
+    intersect,
+)
 from tropform.superform import (
     Polynomial,
     basis_form,
@@ -293,3 +300,32 @@ def test_corner_locus_runs_one_double_description(monkeypatch):
     wc = corner_locus(tp)
     assert len(calls) == 1
     assert check_balancing(wc) == []
+
+
+def test_output_lists_cells_in_the_order_of_their_rational_vertices():
+    """Corner loci with quarter-step coefficients have vertices of several
+    denominators, where the int keys order cells otherwise than their
+    Fraction vertices do.  Every list the library returns still follows the
+    Fraction vertices: a cell's vertices, its facets and faces, the cells of
+    a cycle, of a complex and of a cut by a window, and the violations of
+    balancing of each copy with one weight raised."""
+    lists = {}
+    for seed, (r, d) in product(range(3), ((2, 3), (2, 4), (3, 2))):
+        wc = corner_locus(tropical_polynomial(dense_terms(random.Random(seed), r, d), r))
+        cx = complex_from_cells(wc.maximal_cells())
+        window = wc.truncated(box(r, -4, 4))
+        found = {"cycle": [wc.maximal_cells(), window.maximal_cells()],
+                 "complex": [cx.cells, cx.maximal_cells()], "faces": [], "violations": []}
+        cells = wc.weighted_cells()
+        for k in range(len(cells)):
+            raised = WeightedComplex((c, m + (i == k)) for i, (c, m) in enumerate(cells))
+            found["violations"].append([rho for rho, _ in check_balancing(raised)])
+        for cell in cx.cells + window.maximal_cells():
+            assert list(cell.vertices) == sorted(set(cell.vertices))
+            found["faces"] += [facets(cell)] + [faces(cell, k) for k in range(cell.dim + 1)]
+        for kind, more in found.items():
+            lists.setdefault(kind, []).extend(more)
+    for kind, found in lists.items():
+        assert all(cells == sorted(cells, key=output_key) for cells in found), kind
+        # the int keys alone would order some of these lists otherwise
+        assert any(cells != sorted(cells, key=polyhedra.Polyhedron.key) for cells in found), kind

@@ -960,3 +960,61 @@ def test_equal_polyhedra_emit_the_same_document(case):
     q = from_halfspaces(rows, r)
     assert q.key() == p.key()
     assert tio.emit(q) == tio.emit(p)
+
+
+# -- vertices stored as normalized homogeneous integer points --------------
+
+@st.composite
+def _four_ways(draw):
+    """A polyhedron in r = 2, 3 built one of four ways: from halfspaces with
+    rational constants, from rational generators, as the image of one of
+    those along an invertible integer map with a rational shift, or as the
+    intersection of one of each."""
+    r = draw(st.integers(2, 3))
+    rational = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * r)
+
+    def by_halfspaces():
+        hs = draw(st.lists(st.tuples(vec, rational), min_size=1, max_size=6))
+        hs += [(tuple(s if j == i else 0 for j in range(r)), Fraction(3))
+               for i in range(r) for s in (1, -1) if draw(st.booleans())]
+        return from_halfspaces(hs, r)
+
+    def by_generators():
+        return from_generators(draw(st.lists(st.tuples(*[rational] * r), min_size=1, max_size=6)),
+                               draw(st.lists(vec, max_size=2)), draw(st.lists(vec, max_size=1)), r)
+    way = draw(st.sampled_from(["halfspaces", "generators", "image", "intersect"]))
+    if way == "halfspaces":
+        p = by_halfspaces()
+    elif way == "generators":
+        p = by_generators()
+    elif way == "image":
+        rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+                             min_size=r, max_size=r))
+        assume(rational_rank(rows) == r)
+        base = by_halfspaces() if draw(st.booleans()) else by_generators()
+        assume(not base.is_empty)
+        p = affine_image(rows, draw(st.lists(rational, min_size=r, max_size=r)), base)
+    else:
+        p = intersect(by_halfspaces(), by_generators())
+    assume(not p.is_empty)
+    return p
+
+
+@ORACLE_SETTINGS
+@given(_four_ways())
+def test_points_are_normalized_in_rational_order_and_give_the_key(p):
+    """Every point (x, t) has t > 0 and gcd(x, t) = 1, the points list the
+    vertices in increasing rational order, ``vertices`` is their Fraction
+    view, and the same set built from p's vertices or halfspaces has p's
+    key and hash."""
+    r = p.ambient_dim
+    for point in p.points:
+        assert len(point) == r + 1 and point[-1] > 0 and gcd(*point) == 1
+    view = tuple(tuple(Fraction(a, pt[-1]) for a in pt[:-1]) for pt in p.points)
+    assert p.vertices == view
+    assert list(view) == sorted(set(view))
+    assert p.key() == (r, p.lineality, p.points, p.rays)
+    for q in (from_generators(list(p.vertices), p.rays, p.lineality, r),
+              from_halfspaces(p.all_halfspaces(), r)):
+        assert q.key() == p.key() and hash(q) == hash(p) and q == p
