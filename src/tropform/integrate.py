@@ -26,7 +26,8 @@ for h_d reads them from, and grows by the exponents it lacks.  The
 simplex's chart volume factor is |det| of its edges restricted to the
 pivot columns S of B, over the product of the pivots, since B restricted
 to S is triangular.  The sign (-1)^{n(n-1)/2} makes
-d'x_1 ^ d''x_1 ^ ... ^ d'x_n ^ d''x_n positive.  Everything is over Q.
+d'x_1 ^ d''x_1 ^ ... ^ d'x_n ^ d''x_n positive.  A simplex indexes the
+polytope's points, scaled once to ints; only the integral is a Fraction.
 """
 
 from __future__ import annotations
@@ -98,12 +99,6 @@ def _dot(poly, moments, n, t):
     return s, poly.den * top * t ** degree
 
 
-def _scaled(points, t):
-    """The rational points times t, a multiple of their denominators, as
-    int tuples."""
-    return [tuple(x.numerator * (t // x.denominator) for x in v) for v in points]
-
-
 def integrate_polynomial_simplex(poly, simplex_vertices):
     """Integral over the standard n-simplex of poly composed with the
     parametrization t -> u_0 + sum_i t_i (u_i - u_0) of the simplex with
@@ -111,11 +106,14 @@ def integrate_polynomial_simplex(poly, simplex_vertices):
     measure on the simplex's hull in which the simplex has volume V, the
     integral of poly over the simplex is n! V times this.  It is the dot
     product of poly's coefficients with the simplex's vertex moments, on
-    the vertices scaled to integers; nothing is composed."""
+    the vertices scaled to integers; nothing is composed.  ValueError if
+    there is no vertex or a vertex does not have poly.nvars coordinates."""
+    if not simplex_vertices or any(len(v) != poly.nvars for v in simplex_vertices):
+        raise ValueError("simplex vertices must be given, each of %d coordinates" % poly.nvars)
     if not poly.num:
         return Fraction(0)
     t = lcm(*(x.denominator for v in simplex_vertices for x in v))
-    points = _scaled(simplex_vertices, t)
+    points = [tuple(x.numerator * (t // x.denominator) for x in v) for v in simplex_vertices]
     moments = _vertex_moments([(1, points)], poly.num)
     return Fraction(*_dot(poly, moments, len(points) - 1, t))
 
@@ -125,20 +123,20 @@ def _moment_table(sigma, exponents):
     given exponents, and each exponent asked of sigma before, to the
     ``_vertex_moments`` of the simplices of sigma's placing triangulation,
     each weighted by |det| of its edges at the pivot columns of the
-    direction lattice's basis, on the vertices scaled to integers by t,
-    the least common multiple of the t of sigma's points (x, t); q = t^n
+    direction lattice's basis, on sigma's points (x, s) scaled once to
+    the ints x t / s, t the least common multiple of their s; q = t^n
     times the product of the pivots.  The triangulation, its weights and M
     are kept on sigma, and M grows by the exponents it lacks."""
     if sigma._moments is None:
         basis = sigma.direction_lattice.basis
         pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
         t = lcm(*(v[-1] for v in sigma.points))
+        xs = [tuple(a * (t // v[-1]) for a in v[:-1]) for v in sigma.points]
         simplices = []
         for simplex in triangulate(sigma):
-            xs = _scaled(simplex, t)
-            x0 = xs[0]
-            det = determinant([[x[p] - x0[p] for p in pivots] for x in xs[1:]])
-            simplices.append((abs(det), xs))
+            x0 = xs[simplex[0]]
+            det = determinant([[xs[i][p] - x0[p] for p in pivots] for i in simplex[1:]])
+            simplices.append((abs(det), [xs[i] for i in simplex]))
         q = t ** len(pivots) * prod(b[p] for b, p in zip(basis, pivots))
         sigma._moments = (t, q, simplices, {})
     t, q, simplices, table = sigma._moments

@@ -1,8 +1,9 @@
 """Exact integer and rational linear algebra for lattice computations.
 
 Everything here is over Z or Q, with no floating point, so that residuals
-(Stokes, Green, balancing) come out exactly zero; a rational vector is
-cleared of denominators in one place, :func:`_integral`.
+(Stokes, Green, balancing) come out exactly zero.  :func:`hnf`,
+:func:`determinant` and :func:`reduce_mod_lattice` take integers only; a
+rational point is cleared of denominators where it enters, :func:`_integral`.
 Lattices are sublattices of Z^r given by basis rows kept in Hermite normal
 form, so equal lattices have identical representations.  That basis is
 echelon: reductions in it use :func:`reduce_echelon`, and an index is a
@@ -19,10 +20,11 @@ once per distinct integer input: each keeps its last
 least-recently-used cache, as the cells of a cycle share few direction
 spaces; a saturation is the hull's direction lattice, from that cache.  A
 determinant is Bareiss' fraction-free reduction: the Gram system of
-:func:`reduce_mod_lattice` is solved with it by Cramer's rule.  General
-rational elimination (:func:`in_span`) and substitution in pivot order
-(:func:`coords_in_basis`) have no caller in the library; the tests and
-the perfbench tracer still name them.
+:func:`reduce_mod_lattice` is solved with it by Cramer's rule.  Seven
+definitions have no caller in the library; the tests and the perfbench
+tracer still name them: :func:`gauss_jordan`, :func:`solve_exact`,
+:func:`rational_rank`, :func:`in_span`, :func:`coords_in_basis`,
+:func:`snf_transform` and :func:`snf`.
 """
 
 from __future__ import annotations
@@ -145,15 +147,13 @@ def rational_rank(rows):
 
 
 def determinant(rows):
-    """Determinant of a square matrix over Q (1 for the empty matrix), an
-    int when every entry is one.  Each row is cleared of denominators, and
-    the integer matrix is reduced by Bareiss' fraction-free elimination, in
-    which every division is exact."""
-    m, scale = [], 1
-    for row, t in map(_integral, rows):
-        m.append(row)
-        scale *= t
+    """Determinant of a square integer matrix (1 for the empty matrix), by
+    Bareiss' fraction-free elimination, in which every division is exact.
+    ValueError if the matrix is not square or an entry is not integral."""
+    m = [integer_row(row) for row in rows]
     n, sign, prev = len(m), 1, 1
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix of %d rows is not square" % n)
     for k in range(n - 1):
         if not m[k][k]:
             p = next((i for i in range(k + 1, n) if m[i][k]), None)
@@ -167,8 +167,7 @@ def determinant(rows):
             for j in range(k + 1, n):
                 other[j] = (other[j] * pivot - f * row[j]) // prev
         prev = pivot
-    det = sign * m[-1][-1] if n else 1
-    return det if scale == 1 else Fraction(det, scale)
+    return sign * m[-1][-1] if n else 1
 
 
 def in_span(rows, v):
@@ -394,20 +393,21 @@ def coords_in_basis(basis_rows, v):
 
 
 def reduce_mod_lattice(v, lat):
-    """Canonical representative of v modulo lat.
+    """Canonical representative of the integer vector v modulo lat, as ints.
 
     Decomposes v = l + t with l in span(lat) (orthogonal projection) and
     subtracts the floor part of l's coordinates in the HNF basis, so the
-    reduction coefficients land in [0, 1).  Works for rational v: with
-    v = w / t for w integral, the coordinates solve the integer Gram system
-    G c = B w / t, so by Cramer's rule c_k = det G_k / (t det G), G_k being
-    G with column k replaced by B w, and det G > 0."""
+    reduction coefficients land in [0, 1).  The coordinates solve the
+    integer Gram system G c = B v, so by Cramer's rule c_k = det G_k / det G,
+    G_k being G with column k replaced by B v, and det G > 0.  ValueError
+    if v's length is not lat's ambient rank or an entry is not integral."""
+    out = integer_row(v)
+    if len(out) != lat.ambient_rank:
+        raise ValueError("vector length does not match ambient rank")
     b = lat.basis
-    w, t = _integral(v)
     gram = [[dot(x, y) for y in b] for x in b]
-    rhs = [dot(x, w) for x in b]
-    scale = t * determinant(gram)
-    out = [Fraction(x) for x in v]
+    rhs = [dot(x, out) for x in b]
+    scale = determinant(gram)
     for k, row in enumerate(b):
         q = determinant([g[:k] + [c] + g[k + 1:] for g, c in zip(gram, rhs)]) // scale
         if q:
@@ -434,7 +434,7 @@ def _facet_split(n_sigma, u):
     cols = list(zip(*n_sigma.basis))
     w, *rest = ([dot(row, col) for col in cols] for row in t)
     n_rho = Lattice(n_sigma.ambient_rank, tuple(map(tuple, hnf(rest)[0])))
-    return tuple(int(x) for x in reduce_mod_lattice(w, n_rho)), n_rho
+    return reduce_mod_lattice(w, n_rho), n_rho
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -644,7 +644,8 @@ def truncate(cx, box):
 
 def triangulate(p):
     """Placing triangulation of a polytope from the lexicographically
-    smallest vertex; returns simplices as tuples of vertices.
+    smallest vertex; returns simplices as tuples of indices into
+    ``p.points``.
 
     Purely combinatorial: a face is the bitmask of its vertex indices, and
     the facets of a face F are the inclusion-maximal proper sets F & t, with
@@ -653,9 +654,7 @@ def triangulate(p):
         return []
     if not p.is_bounded:
         raise ValueError("cannot triangulate an unbounded polyhedron")
-    verts = p.vertices
-    simplices = _place((1 << len(verts)) - 1, p.dim, p.facet_masks)
-    return [tuple(verts[i] for i in s) for s in simplices]
+    return _place((1 << len(p.points)) - 1, p.dim, p.facet_masks)
 
 
 def _place(face, dim, tight):

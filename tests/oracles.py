@@ -4,9 +4,10 @@ src/."""
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 from tropform.lattice import determinant, dot, gauss_jordan, solve_exact, vec_sub
+from tropform.polyhedra import triangulate
 
 
 def rational_kernel(rows, n):
@@ -22,12 +23,29 @@ def rational_kernel(rows, n):
     return kern
 
 
+def rational_determinant(rows):
+    """Determinant of a square rational matrix: each row cleared of its
+    denominators, and the integer determinant divided by the factors."""
+    cleared, scale = [], 1
+    for row in rows:
+        t = lcm(*(Fraction(x).denominator for x in row))
+        cleared.append([x * t for x in row])
+        scale *= t
+    return Fraction(determinant(cleared), scale)
+
+
+def vertex_simplices(p):
+    """The simplices of ``triangulate(p)`` as tuples of p's vertices."""
+    verts = p.vertices
+    return [tuple(verts[i] for i in s) for s in triangulate(p)]
+
+
 def simplex_volume(simplex):
     """Euclidean volume of a full-dimensional simplex (vertex tuple)."""
     v0 = simplex[0]
     rows = [list(vec_sub(v, v0)) for v in simplex[1:]]
     n = len(rows)
-    return Fraction(abs(determinant(rows)), factorial(n))
+    return abs(rational_determinant(rows)) / factorial(n)
 
 
 def integrate_monomial_simplex(exponents):
@@ -47,7 +65,7 @@ def brute_force_vertices(halfspaces, r):
     out = set()
     for chosen in combinations(halfspaces, r):
         rows = [list(u) for u, _ in chosen]
-        if determinant(rows) == 0:
+        if rational_determinant(rows) == 0:
             continue
         x = solve_exact(rows, [Fraction(c) for _, c in chosen])
         if all(dot(u, x) <= c for u, c in halfspaces):

@@ -18,12 +18,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import box, rand_form, rand_poly, segment
-from oracles import integrate_monomial_simplex
+from oracles import integrate_monomial_simplex, rational_determinant, vertex_simplices
 
 from tropform import integrate, lattice, superform
 from tropform.integrate import integrate_polynomial_simplex, integrate_polytope
 from tropform.lattice import coords_in_basis, determinant, vec_sub
-from tropform.polyhedra import all_faces, faces, from_generators, from_halfspaces, triangulate
+from tropform.polyhedra import all_faces, faces, from_generators, from_halfspaces
 from tropform.superform import (
     AffineMap,
     Polynomial,
@@ -193,7 +193,7 @@ def _oracle_integrate_simplex(poly, simplex_vertices):
     sub = poly.compose_affine(linear, v0, n)
     total = sum((c * integrate_monomial_simplex(e) for e, c in sub.terms.items()),
                 Fraction(0))
-    return abs(determinant(linear)) * total
+    return abs(rational_determinant(linear)) * total
 
 
 def _oracle_integrate_polytope(sigma, a):
@@ -210,7 +210,7 @@ def _oracle_integrate_polytope(sigma, a):
             return Fraction(0)
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
         total = Fraction(0)
-        for simplex in triangulate(sigma):
+        for simplex in vertex_simplices(sigma):
             coords = [_vertex_coords(sigma, v) for v in simplex]
             total += _oracle_integrate_simplex(g, coords)
         return sign * total
@@ -244,7 +244,7 @@ def _oracle_composed_integral(sigma, a):
     scaled = {v: [v[p].numerator * (t // v[p].denominator) for p in pivots]
               for v in sigma.vertices}
     total = Fraction(0)
-    for simplex in triangulate(sigma):
+    for simplex in vertex_simplices(sigma):
         x0 = scaled[simplex[0]]
         det = determinant([[x - y for x, y in zip(scaled[v], x0)] for v in simplex[1:]])
         total += abs(det) * _oracle_integrate_polynomial_simplex(h, simplex)
@@ -381,7 +381,7 @@ def test_vertex_moments_match_the_composition_oracle(p, degrees, rng):
             a = rand_form(rng, r, k, k, deg=deg)
             assert integrate_polytope(sigma, a) == _oracle_composed_integral(sigma, a)
         poly = rand_poly(rng, r, deg=max(degrees))
-        for simplex in triangulate(sigma):
+        for simplex in vertex_simplices(sigma):
             assert integrate_polynomial_simplex(poly, simplex) \
                 == _oracle_integrate_polynomial_simplex(poly, simplex)
 
@@ -463,7 +463,7 @@ def test_integrand_vanishing_on_the_hull_integrates_to_zero():
     g = Polynomial(3, {(0, 0, 1): 1, (0, 0, 0): -1}) * f
     assert integrate_polytope(face, Superform(3, 2, 2, {((0, 1), (0, 1)): g})) == 0
     assert face._moments is not None
-    assert all(integrate_polynomial_simplex(g, s) == 0 for s in triangulate(face))
+    assert all(integrate_polynomial_simplex(g, s) == 0 for s in vertex_simplices(face))
     assert integrate_polytope(cube, Superform(3, 3, 3, {((0, 1, 2), (0, 1, 2)): g})) != 0
 
 

@@ -23,6 +23,7 @@ from tropform.integrate import (
     integrate_boundary,
     integrate_complex,
     integrate_complex_boundary,
+    integrate_polynomial_simplex,
     integrate_polytope,
     outward_vector,
     stokes_residual,
@@ -45,6 +46,18 @@ def test_monomial_simplex():
     assert integrate_monomial_simplex((1,)) == Fraction(1, 2)
     assert integrate_monomial_simplex((1, 1)) == Fraction(1, 24)
     assert integrate_monomial_simplex((0, 0)) == Fraction(1, 2)
+
+
+def test_integrate_polynomial_simplex_rejects_bad_vertices():
+    poly = P(3, {(1, 0, 2): 1})
+    for vertices in ([], [(0, 0), (1, 0), (0, 1)], [(0, 0, 0, 0), (1, 0, 0, 0)],
+                     [(0, 0, 0), (1, 0)]):
+        with pytest.raises(ValueError, match="coordinates"):
+            integrate_polynomial_simplex(poly, vertices)
+    with pytest.raises(ValueError, match="coordinates"):
+        integrate_polynomial_simplex(P(3, {}), [])
+    assert integrate_polynomial_simplex(P(1, {(1,): 1}), [(0,), (Fraction(1, 2),)]) \
+        == Fraction(1, 4)
 
 
 def test_normalization():

