@@ -29,7 +29,7 @@ from .integrate import (
     integrate_complex_boundary,
     stokes_residual,
 )
-from .polyhedra import faces, refine, truncate, validate_complex
+from .polyhedra import Complex, faces, refine, truncate, validate_complex
 
 
 class InputError(Exception):
@@ -77,11 +77,14 @@ def _checked(command, ok, body):
 
 
 def _truncated(domain, window):
-    """The domain cut to a bounded window, if one is given, as a cycle: a
-    polyhedron is the cycle of weight 1 on it, and lower-dimensional pieces go."""
+    """The domain cut to the window, if one is given: a complex by ``truncate``
+    (face-closed), a weighted complex by its ``truncated`` and a polyhedron as
+    the cycle of weight 1 on it (full-dimensional pieces only)."""
     if window is None:
         return domain
-    cycle = domain if hasattr(domain, "truncated") else WeightedComplex([(domain, 1)])
+    if isinstance(domain, Complex):
+        return truncate(domain, window)
+    cycle = domain if isinstance(domain, WeightedComplex) else WeightedComplex([(domain, 1)])
     return cycle.truncated(window)
 
 
@@ -149,11 +152,6 @@ def _cmd_current_eval(args):
     return _report(args.command, {"value": tio.rational_str(value)})
 
 
-def _cmd_truncate(args):
-    obj, box = args.complex, args.box
-    return tio.emit(obj.truncated(box) if hasattr(obj, "truncated") else truncate(obj, box))
-
-
 def _emit_violation(record):
     """A ``validate_complex`` record with its polyhedra written as trop/1."""
     emit = tio._emit_polyhedron
@@ -215,7 +213,8 @@ _COMMANDS = {
     "refine": ("common refinement of two complexes",
                lambda args: tio.emit(refine(args.complex, args.other), kind="complex"),
                [("complex", _COMPLEX, {}), ("other", _COMPLEX, {})]),
-    "truncate": ("intersect a complex with a box", _cmd_truncate,
+    "truncate": ("intersect a complex with a box",
+                 lambda args: tio.emit(_truncated(args.complex, args.box)),
                  [("complex", ("complex", "weighted-complex"), {}),
                   ("box", _POLYHEDRON, {})]),
     "faces": ("faces of a polyhedron of given codimension",

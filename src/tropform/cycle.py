@@ -19,8 +19,6 @@ from .lattice import (
     dot,
     lattice_index,
     member,
-    primitive,
-    reduce_echelon,
     reduce_mod_lattice,
     vec_neg,
 )
@@ -29,6 +27,7 @@ from .polyhedra import (
     _facet,
     _facet_records,
     _key_order,
+    _reduce_mod_rows,
     affine_image,
     check_window,
     from_halfspaces,
@@ -152,8 +151,7 @@ def check_balancing(wc):
     hulls = {}
     for key, (_, lat, _) in found.items():
         v = key[2][0]
-        s, w = reduce_echelon(v[:-1], lat.basis)
-        hulls.setdefault((lat.basis, primitive(w + [s * v[-1]])), []).append(key)
+        hulls.setdefault((lat.basis, _reduce_mod_rows(v[:-1], v[-1], lat.basis)), []).append(key)
     # (face key, sum) -> the face, where it is already built
     totals = {}
     for keys in hulls.values():
@@ -210,7 +208,8 @@ _OPS = {"d_prime": d_prime, "d_second": d_second}
 
 
 def current_eval(cur, a, window):
-    """Evaluate the current on the form a over the bounded window.
+    """Evaluate the current on the form a over a window that passes
+    ``check_window``, also for the zero cycle, which is 0 on any form.
 
     Each applied operator unfolds as (d T)(a) = (-1)^{p+q+1} T(d a) with
     (p, q) the bidegree of d a, matching the sign that makes the embedding
@@ -223,9 +222,7 @@ def current_eval(cur, a, window):
         sign *= -1 if (deg + 1) % 2 else 1
     if cur.kind == Current.DIRAC:
         wc = cur.payload
-        if wc.is_zero:
-            return Fraction(0)
-        if form.bidegree != (wc.dim, wc.dim):
+        if not wc.is_zero and form.bidegree != (wc.dim, wc.dim):
             raise ValueError("bidegree mismatch for Dirac evaluation")
         return sign * integrate_complex(wc.truncated(window), form)
     omega = cur.payload
@@ -233,6 +230,7 @@ def current_eval(cur, a, window):
     r = omega.ambient_dim
     if prod.bidegree != (r, r):
         raise ValueError("bidegree mismatch for embedded-form evaluation")
+    check_window(window)
     return sign * integrate_polytope(window, prod)
 
 
@@ -278,9 +276,7 @@ def preimage_polyhedron(f, p):
     hs = []
     for u, c in p.all_halfspaces():
         # u . (A x + t) <= c  ->  (u A) . x <= c - u . t
-        ua = tuple(sum(u[i] * f.linear[i][j] for i in range(f.codomain_dim))
-                   for j in range(f.domain_dim))
-        hs.append((ua, Fraction(c) - dot(u, f.translate)))
+        hs.append((tuple(dot(u, col) for col in zip(*f.linear)), c - dot(u, f.translate)))
     return from_halfspaces(hs, f.domain_dim)
 
 
@@ -301,7 +297,5 @@ def projection_check(f, wc, a, window):
         dom = intersect(cell, pre)
         if dom.is_empty or dom.dim < n:
             continue
-        if not dom.is_bounded:
-            raise ValueError("window truncation is incompatible with the map")
         right += m * integrate_polytope(dom, pa)
     return (left, right)

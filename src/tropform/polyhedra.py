@@ -465,7 +465,7 @@ def affine_image(linear_rows, translate, p):
     if p.is_empty:
         return EMPTY
     a = tuple(map(tuple, linear_rows))
-    tau, d = _integral([Fraction(c) for c in translate])
+    tau, d = _integral(translate)
     verts = [tuple(dot(row, v[:-1]) * d + v[-1] * c for row, c in zip(a, tau)) + (v[-1] * d,)
              for v in p.points]
     rays = [tuple(dot(row, r) for row in a) for r in p.rays]
@@ -637,7 +637,7 @@ def check_window(box):
 
 
 def truncate(cx, box):
-    """Intersect every cell with a bounded full-dimensional polytope."""
+    """The face-closed complex of every cell intersected with the window."""
     check_window(box)
     return complex_from_cells(intersect(a, box) for a in cx.maximal_cells())
 

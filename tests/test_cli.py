@@ -549,7 +549,8 @@ def _mixed_ambient_doc(tmp_path):
                                    "refine-2d-whole-r3", "kind-not-a-string",
                                    "equalities-number", "equalities-true",
                                    "equalities-null", "projection-check-no-window",
-                                   "current-eval-no-window", "map-linear-rows",
+                                   "current-eval-no-window", "current-eval-zero-unbounded",
+                                   "current-eval-zero-empty", "map-linear-rows",
                                    "map-translate-entries", "polyhedron-negative-dim",
                                    "superform-negative-exponent",
                                    "tropical-duplicate-exponent", "tropical-single-term",
@@ -621,6 +622,18 @@ def test_cli_library_value_errors_exit_2(tmp_path, capsys, probe):
         argv = (["projection-check", _write(tmp_path, "f.json", AffineMap([[1, 0]], [0])),
                  cycle, form] if probe.startswith("projection") else
                 ["current-eval", cycle, form])
+    elif probe.startswith("current-eval-zero-"):
+        # the zero cycle's window is checked as integrate checks it
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"format": "trop/1", "kind": "weighted-complex",
+                                    "ambient_dim": 2, "cells": []}))
+        form = _write(tmp_path, "a.json", basis_form(2, (0,), (0,)))
+        window = (_empty_polyhedron_doc(tmp_path) if probe.endswith("empty") else
+                  _write(tmp_path, "w.json", half_plane))
+        assert main(["integrate", str(zero), "--window", window, form]) == 2
+        field = capsys.readouterr().err
+        assert field == "error: truncation window must be a bounded polytope\n"
+        argv = ["current-eval", str(zero), form, "--window", window]
     elif probe.startswith("map-"):
         body = json.loads(tio.emit(AffineMap([[1, 0], [0, 1]], [0, 0])))
         del body["linear" if probe == "map-linear-rows" else "translate"][0]

@@ -147,6 +147,18 @@ def test_current_of_the_zero_cycle_is_zero():
     assert current_eval(zero.apply("d_prime"), basis_form(1, (), (0,)), window) == 0
 
 
+@pytest.mark.parametrize("window", ["unbounded", "empty"])
+def test_current_eval_checks_the_window_of_every_current(window):
+    """The window is checked before anything is integrated: also for the
+    zero cycle, whose integral would be 0 on any window, and for an
+    embedded form, whose wedge is integrated over the window itself."""
+    window = from_halfspaces([((1,), 1)], 1) if window == "unbounded" else polyhedra.EMPTY
+    a = basis_form(1, (0,), (0,), P(1, {(1,): 1}))
+    for cur in (Current.dirac(WeightedComplex([])), Current.embedded(basis_form(1, (), ()))):
+        with pytest.raises(ValueError, match="^truncation window must be a bounded polytope$"):
+            current_eval(cur, a, window)
+
+
 def test_weights_that_cancel_leave_no_cell():
     """A cell whose weights sum to 0 is dropped where the complex is built:
     all of them cancelling gives the zero cycle, which evaluates to 0 on a
