@@ -284,8 +284,9 @@ def projection_check(f, wc, a, window):
     """Both sides of the projection formula: the integral of a over the
     push-forward truncated to the window, and the integral of F* a over the
     source truncated to the preimage of the window.  They agree exactly."""
-    if window.is_empty or not window.is_bounded or window.dim != f.codomain_dim:
-        raise ValueError("window must be a bounded full-dimensional polytope")
+    check_window(window)
+    if window.dim != f.codomain_dim:
+        raise ValueError("window must be full-dimensional")
     left = integrate_complex(pushforward(f, wc).truncated(window), a)
     pa = pullback(f, a)
     pre = preimage_polyhedron(f, window)

@@ -38,7 +38,7 @@ from math import factorial, lcm, prod
 from operator import add
 
 from .lattice import determinant
-from .polyhedra import _facet, _facet_records, triangulate
+from .polyhedra import EmptyPolyhedron, Polyhedron, _facet, _facet_records, triangulate
 from .superform import (
     MAX_TERMS,
     _minor_sums,
@@ -202,7 +202,7 @@ def integrate_boundary(sigma, eta):
 def _weighted_sum(domain, integral, form):
     """sum_sigma m_sigma integral(sigma, form) over the maximal cells of a
     weighted complex, all bounded; a polyhedron, EMPTY too, is one cell."""
-    if not hasattr(domain, "weighted_cells"):
+    if isinstance(domain, (Polyhedron, EmptyPolyhedron)):
         return integral(domain, form)
     cells = domain.weighted_cells()
     if not all(cell.is_bounded for cell, _ in cells):

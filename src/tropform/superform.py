@@ -5,13 +5,16 @@ A form of bidegree (p, q) on R^r is stored as a map from index pairs (I, J)
 to multivariate polynomials over Q in r variables.  The basis element for
 (I, J) is the tensor d'x_I (x) d''x_J; products of generators in any other
 order are normalized into this form with the Koszul sign for odd
-generators.  A polynomial holds integer numerators over one positive
-denominator in lowest terms, so wedge, d', d'', contraction and the minor
-sums of pullback and integration run on ints; Fractions appear only where
-coefficients are read in or out (the constructor, ``Polynomial.terms``,
-``evaluate``).  Composition with an affine map, which only pullback uses,
-is that same arithmetic: each variable becomes an affine polynomial, and
-each term is multiplied out from its powers.
+generators, which ``_merge`` alone computes.  A polynomial holds integer
+numerators over one positive denominator in lowest terms, so wedge, d',
+d'', contraction and the minor sums of pullback and integration run on
+ints; Fractions appear only where coefficients are read in or out (the
+constructor, ``Polynomial.terms``, ``evaluate``).  The wedge groups the
+signed products of its pairs of components by output component and builds
+each component as one sum of products over a common denominator, reduced
+by one gcd.  Composition with an affine map, which only pullback uses, is
+that same arithmetic: each variable becomes an affine polynomial, and each
+term is multiplied out from its powers.
 """
 
 from __future__ import annotations
@@ -218,15 +221,24 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # sign bookkeeping
 
-def shuffle_sign(a, b):
-    """Sign of merging two disjoint increasing tuples into sorted order,
-    counting each transposition of odd generators as -1; 0 if they overlap."""
-    if set(a) & set(b):
-        return 0
-    inversions = 0
+def _merge(a, b):
+    """(sign, a and b merged into one increasing tuple) for increasing
+    tuples a and b, the sign counting each transposition of odd generators
+    as -1; None if they share an index.  Each x in a advances a cursor over
+    b to the first index >= x, so the indices of b before the cursor are
+    the ones that x passes."""
+    out = ()
+    start = j = passed = 0
+    n = len(b)
     for x in a:
-        inversions += sum(1 for y in b if y < x)
-    return -1 if inversions % 2 else 1
+        while j < n and b[j] < x:
+            j += 1
+        if j < n and b[j] == x:
+            return None
+        out += b[start:j] + (x,)
+        start = j
+        passed += j
+    return (-1 if passed % 2 else 1), out + b[j:]
 
 
 # ---------------------------------------------------------------------------
@@ -319,27 +331,49 @@ def basis_form(r, I, J, poly=None):
     return Superform(r, len(I), len(J), {(tuple(I), tuple(J)): poly})
 
 
+def _sum_of_products(nvars, pairs):
+    """sum s f g over the (s, f, g) in pairs, s = +1 or -1: every product's
+    numerators multiplied out over the one denominator lcm(f.den g.den) and
+    the sum reduced once."""
+    den = lcm(*(f.den * g.den for _, f, g in pairs))
+    out = {}
+    get = out.get
+    for s, f, g in pairs:
+        k = s * (den // (f.den * g.den))
+        gterms = g.num.items()
+        for e1, c1 in f.num.items():
+            c1 *= k
+            for e2, c2 in gterms:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+    return Polynomial._trusted(nvars, out, den)
+
+
 def wedge(a, b):
     """Wedge product; d'x_i and d''x_j are odd generators of the bigraded
     tensor algebra, so (f dx_I (x) dx_J)(g dx_K (x) dx_L) picks up the sign
-    (-1)^{|J||K|} shuffle(I,K) shuffle(J,L)."""
+    (-1)^{|J||K|} shuffle(I,K) shuffle(J,L).  The signed pairs (f, g) are
+    grouped by their key (I u K, J u L), and each output component is one
+    sum of products with one gcd; a sum that cancels is dropped."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     r = a.ambient_dim
     p, q = a.p + b.p, a.q + b.q
     if p > r or q > r:
         return Superform(r, min(p, r), min(q, r))
-    out = {}
+    groups = {}
     for (I1, J1), f in a.components.items():
         for (I2, J2), g in b.components.items():
-            s1 = shuffle_sign(I1, I2)
-            s2 = shuffle_sign(J1, J2)
-            if s1 == 0 or s2 == 0:
+            mi = _merge(I1, I2)
+            if mi is None:
                 continue
-            sign = s1 * s2 * (-1 if (len(J1) * len(I2)) % 2 else 1)
-            key = (tuple(sorted(I1 + I2)), tuple(sorted(J1 + J2)))
-            _accumulate(out, key, (f * g).scale(sign))
-    return Superform(r, p, q, out)
+            mj = _merge(J1, J2)
+            if mj is None:
+                continue
+            sign = mi[0] * mj[0] * (-1 if (len(J1) * len(I2)) % 2 else 1)
+            groups.setdefault((mi[1], mj[1]), []).append((sign, f, g))
+    return Superform(r, p, q, {key: _sum_of_products(r, pairs)
+                               for key, pairs in groups.items()})
 
 
 def swap(a):
@@ -360,13 +394,14 @@ def _d_front(a, block):
     out = {}
     for (I, J), f in a.components.items():
         for i in range(r):
-            if i in I:
+            merged = _merge((i,), I)
+            if merged is None:
                 continue
             df = f.partial(i)
             if df.is_zero:
                 continue
-            sign = block * shuffle_sign((i,), I)
-            _accumulate(out, (tuple(sorted(I + (i,))), J), df.scale(sign))
+            sign, key = merged
+            _accumulate(out, (key, J), df.scale(block * sign))
     return Superform(r, a.p + 1, a.q, out)
 
 

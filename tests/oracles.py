@@ -88,3 +88,14 @@ def equal_up_to_refinement(fine, coarse):
             return False
     return all(any(e == q.equalities and q.contains(x) for e, x in points)
                for q, _ in coarse_cells)
+
+
+def shuffle_sign(a, b):
+    """Sign of merging two disjoint increasing tuples into sorted order,
+    counting each transposition of odd generators as -1; 0 if they overlap."""
+    if set(a) & set(b):
+        return 0
+    inversions = 0
+    for x in a:
+        inversions += sum(1 for y in b if y < x)
+    return -1 if inversions % 2 else 1

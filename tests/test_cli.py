@@ -544,7 +544,7 @@ def _mixed_ambient_doc(tmp_path):
                                    "truncate-unbounded", "out-missing-dir",
                                    "truncate-weighted-unbounded",
                                    "pushforward-domain-r1", "pushforward-domain-r3",
-                                   "projection-check-domain-r1",
+                                   "projection-check-domain-r1", "projection-check-unbounded",
                                    "check-balancing-mixed-ambient", "deep-nesting",
                                    "refine-2d-whole-r3", "kind-not-a-string",
                                    "equalities-number", "equalities-true",
@@ -611,6 +611,16 @@ def test_cli_library_value_errors_exit_2(tmp_path, capsys, probe):
                 _write(tmp_path, "wc.json", planar),
                 _write(tmp_path, "a.json", basis_form(1, (0,), (0,))),
                 "--window", _write(tmp_path, "w.json", box(1, 0, 2))]
+    elif probe == "projection-check-unbounded":
+        # the window is checked as integrate checks it
+        cycle = _write(tmp_path, "wc.json", planar)
+        form = _write(tmp_path, "a.json", basis_form(2, (0,), (0,)))
+        window = _write(tmp_path, "w.json", half_plane)
+        assert main(["integrate", cycle, "--window", window, form]) == 2
+        field = capsys.readouterr().err
+        assert field == "error: truncation window must be a bounded polytope\n"
+        fmap = _write(tmp_path, "f.json", AffineMap([[1, 0], [0, 1]], [0, 0]))
+        argv = ["projection-check", fmap, cycle, form, "--window", window]
     elif probe == "deep-nesting":
         # deeper than the JSON parser's recursion limit
         path = tmp_path / "deep.json"

@@ -1,6 +1,7 @@
-"""Polynomial composition, d'', contraction, pullback and polytope
+"""Polynomial composition, wedge, d'', contraction, pullback and polytope
 integration against their earlier implementations, kept here as exact
-oracles: composition by polynomial arithmetic, d'' and the d''-slot
+oracles: composition by polynomial arithmetic, wedge adding one signed
+product per pair of components, d'' and the d''-slot
 contraction written out on the d'' block, pullback composing every
 component before summing, polytope integration through the intrinsic
 chart, each vertex solved into chart coordinates and each simplex
@@ -8,6 +9,7 @@ integrated there with its Euclidean determinant, and chart-free polytope
 integration composing the ambient polynomial along every simplex and
 weighting the composite's monomials."""
 
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
@@ -18,7 +20,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import box, rand_form, rand_poly, segment
-from oracles import integrate_monomial_simplex, rational_determinant, vertex_simplices
+from oracles import (
+    integrate_monomial_simplex,
+    rational_determinant,
+    shuffle_sign,
+    vertex_simplices,
+)
 
 from tropform import integrate, lattice, superform
 from tropform.integrate import integrate_polynomial_simplex, integrate_polytope
@@ -33,7 +40,7 @@ from tropform.superform import (
     contract,
     d_second,
     pullback,
-    shuffle_sign,
+    wedge,
 )
 
 
@@ -80,6 +87,27 @@ def _oracle_composition():
         yield
     finally:
         Polynomial.compose_affine = kernel
+
+
+def _oracle_wedge(a, b):
+    """Wedge product one pair of components at a time: each product f g is
+    built, signed (-1)^{|J1||I2|} shuffle(I1,I2) shuffle(J1,J2) and added
+    into its component."""
+    r = a.ambient_dim
+    p, q = a.p + b.p, a.q + b.q
+    if p > r or q > r:
+        return Superform(r, min(p, r), min(q, r))
+    out = {}
+    for (I1, J1), f in a.components.items():
+        for (I2, J2), g in b.components.items():
+            s1 = shuffle_sign(I1, I2)
+            s2 = shuffle_sign(J1, J2)
+            if s1 == 0 or s2 == 0:
+                continue
+            sign = s1 * s2 * (-1 if (len(J1) * len(I2)) % 2 else 1)
+            key = (tuple(sorted(I1 + I2)), tuple(sorted(J1 + J2)))
+            _accumulate(out, key, (f * g).scale(sign))
+    return Superform(r, p, q, out)
 
 
 def _oracle_d_second(a):
@@ -483,6 +511,38 @@ def _bidegrees(r):
 
 CALCULUS_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
+
+
+def _form_with_distinct_denominators(rng, r, p, q):
+    """A nonzero (p, q)-form on R^r with one to three components of one to
+    three terms; the coefficients of a component are n / d for its own d,
+    no two components alike."""
+    keys = [(I, J) for I in combinations(range(r), p) for J in combinations(range(r), q)]
+    chosen = rng.sample(keys, rng.randint(1, min(3, len(keys))))
+    dens = rng.sample((1, 2, 3, 5, 7, 9), len(chosen))
+    return Superform(r, p, q, {
+        k: Polynomial(r, {tuple(rng.randint(0, 2) for _ in range(r)):
+                          Fraction(rng.choice((-5, -3, -1, 1, 2, 4, 6)), d)
+                          for _ in range(rng.randint(1, 3))})
+        for k, d in zip(chosen, dens)})
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_wedge_matches_the_pairwise_products(r):
+    """Every pair of bidegrees on R^r, (r + 1)^4 pairs of seeded random
+    forms over distinct denominators; and a a and a (a + c) for a of odd
+    total degree, whose products cancel in every component, or in all but
+    those of a c."""
+    rng = random.Random(r)
+    left, right = ({pq: _form_with_distinct_denominators(rng, r, *pq) for pq in _bidegrees(r)}
+                   for _ in range(2))
+    for a in left.values():
+        for b in right.values():
+            assert wedge(a, b) == _oracle_wedge(a, b)
+        if (a.p + a.q) % 2:
+            c = right[a.bidegree]
+            assert wedge(a, a).is_zero and _oracle_wedge(a, a).is_zero
+            assert wedge(a, a + c) == _oracle_wedge(a, a + c) == _oracle_wedge(a, c)
 
 
 @CALCULUS_SETTINGS
