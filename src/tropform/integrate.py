@@ -4,15 +4,17 @@ An (n, n)-form a is integrated over an n-dimensional polytope sigma
 against the lattice-normalized measure of its affine hull, with no chart
 and no composition.  For B the HNF basis of the direction lattice taken as
 columns, the top coefficient of a pulled back along the chart y -> v + B y
-is h(v + B y), where h = sum_{I,J} det(B_I) det(B_J) a_IJ (B_I the rows I of
-B) is one ambient polynomial, summed as in ``pullback``.  The chart
-composed with a simplex of a placing triangulation is the simplex's own
-parametrization t -> s_0 + sum_i t_i (s_i - s_0) by its ambient vertices,
-and along it the moments of the standard simplex are read off the
-vertices (Lasserre & Avrachenkov, "The multi-dimensional version of
-int_a^b x^p dx", Amer. Math. Monthly 108, 2001; Baldoni, Berline,
-De Loera, Koeppe & Vergne, "How to integrate a polynomial over a simplex",
-Math. Comp. 80, 2011):
+is h(v + B y), where h = sum_{I,J} w_IJ a_IJ with w_IJ = det(B_I) det(B_J)
+(B_I the rows I of B) is one ambient polynomial, one linear combination of
+the components over a common denominator; the minors det(B_I) are kept
+on the polytope.  The chart composed with a simplex of a placing
+triangulation is the simplex's own parametrization
+t -> s_0 + sum_i t_i (s_i - s_0) by its ambient vertices, and along it
+the moments of the standard simplex are read off the vertices
+(Lasserre & Avrachenkov, "The multi-dimensional version of int_a^b x^p dx",
+Amer. Math. Monthly 108, 2001; Baldoni, Berline, De Loera, Koeppe &
+Vergne, "How to integrate a polynomial over a simplex", Math. Comp. 80,
+2011):
 
     int x(t)^e dt = e! / (|e| + n)! [l^e] h_|e|(<l, s_0>, ..., <l, s_n>),
 
@@ -28,26 +30,30 @@ pivot columns S of B, over the product of the pivots, since B restricted
 to S is triangular.  The sign (-1)^{n(n-1)/2} makes
 d'x_1 ^ d''x_1 ^ ... ^ d'x_n ^ d''x_n positive.  A simplex indexes the
 polytope's points, scaled once to ints; only the integral is a Fraction.
+
+The boundary integral is a sum over the facets rho of sigma of the
+integral over rho of the contraction by the outward vector omega, and
+that contraction is linear in the components too: for D the minors of
+rho's basis, the contraction at d'' slot 2n-1 of an (n-1, n)-form eta has
+the top coefficient sum_{I,J} w_IJ eta_IJ on rho with
+
+    w_IJ = (-1)^n D(I) sum_k (-1)^k omega_{J_k} D(J without J_k),
+
+k running over the 1-based places of J, and the contraction at d' slot n
+of an (n, n-1)-form has w_IJ = D(J) sum_k (-1)^k omega_{I_k}
+D(I without I_k), with no (-1)^n.  No contracted form is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial, lcm, prod
 from operator import add
 
 from .lattice import determinant
 from .polyhedra import EmptyPolyhedron, Polyhedron, _facet, _facet_records, triangulate
-from .superform import (
-    MAX_TERMS,
-    _minor_sums,
-    contract,
-    d_prime,
-    d_second,
-    is_symmetric,
-    wedge,
-)
+from .superform import MAX_TERMS, _linear_combination, d_prime, d_second, is_symmetric, wedge
 
 
 def _vertex_moments(simplices, exponents):
@@ -146,9 +152,39 @@ def _moment_table(sigma, exponents):
     return t, q, table
 
 
+def _minors(sigma):
+    """{I: det B_I} over the n-subsets I of the coordinates with det B_I
+    nonzero, B the HNF basis of sigma's direction lattice as columns and
+    B_I its rows I; kept on sigma."""
+    if sigma._minors is None:
+        basis = sigma.direction_lattice.basis
+        minors = {}
+        for I in combinations(range(sigma.ambient_dim), len(basis)):
+            det = determinant([[b[i] for b in basis] for i in I])
+            if det:
+                minors[I] = det
+        sigma._minors = minors
+    return sigma._minors
+
+
+def _integrate_weighted(sigma, pairs):
+    """The integral over the bounded n-polyhedron sigma of the (n, n)-form
+    whose top coefficient is h = sum w f over the (w, f) in pairs, w ints:
+    h is one linear combination, and no moment is asked for when it is
+    zero."""
+    h = _linear_combination(sigma.ambient_dim, pairs)
+    if not h.num:
+        return Fraction(0)
+    n = sigma.dim
+    t, q, moments = _moment_table(sigma, h.num)
+    s, den = _dot(h, moments, n, t)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return Fraction(sign * s, den * q)
+
+
 def integrate_polytope(sigma, a):
     """Lattice-normalized integral of the (n, n)-form a over the bounded
-    n-dimensional polyhedron sigma."""
+    n-dimensional polyhedron sigma, weighted by w_IJ = det B_I det B_J."""
     if sigma.is_empty:
         return Fraction(0)
     if not sigma.is_bounded:
@@ -158,14 +194,10 @@ def integrate_polytope(sigma, a):
         raise ValueError("form bidegree %r does not match dim %d" % (a.bidegree, n))
     if a.ambient_dim != sigma.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    top = tuple(range(n))
-    h = _minor_sums(list(zip(*sigma.direction_lattice.basis)), a, [top], [top]).get((top, top))
-    if h is None:
-        return Fraction(0)
-    t, q, moments = _moment_table(sigma, h.num)
-    s, den = _dot(h, moments, n, t)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return Fraction(sign * s, den * q)
+    minors = _minors(sigma)
+    return _integrate_weighted(sigma, [(minors[I] * minors[J], f)
+                                       for (I, J), f in a.components.items()
+                                       if I in minors and J in minors])
 
 
 def outward_vector(sigma, rho):
@@ -179,24 +211,57 @@ def outward_vector(sigma, rho):
     raise ValueError("rho is not a facet of sigma")
 
 
+def _slot_sum(omega, minors, K):
+    """sum_k (-1)^k omega_{K_k} D(K without K_k) over the 1-based places k
+    of K, D the given minors of a basis B: minus the determinant of the
+    rows K of (omega | B), expanded along omega."""
+    s = 0
+    for k, j in enumerate(K):
+        c = omega[j]
+        if c:
+            d = minors.get(K[:k] + K[k + 1:])
+            if d:
+                s += -c * d if k % 2 == 0 else c * d
+    return s
+
+
 def integrate_boundary(sigma, eta):
-    """Boundary integral: sum over codimension-1 faces of the integral of the
-    contraction by the outward vector, inserted at slot 2n-1 for (n-1, n)
-    forms and at slot n for (n, n-1) forms; each facet is taken with the
-    outward vector of the facet record at its position."""
+    """Boundary integral: sum over the facets rho of sigma of the integral
+    of the contraction of eta by the outward vector omega of rho's facet
+    record, inserted at d'' slot 2n-1 of an (n-1, n)-form and at d' slot n
+    of an (n, n-1)-form.  For D the minors of rho, the contraction of an
+    (n-1, n)-form has top coefficient sum_IJ w_IJ eta_IJ on rho with
+    w_IJ = (-1)^n D(I) sum_k (-1)^k omega_{J_k} D(J without J_k), k the
+    1-based places of J; for an (n, n-1)-form, w_IJ = D(J) sum_k (-1)^k
+    omega_{I_k} D(I without I_k), with no (-1)^n.  The slot is chosen by
+    bidegree: at n = 1 both slots are 1."""
     if sigma.is_empty:
         return Fraction(0)
     if not sigma.is_bounded:
         raise ValueError("cannot integrate over an unbounded polyhedron")
     n = sigma.dim
-    if eta.bidegree == (n - 1, n):
-        pos = 2 * n - 1
-    elif eta.bidegree == (n, n - 1):
-        pos = n
-    else:
+    if eta.bidegree not in ((n - 1, n), (n, n - 1)):
         raise ValueError("boundary integrand must have bidegree (n-1,n) or (n,n-1)")
-    return sum((integrate_polytope(_facet(sigma, i), contract(eta, [omega], [pos]))
-                for i, (_, _, omega) in enumerate(_facet_records(sigma))), Fraction(0))
+    if eta.ambient_dim != sigma.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    # the d' slot n of an (n, n-1)-form, else the d'' slot 2n-1
+    front = eta.p == n
+    sign = 1 if front or n % 2 == 0 else -1
+    total = Fraction(0)
+    for i, (_, _, omega) in enumerate(_facet_records(sigma)):
+        rho = _facet(sigma, i)
+        minors = _minors(rho)
+        pairs = []
+        for (I, J), f in eta.components.items():
+            if front:
+                I, J = J, I
+            d = minors.get(I)
+            if d:
+                w = d * _slot_sum(omega, minors, J)
+                if w:
+                    pairs.append((sign * w, f))
+        total += _integrate_weighted(rho, pairs)
+    return total
 
 
 def _weighted_sum(domain, integral, form):

@@ -158,7 +158,7 @@ class Polyhedron:
     # no per-instance dict: face caches keep many small polyhedra alive
     __slots__ = ("ambient_dim", "halfspaces", "equalities", "points", "rays", "lineality",
                  "direction_lattice", "facet_masks", "dim",
-                 "_facets", "_records", "_moments", "_key", "_hash",
+                 "_facets", "_records", "_moments", "_minors", "_key", "_hash",
                  "__weakref__")
 
     def __init__(self, ambient_dim, halfspaces, equalities, points, rays, lineality,
@@ -175,6 +175,7 @@ class Polyhedron:
         self._facets = None      # _facet, by position, on first use
         self._records = None     # _facet_records, on first use
         self._moments = None     # integrate's simplices and moment table, on first use
+        self._minors = None      # integrate's minors of the direction basis, on first use
         self._key = (ambient_dim, self.lineality, self.points, self.rays)
         self._hash = None
 
@@ -382,10 +383,15 @@ def _assemble(ambient_dim, candidates, masks, verts, rec, lin_basis):
     # affine hull equalities: HNF basis of the orthogonal complement of
     # the directions; the direction lattice is the complement of those
     comp, dir_lat = _hull(dirs, ambient_dim)
-    equalities = sorted((e, Fraction(dot(e, x0), t0)) for e in comp)
-    # stored sorted, the equalities run in reverse HNF order; facets are
-    # reduced by their rows (d.den e, d.num) in HNF order
-    hull = [[x * c.denominator for x in e] + [c.numerator] for e, c in reversed(equalities)]
+    # stored sorted, the equalities <e, x> = <e, x0> / t0 run in reverse
+    # HNF order; facets are reduced by their integer rows (e t0, <e, x0>)
+    # over gcd(t0, <e, x0>) in HNF order
+    consts = sorted((e, dot(e, x0)) for e in comp)
+    equalities = [(e, Fraction(c, t0)) for e, c in consts]
+    hull = []
+    for e, c in reversed(consts):
+        g = gcd(c, t0)
+        hull.append([x * (t0 // g) for x in e] + [c // g])
     vertex_bits, everything = (1 << len(verts)) - 1, (1 << (len(verts) + len(rec))) - 1
     proper = {}
     for j, face in enumerate(masks):

@@ -7,14 +7,17 @@ to multivariate polynomials over Q in r variables.  The basis element for
 order are normalized into this form with the Koszul sign for odd
 generators, which ``_merge`` alone computes.  A polynomial holds integer
 numerators over one positive denominator in lowest terms, so wedge, d',
-d'', contraction and the minor sums of pullback and integration run on
-ints; Fractions appear only where coefficients are read in or out (the
-constructor, ``Polynomial.terms``, ``evaluate``).  The wedge groups the
+d'', contraction and the minor-weighted sums of pullback and integration
+run on ints; Fractions appear only where coefficients are read in or out
+(the constructor, ``Polynomial.terms``, ``evaluate``).  The wedge groups the
 signed products of its pairs of components by output component and builds
 each component as one sum of products over a common denominator, reduced
-by one gcd.  Composition with an affine map, which only pullback uses, is
-that same arithmetic: each variable becomes an affine polynomial, and each
-term is multiplied out from its powers.
+by one gcd; d' does the same with its signed partials, and a minor sum is
+one linear combination.  Forms the library builds from checked ones skip
+the constructor's checks (``Superform._trusted``).  Composition with an
+affine map, which only pullback uses, is that same arithmetic: each
+variable becomes an affine polynomial, and each term is multiplied out
+from its powers.
 """
 
 from __future__ import annotations
@@ -164,12 +167,8 @@ class Polynomial:
                                    self.den * c.denominator)
 
     def partial(self, i):
-        out = {}
-        for e, n in self.num.items():
-            k = e[i]
-            if k:
-                out[e[:i] + (k - 1,) + e[i + 1:]] = n * k
-        return Polynomial._trusted(self.nvars, out, self.den)
+        """The derivative in x_i."""
+        return _sum_of_partials(self.nvars, [(1, i, self)])
 
     def evaluate(self, point):
         total = 0
@@ -276,6 +275,19 @@ class Superform:
                 if not poly.is_zero:
                     self.components[(tuple(I), tuple(J))] = poly
 
+    @classmethod
+    def _trusted(cls, ambient_dim, p, q, components):
+        """The form of bidegree (p, q) on R^r with the given components,
+        for (I, J) keys of increasing tuples of lengths p and q and
+        coefficients in r variables, taken over without checks: zero
+        coefficients are dropped."""
+        form = cls.__new__(cls)
+        form.ambient_dim = ambient_dim
+        form.p = p
+        form.q = q
+        form.components = {k: f for k, f in components.items() if f.num}
+        return form
+
     @property
     def bidegree(self):
         return (self.p, self.q)
@@ -349,6 +361,36 @@ def _sum_of_products(nvars, pairs):
     return Polynomial._trusted(nvars, out, den)
 
 
+def _linear_combination(nvars, pairs):
+    """sum c f over the (c, f) in pairs, c an int: every numerator scaled
+    to the one denominator lcm(f.den) and the sum reduced once."""
+    den = lcm(*(f.den for _, f in pairs))
+    out = {}
+    get = out.get
+    for c, f in pairs:
+        k = c * (den // f.den)
+        for e, n in f.num.items():
+            out[e] = get(e, 0) + k * n
+    return Polynomial._trusted(nvars, out, den)
+
+
+def _sum_of_partials(nvars, terms):
+    """sum s df/dx_i over the (s, i, f) in terms, s an int: every
+    derivative's numerators over the one denominator lcm(f.den) and the
+    sum reduced once."""
+    den = lcm(*(f.den for _, _, f in terms))
+    out = {}
+    get = out.get
+    for s, i, f in terms:
+        m = s * (den // f.den)
+        for e, n in f.num.items():
+            k = e[i]
+            if k:
+                e = e[:i] + (k - 1,) + e[i + 1:]
+                out[e] = get(e, 0) + m * k * n
+    return Polynomial._trusted(nvars, out, den)
+
+
 def wedge(a, b):
     """Wedge product; d'x_i and d''x_j are odd generators of the bigraded
     tensor algebra, so (f dx_I (x) dx_J)(g dx_K (x) dx_L) picks up the sign
@@ -372,14 +414,14 @@ def wedge(a, b):
                 continue
             sign = mi[0] * mj[0] * (-1 if (len(J1) * len(I2)) % 2 else 1)
             groups.setdefault((mi[1], mj[1]), []).append((sign, f, g))
-    return Superform(r, p, q, {key: _sum_of_products(r, pairs)
-                               for key, pairs in groups.items()})
+    return Superform._trusted(r, p, q, {key: _sum_of_products(r, pairs)
+                                        for key, pairs in groups.items()})
 
 
 def swap(a):
     """The involution J^{p,q}: switch the tensor factors, (I, J) -> (J, I)."""
-    return Superform(a.ambient_dim, a.q, a.p,
-                     {(J, I): poly for (I, J), poly in a.components.items()})
+    return Superform._trusted(a.ambient_dim, a.q, a.p,
+                              {(J, I): poly for (I, J), poly in a.components.items()})
 
 
 def is_symmetric(a):
@@ -387,22 +429,21 @@ def is_symmetric(a):
 
 
 def _d_front(a, block):
-    """d' with every term times block, which is +1 or -1."""
+    """d' with every term times block, which is +1 or -1: the signed terms
+    (f, i) are grouped by their key (i u I, J), and each output component
+    is one sum of partials with one gcd."""
     r = a.ambient_dim
     if a.p == r:
         return Superform(r, r, a.q)
-    out = {}
+    groups = {}
     for (I, J), f in a.components.items():
         for i in range(r):
             merged = _merge((i,), I)
-            if merged is None:
-                continue
-            df = f.partial(i)
-            if df.is_zero:
-                continue
-            sign, key = merged
-            _accumulate(out, (key, J), df.scale(block * sign))
-    return Superform(r, a.p + 1, a.q, out)
+            if merged is not None:
+                sign, key = merged
+                groups.setdefault((key, J), []).append((sign * block, i, f))
+    return Superform._trusted(r, a.p + 1, a.q, {key: _sum_of_partials(r, terms)
+                                                for key, terms in groups.items()})
 
 
 def d_prime(a):
@@ -429,7 +470,7 @@ def _insert_front(a, v, t, extra):
             sign = -1 if (k + t + extra) % 2 else 1
             key = (tuple(x for x in I if x != i), J)
             _accumulate(out, key, f.scale(sign * coeff))
-    return Superform(a.ambient_dim, a.p - 1, a.q, out)
+    return Superform._trusted(a.ambient_dim, a.p - 1, a.q, out)
 
 
 def _insert_one(a, v, pos):
@@ -509,12 +550,12 @@ def _minor_sums(rows, a, ks, ls):
     """{(K, L): sum_{I,J} det A_{I,K} det A_{J,L} a_IJ} over K in ks and L
     in ls, zero sums dropped, for the integer matrix A with the given rows
     and A_{I,K} its minor on rows I and columns K; each minor is computed
-    once per call."""
+    once per call, and each sum is one linear combination."""
     @cache
     def minor(row_idx, col_idx):
         return determinant([[rows[i][j] for j in col_idx] for i in row_idx])
 
-    sums = {}
+    groups = {}
     for (I, J), poly in a.components.items():
         for K in ks:
             dI = minor(I, K)
@@ -523,8 +564,9 @@ def _minor_sums(rows, a, ks, ls):
             for L in ls:
                 dJ = minor(J, L)
                 if dJ:
-                    _accumulate(sums, (K, L), poly.scale(dI * dJ))
-    return sums
+                    groups.setdefault((K, L), []).append((dI * dJ, poly))
+    sums = {key: _linear_combination(a.ambient_dim, pairs) for key, pairs in groups.items()}
+    return {key: h for key, h in sums.items() if h.num}
 
 
 def pullback(f, a):

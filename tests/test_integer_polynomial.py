@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import box, rand_form, rand_symmetric
+from conftest import box, rand_form, rand_symmetric, simplex
 
 from tropform.integrate import green_residual, stokes_residual
 from tropform.superform import Polynomial, basis_form
@@ -157,9 +157,9 @@ def test_mixed_variable_counts_are_rejected():
 
 def test_green_and_stokes_build_no_fraction_coefficient(monkeypatch):
     """Every polynomial that one Green and one Stokes residual on the cube
-    build, the forms' own included, holds int numerators over an int
-    denominator in lowest terms.  Polynomials are built by the public
-    constructor or by ``_trusted``; both are wrapped."""
+    and on the simplex build, the forms' own included, holds int numerators
+    over an int denominator in lowest terms.  Polynomials are built by the
+    public constructor or by ``_trusted``; both are wrapped."""
     built = []
     init, trusted = Polynomial.__init__, Polynomial._trusted
 
@@ -174,11 +174,11 @@ def test_green_and_stokes_build_no_fraction_coefficient(monkeypatch):
     monkeypatch.setattr(Polynomial, "__init__", recording_init)
     monkeypatch.setattr(Polynomial, "_trusted", classmethod(recording_trusted))
     rng = random.Random(3)
-    cube = box(3)
-    alpha, beta = rand_symmetric(rng, 3, 1), rand_symmetric(rng, 3, 1)
-    assert green_residual(cube, alpha, beta) == 0
-    eta = [rand_form(rng, 3, p, q, deg=2) for p, q in ((2, 3), (3, 2))]
-    assert stokes_residual(cube, *eta) == (0, 0)
+    for sigma in (box(3), simplex(3)):
+        alpha, beta = rand_symmetric(rng, 3, 1), rand_symmetric(rng, 3, 1)
+        assert green_residual(sigma, alpha, beta) == 0
+        eta = [rand_form(rng, 3, p, q, deg=2) for p, q in ((2, 3), (3, 2))]
+        assert stokes_residual(sigma, *eta) == (0, 0)
     monkeypatch.undo()
     assert len(built) > 100
     for poly in built:

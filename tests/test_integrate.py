@@ -28,11 +28,19 @@ from tropform.integrate import (
     outward_vector,
     stokes_residual,
 )
-from tropform.polyhedra import from_halfspaces, refine, complex_from_cells
+from tropform.polyhedra import (
+    _facet,
+    _facet_records,
+    complex_from_cells,
+    from_generators,
+    from_halfspaces,
+    refine,
+)
 from tropform.superform import (
     AffineMap,
     Polynomial,
     basis_form,
+    contract,
     pullback,
 )
 
@@ -180,6 +188,47 @@ def test_boundary_integral_segment():
     # eta = f d'x: the d'-block contraction carries (-1)^p = -1
     eta2 = basis_form(1, (0,), (), P(1, {(2,): 1}))
     assert integrate_boundary(box(1), eta2) == -1
+
+
+def _random_polytope(rng, r, k):
+    """A k-dimensional polytope in R^r: k + 2 rational points of a random
+    k-dimensional affine subspace spanned by integer directions."""
+    while True:
+        dirs = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(k)]
+        base = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(r)]
+        points = []
+        for _ in range(k + 2):
+            c = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(k)]
+            points.append(tuple(b + sum(x * d[i] for x, d in zip(c, dirs))
+                                for i, b in enumerate(base)))
+        sigma = from_generators(points)
+        if sigma.dim == k:
+            return sigma
+
+
+def test_weighted_boundary_integral_is_the_contraction_route(seed=35):
+    """The boundary integral, summed from per-component weights, equals the
+    sum over the facet records of the integral over the facet of the form
+    contracted by the outward vector at d'' slot 2n-1 of an (n-1, n)-form
+    and at d' slot n of an (n, n-1)-form: on polytopes of every dimension
+    in R^1 to R^4, lower-dimensional ones included, and for n = 1, where
+    both slots are 1."""
+    rng = random.Random(seed)
+    nonzero = set()
+    for r in range(1, 5):
+        for k in range(1, r + 1):
+            for _ in range(2):
+                sigma = _random_polytope(rng, r, k)
+                for (p, q), pos in (((k - 1, k), 2 * k - 1), ((k, k - 1), k)):
+                    eta = rand_form(rng, r, p, q, deg=2)
+                    want = sum((integrate_polytope(_facet(sigma, i),
+                                                   contract(eta, [omega], [pos]))
+                                for i, (_, _, omega) in enumerate(_facet_records(sigma))),
+                               Fraction(0))
+                    assert integrate_boundary(sigma, eta) == want
+                    if want:
+                        nonzero.add((r, k, p, q))
+    assert {(1, 1, 0, 1), (1, 1, 1, 0), (3, 3, 2, 3), (4, 3, 3, 2), (4, 2, 1, 2)} <= nonzero
 
 
 def test_boundary_integrals_keep_each_facet_and_its_moments(monkeypatch):

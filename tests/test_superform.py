@@ -46,6 +46,36 @@ def test_polynomial_rejects_malformed_exponents():
     assert Polynomial(2, {(1, 0): 0}).is_zero
 
 
+def test_superform_constructor_rejects_each_bad_input():
+    f = rand_poly(random.Random(2), 2)
+    for p, q in ((-1, 0), (0, -1), (3, 0), (0, 3)):
+        with pytest.raises(ValueError, match="bidegree out of range"):
+            Superform(2, p, q)
+    for key in (((0, 1), (0,)), ((0,), ()), ((0,), (0, 1))):
+        with pytest.raises(ValueError, match="index pair does not match bidegree"):
+            Superform(2, 1, 1, {key: f})
+    with pytest.raises(ValueError, match="coefficient in 3 variables on R\\^2"):
+        Superform(2, 1, 1, {((0,), (1,)): rand_poly(random.Random(2), 3)})
+
+
+def test_forms_built_without_checks_pass_them(seed=3):
+    """swap, wedge, d', d'' and contraction build their results without
+    the constructor's checks; each result passes them and has no zero
+    coefficient."""
+    rng = random.Random(seed)
+    for r in range(1, 4):
+        for p in range(r + 1):
+            for q in range(r + 1):
+                a = rand_form(rng, r, p, q, deg=2)
+                b = rand_form(rng, r, (p + 1) % (r + 1), q % r, deg=2)
+                built = [swap(a), wedge(a, b), d_prime(a), d_second(a)]
+                built += [contract(a, [[rng.randint(-2, 2) for _ in range(r)]], [pos])
+                          for pos in range(1, p + q + 1)]
+                for c in built:
+                    assert Superform(r, c.p, c.q, c.components) == c
+                    assert all(not f.is_zero for f in c.components.values())
+
+
 def test_affine_map_rejects_non_integral_linear_part():
     with pytest.raises(ValueError, match="non-integral"):
         AffineMap([[Fraction(1, 2)]], [0])
