@@ -12,8 +12,6 @@ associated Dirac supercurrent is d'-closed (and d''-closed).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .lattice import (
     _linear_image,
     dot,
@@ -283,20 +281,17 @@ def preimage_polyhedron(f, p):
 def projection_check(f, wc, a, window):
     """Both sides of the projection formula: the integral of a over the
     push-forward truncated to the window, and the integral of F* a over the
-    source truncated to the preimage of the window.  They agree exactly."""
+    source truncated to the preimage of the window, both as one sum over
+    a weighted complex.  They agree exactly."""
     check_window(window)
     if window.dim != f.codomain_dim:
         raise ValueError("window must be full-dimensional")
     left = integrate_complex(pushforward(f, wc).truncated(window), a)
     pa = pullback(f, a)
     pre = preimage_polyhedron(f, window)
-    right = Fraction(0)
     n = wc.dim
-    for cell, m in wc.weighted_cells():
-        if _linear_image(f.linear, cell.direction_lattice)[0].rank < n:
-            continue  # pullback form restricts to zero on such cells
-        dom = intersect(cell, pre)
-        if dom.is_empty or dom.dim < n:
-            continue
-        right += m * integrate_polytope(dom, pa)
+    # F* a restricts to zero on a cell that F maps to lower dimension
+    pieces = ((intersect(cell, pre), m) for cell, m in wc.weighted_cells()
+              if _linear_image(f.linear, cell.direction_lattice)[0].rank == n)
+    right = integrate_complex(WeightedComplex((dom, m) for dom, m in pieces if dom.dim == n), pa)
     return (left, right)

@@ -6,11 +6,13 @@ and no composition.  For B the HNF basis of the direction lattice taken as
 columns, the top coefficient of a pulled back along the chart y -> v + B y
 is h(v + B y), where h = sum_{I,J} w_IJ a_IJ with w_IJ = det(B_I) det(B_J)
 (B_I the rows I of B) is one ambient polynomial, one linear combination of
-the components over a common denominator; the minors det(B_I) are kept
-on the polytope.  The chart composed with a simplex of a placing
-triangulation is the simplex's own parametrization
-t -> s_0 + sum_i t_i (s_i - s_0) by its ambient vertices, and along it
-the moments of the standard simplex are read off the vertices
+the components over a common denominator.  The minors det(B_I) and h
+depend only on the direction lattice, so the cells of a weighted complex
+are integrated one lattice class at a time, each class building its
+minors and h once; a polytope is the one-cell case.  The chart composed
+with a simplex of a placing triangulation is the simplex's own
+parametrization t -> s_0 + sum_i t_i (s_i - s_0) by its ambient vertices,
+and along it the moments of the standard simplex are read off the vertices
 (Lasserre & Avrachenkov, "The multi-dimensional version of int_a^b x^p dx",
 Amer. Math. Monthly 108, 2001; Baldoni, Berline, De Loera, Koeppe &
 Vergne, "How to integrate a polynomial over a simplex", Math. Comp. 80,
@@ -25,11 +27,14 @@ simplices with their volume factors, and an integral is one dot product
 of h's coefficients with the table.  The table holds the exponents asked
 of the polytope so far and their divisors, the monomials the recursion
 for h_d reads them from, and grows by the exponents it lacks.  The
-simplex's chart volume factor is |det| of its edges restricted to the
-pivot columns S of B, over the product of the pivots, since B restricted
-to S is triangular.  The sign (-1)^{n(n-1)/2} makes
-d'x_1 ^ d''x_1 ^ ... ^ d'x_n ^ d''x_n positive.  A simplex indexes the
-polytope's points, scaled once to ints; only the integral is a Fraction.
+recursion's plan (the divisors in order and the predecessors of each)
+depends on the exponents alone, so the cells asked for one exponent set
+in a call share it.  The simplex's chart volume factor is |det| of its
+edges restricted to the pivot columns S of B, over the product of the
+pivots, since B restricted to S is triangular.  The sign (-1)^{n(n-1)/2}
+makes d'x_1 ^ d''x_1 ^ ... ^ d'x_n ^ d''x_n positive.  A simplex indexes
+the polytope's points, scaled once to ints, and the integrals over the
+cells of a call are summed on ints: only their sum is a Fraction.
 
 The boundary integral is a sum over the facets rho of sigma of the
 integral over rho of the contraction by the outward vector omega, and
@@ -56,18 +61,13 @@ from .polyhedra import EmptyPolyhedron, Polyhedron, _facet, _facet_records, tria
 from .superform import MAX_TERMS, _linear_combination, d_prime, d_second, is_symmetric, wedge
 
 
-def _vertex_moments(simplices, exponents):
-    """The moments of weighted simplices with integer vertices for the
-    exponents dividing one of the given ones: for (w, [X_0, ..., X_n]) in
-    simplices, the map from each such exponent e to the int
-    sum_simplices w e! [l^e] h_|e|(<l, X_0>, ..., <l, X_n>), which is
-    (|e| + n)! times the sum of w times the integral of x^e over the
-    standard simplex along t -> X_0 + sum_i t_i (X_i - X_0).  The h_d of a
-    simplex come from h_0 = w and h_d <- h_d + <l, X_v> h_{d-1}, for d
-    rising, one vertex at a time, so the coefficient of l^e in the new h_d
-    adds sum_j X_v[j] times that of l^(e - e_j): the recursion reads only
-    the divisors of e, and runs on those of the given exponents alone.
-    ValueError if they count more than MAX_TERMS with repeats."""
+def _plan(exponents):
+    """The recursion scaffold of ``_vertex_moments`` for the given
+    exponents: (order, preds, factors), order their divisors sorted by
+    degree, preds[i] the pairs (j, k) with order[k] = order[i] - e_j, so
+    k < i, and factors[i] = order[i]!.  It depends on the exponents alone,
+    so cells asked for one exponent set share it.  ValueError if the
+    exponents count more than MAX_TERMS divisors with repeats."""
     count = sum(prod(a + 1 for a in e) for e in exponents)
     if count > MAX_TERMS:
         raise ValueError("moment table of %d monomials, more than %d" % (count, MAX_TERMS))
@@ -76,9 +76,23 @@ def _vertex_moments(simplices, exponents):
         divisors.update(product(*(range(a + 1) for a in e)))
     order = sorted(divisors, key=sum)
     index = {e: i for i, e in enumerate(order)}
-    # preds[i]: the (j, k) with order[k] = order[i] - e_j, so k < i by degree
     preds = [[(j, index[e[:j] + (a - 1,) + e[j + 1:]]) for j, a in enumerate(e) if a]
              for e in order]
+    return order, preds, [prod(map(factorial, e)) for e in order]
+
+
+def _vertex_moments(simplices, plan):
+    """The moments of weighted simplices with integer vertices for the
+    divisors in the ``_plan`` of some exponents: for (w, [X_0, ..., X_n])
+    in simplices, the map from each divisor e to the int
+    sum_simplices w e! [l^e] h_|e|(<l, X_0>, ..., <l, X_n>), which is
+    (|e| + n)! times the sum of w times the integral of x^e over the
+    standard simplex along t -> X_0 + sum_i t_i (X_i - X_0).  The h_d of a
+    simplex come from h_0 = w and h_d <- h_d + <l, X_v> h_{d-1}, for d
+    rising, one vertex at a time, so the coefficient of l^e in the new h_d
+    adds sum_j X_v[j] times that of l^(e - e_j): the recursion reads only
+    the divisors of e."""
+    order, preds, factors = plan
     sums = [0] * len(order)
     for w, points in simplices:
         h = [w] + [0] * (len(order) - 1)
@@ -88,7 +102,7 @@ def _vertex_moments(simplices, exponents):
                     if x[j]:
                         h[i] += x[j] * h[k]
         sums = list(map(add, sums, h))
-    return {e: c * prod(map(factorial, e)) for e, c in zip(order, sums)}
+    return {e: c * f for e, c, f in zip(order, sums, factors)}
 
 
 def _dot(poly, moments, n, t):
@@ -103,6 +117,21 @@ def _dot(poly, moments, n, t):
     weights = [top // factorial(d + n) * t ** (degree - d) for d in range(degree + 1)]
     s = sum(c * moments[e] * weights[sum(e)] for e, c in poly.num.items())
     return s, poly.den * top * t ** degree
+
+
+def _fraction_sum(ratios):
+    """sum s / q over the pairs (s, q) of ints, q > 0, as one Fraction: each
+    numerator is brought to the lcm of the denominators so far, which the
+    cells of one scale share."""
+    total, den = 0, 1
+    for s, q in ratios:
+        if q != den:
+            common = lcm(den, q)
+            total *= common // den
+            s *= common // q
+            den = common
+        total += s
+    return Fraction(total, den)
 
 
 def integrate_polynomial_simplex(poly, simplex_vertices):
@@ -120,11 +149,11 @@ def integrate_polynomial_simplex(poly, simplex_vertices):
         return Fraction(0)
     t = lcm(*(x.denominator for v in simplex_vertices for x in v))
     points = [tuple(x.numerator * (t // x.denominator) for x in v) for v in simplex_vertices]
-    moments = _vertex_moments([(1, points)], poly.num)
+    moments = _vertex_moments([(1, points)], _plan(poly.num))
     return Fraction(*_dot(poly, moments, len(points) - 1, t))
 
 
-def _moment_table(sigma, exponents):
+def _moment_table(sigma, exponents, plans):
     """(t, q, M) for the bounded n-polyhedron sigma: M maps each of the
     given exponents, and each exponent asked of sigma before, to the
     ``_vertex_moments`` of the simplices of sigma's placing triangulation,
@@ -132,7 +161,9 @@ def _moment_table(sigma, exponents):
     direction lattice's basis, on sigma's points (x, s) scaled once to
     the ints x t / s, t the least common multiple of their s; q = t^n
     times the product of the pivots.  The triangulation, its weights and M
-    are kept on sigma, and M grows by the exponents it lacks."""
+    are kept on sigma, and M grows by the exponents it lacks, through the
+    plan for them in ``plans``, which maps each exponent set planned in
+    the caller to its ``_plan``."""
     if sigma._moments is None:
         basis = sigma.direction_lattice.basis
         pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
@@ -146,9 +177,12 @@ def _moment_table(sigma, exponents):
         q = t ** len(pivots) * prod(b[p] for b, p in zip(basis, pivots))
         sigma._moments = (t, q, simplices, {})
     t, q, simplices, table = sigma._moments
-    missing = [e for e in exponents if e not in table]
+    missing = frozenset(e for e in exponents if e not in table)
     if missing:
-        table.update(_vertex_moments(simplices, missing))
+        plan = plans.get(missing)
+        if plan is None:
+            plan = plans[missing] = _plan(missing)
+        table.update(_vertex_moments(simplices, plan))
     return t, q, table
 
 
@@ -167,37 +201,71 @@ def _minors(sigma):
     return sigma._minors
 
 
-def _integrate_weighted(sigma, pairs):
-    """The integral over the bounded n-polyhedron sigma of the (n, n)-form
-    whose top coefficient is h = sum w f over the (w, f) in pairs, w ints:
-    h is one linear combination, and no moment is asked for when it is
-    zero."""
-    h = _linear_combination(sigma.ambient_dim, pairs)
+def _ratios(cells, h, plans):
+    """(m s, q) for each (sigma, m) in cells, s / q the integral over the
+    bounded n-polyhedron sigma of the (n, n)-form with top coefficient h,
+    the cells sharing one direction lattice, so that h fits them all; each
+    cell reads its moment table through ``plans``.  Nothing is asked of a
+    cell when h is zero."""
     if not h.num:
-        return Fraction(0)
-    n = sigma.dim
-    t, q, moments = _moment_table(sigma, h.num)
-    s, den = _dot(h, moments, n, t)
+        return
+    n = cells[0][0].dim
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return Fraction(sign * s, den * q)
+    for sigma, m in cells:
+        t, q, moments = _moment_table(sigma, h.num, plans)
+        s, den = _dot(h, moments, n, t)
+        yield sign * m * s, den * q
+
+
+def _integrate_cells(cells, a):
+    """sum_sigma m_sigma int_sigma a over the (sigma, m_sigma) in cells,
+    bounded n-polyhedra in R^r for a of bidegree (n, n), each weighted by
+    w_IJ = det B_I det B_J.  The minors and h = sum w_IJ a_IJ depend only
+    on the direction lattice, so the cells are grouped by it and each class
+    builds them once; the recursion plan depends only on the exponents
+    asked, so cells asked for the same ones share it.  The sum stays on
+    ints and becomes one Fraction at the end."""
+    if not cells:
+        return Fraction(0)
+    n = cells[0][0].dim
+    if a.bidegree != (n, n):
+        raise ValueError("form bidegree %r does not match dim %d" % (a.bidegree, n))
+    if a.ambient_dim != cells[0][0].ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    classes = {}
+    for sigma, m in cells:
+        classes.setdefault(sigma.direction_lattice, []).append((sigma, m))
+    plans = {}
+    ratios = []
+    for members in classes.values():
+        minors = _minors(members[0][0])
+        h = _linear_combination(a.ambient_dim, [(minors[I] * minors[J], f)
+                                                for (I, J), f in a.components.items()
+                                                if I in minors and J in minors])
+        ratios.extend(_ratios(members, h, plans))
+    return _fraction_sum(ratios)
+
+
+def _cells(domain):
+    """The maximal cells (sigma, m_sigma) of a weighted complex, all
+    bounded; a polyhedron is one cell of weight 1, and EMPTY none."""
+    if isinstance(domain, (Polyhedron, EmptyPolyhedron)):
+        if domain.is_empty:
+            return []
+        if not domain.is_bounded:
+            raise ValueError("cannot integrate over an unbounded polyhedron")
+        return [(domain, 1)]
+    cells = domain.weighted_cells()
+    if not all(cell.is_bounded for cell, _ in cells):
+        raise ValueError("truncate the complex before integrating")
+    return cells
 
 
 def integrate_polytope(sigma, a):
     """Lattice-normalized integral of the (n, n)-form a over the bounded
-    n-dimensional polyhedron sigma, weighted by w_IJ = det B_I det B_J."""
-    if sigma.is_empty:
-        return Fraction(0)
-    if not sigma.is_bounded:
-        raise ValueError("cannot integrate over an unbounded polyhedron")
-    n = sigma.dim
-    if a.bidegree != (n, n):
-        raise ValueError("form bidegree %r does not match dim %d" % (a.bidegree, n))
-    if a.ambient_dim != sigma.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    minors = _minors(sigma)
-    return _integrate_weighted(sigma, [(minors[I] * minors[J], f)
-                                       for (I, J), f in a.components.items()
-                                       if I in minors and J in minors])
+    n-dimensional polyhedron sigma, weighted by w_IJ = det B_I det B_J:
+    the one-cell case of ``integrate_complex``."""
+    return _integrate_cells(_cells(sigma), a)
 
 
 def outward_vector(sigma, rho):
@@ -247,7 +315,8 @@ def integrate_boundary(sigma, eta):
     # the d' slot n of an (n, n-1)-form, else the d'' slot 2n-1
     front = eta.p == n
     sign = 1 if front or n % 2 == 0 else -1
-    total = Fraction(0)
+    plans = {}
+    ratios = []
     for i, (_, _, omega) in enumerate(_facet_records(sigma)):
         rho = _facet(sigma, i)
         minors = _minors(rho)
@@ -260,29 +329,20 @@ def integrate_boundary(sigma, eta):
                 w = d * _slot_sum(omega, minors, J)
                 if w:
                     pairs.append((sign * w, f))
-        total += _integrate_weighted(rho, pairs)
-    return total
-
-
-def _weighted_sum(domain, integral, form):
-    """sum_sigma m_sigma integral(sigma, form) over the maximal cells of a
-    weighted complex, all bounded; a polyhedron, EMPTY too, is one cell."""
-    if isinstance(domain, (Polyhedron, EmptyPolyhedron)):
-        return integral(domain, form)
-    cells = domain.weighted_cells()
-    if not all(cell.is_bounded for cell, _ in cells):
-        raise ValueError("truncate the complex before integrating")
-    return sum((m * integral(cell, form) for cell, m in cells), Fraction(0))
+        ratios.extend(_ratios([(rho, 1)], _linear_combination(rho.ambient_dim, pairs), plans))
+    return _fraction_sum(ratios)
 
 
 def integrate_complex(domain, a):
-    """sum_sigma m_sigma int_sigma a; a polyhedron is one cell of weight 1."""
-    return _weighted_sum(domain, integrate_polytope, a)
+    """sum_sigma m_sigma int_sigma a over a weighted complex of bounded
+    cells, as one sum grouped by direction lattice; a polyhedron is one
+    cell of weight 1."""
+    return _integrate_cells(_cells(domain), a)
 
 
 def integrate_complex_boundary(domain, eta):
     """sum_sigma m_sigma int_{boundary sigma} eta; a polyhedron is one cell."""
-    return _weighted_sum(domain, integrate_boundary, eta)
+    return sum((m * integrate_boundary(cell, eta) for cell, m in _cells(domain)), Fraction(0))
 
 
 def stokes_residual(domain, eta_prime, eta_second):

@@ -184,10 +184,13 @@ class Polynomial:
         x_i becomes that affine polynomial in the y, whose powers are built
         once per call, and each term is multiplied out and added.  The
         power k of x_i has at most C(k + s_i, s_i) terms, s_i the nonzero
-        entries of row i; ValueError if the sum over the terms of the
-        products of these bounds exceeds MAX_TERMS."""
+        entries of row i, and a term x^e has at most C(|e| + m, m), the
+        monomials of degree at most |e| in the m = new_nvars variables;
+        ValueError if the sum over the terms of the lesser of the product of
+        the first bounds and the second exceeds MAX_TERMS."""
         sizes = [sum(1 for a in row if a) for row in linear_rows]
-        bound = sum(prod(comb(k + s, s) for k, s in zip(e, sizes)) for e in self.num)
+        bound = sum(min(prod(comb(k + s, s) for k, s in zip(e, sizes)),
+                        comb(sum(e) + new_nvars, new_nvars)) for e in self.num)
         if bound > MAX_TERMS:
             raise ValueError("composition may build %d terms, more than %d"
                              % (bound, MAX_TERMS))
@@ -243,10 +246,11 @@ def _merge(a, b):
 # ---------------------------------------------------------------------------
 # superforms
 
-def _accumulate(out, key, poly):
-    """Add poly into the component map out at key, dropping zero sums."""
+def _accumulate(out, key, poly, sign=1):
+    """Add sign * poly, sign +1 or -1, into the component map out at key,
+    dropping zero sums."""
     cur = out.get(key)
-    s = poly if cur is None else cur + poly
+    s = poly.scale(sign) if cur is None else cur._plus(poly, sign)
     if s.is_zero:
         out.pop(key, None)
     else:
@@ -303,20 +307,26 @@ class Superform:
         return isinstance(other, Superform) and self.ambient_dim == other.ambient_dim \
             and self.bidegree == other.bidegree and self.components == other.components
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other, sign +1 or -1, in one pass over other's
+        components: both forms are checked, so the sum is taken over
+        without checks."""
         if (self.ambient_dim, self.bidegree) != (other.ambient_dim, other.bidegree):
             raise ValueError("cannot add forms of different type")
         out = dict(self.components)
         for k, poly in other.components.items():
-            _accumulate(out, k, poly)
-        return Superform(self.ambient_dim, self.p, self.q, out)
+            _accumulate(out, k, poly, sign)
+        return Superform._trusted(self.ambient_dim, self.p, self.q, out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __neg__(self):
         return Superform(self.ambient_dim, self.p, self.q,
                          {k: -v for k, v in self.components.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def scale(self, c):
         return Superform(self.ambient_dim, self.p, self.q,

@@ -320,6 +320,28 @@ def test_compose_affine_evaluates_as_the_substituted_point(case, data):
     assert poly.compose_affine(rows, shift, m).evaluate(y) == poly.evaluate(x)
 
 
+@pytest.mark.parametrize("seed", [2, 14, 17])
+def test_composition_bound_caps_each_term_at_the_monomials_of_its_degree(seed):
+    """A term x^e composed into m variables has at most C(|e| + m, m)
+    monomials, however many entries the map's rows have.  Counted without
+    that cap, these pullbacks from R^4 may build over MAX_TERMS terms,
+    yet each component has under 500 monomials: they run, and equal the
+    oracle pullback, which composes with no bound.  An input over the
+    capped bound still raises (the CLI exits 2 on it, see
+    test_cli.py::test_term_bound_exits_2_before_anything_is_built)."""
+    rng = random.Random(seed)
+    a = rand_form(rng, 4, 3, 2, deg=2)
+    f = AffineMap([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)],
+                  [rng.randint(-1, 1) for _ in range(4)])
+    with _oracle_composition():
+        want = _oracle_pullback(f, a)
+    assert pullback(f, a) == want
+    # x_0^11 into 8 variables: C(19, 8) = 75582 > MAX_TERMS either way
+    x11 = Polynomial(1, {(11,): 1})
+    with pytest.raises(ValueError, match="more than %d" % superform.MAX_TERMS):
+        x11.compose_affine([[1] * 8], [0], 8)
+
+
 @st.composite
 def _polytopes(draw):
     """A box with rational corners cut by up to two rational halfspaces."""
@@ -433,9 +455,8 @@ def test_integrate_polytope_makes_no_chart(monkeypatch):
     monkeypatch.setattr(integrate, "triangulate",
                         lambda p: triangulated.append(p) or each(p))
     asked = []
-    moments = integrate._vertex_moments
-    monkeypatch.setattr(integrate, "_vertex_moments",
-                        lambda simplices, es: asked.append(set(es)) or moments(simplices, es))
+    plan = integrate._plan
+    monkeypatch.setattr(integrate, "_plan", lambda es: asked.append(set(es)) or plan(es))
     cube = box(3)
     for sigma in (cube, faces(cube, 1)[0], faces(cube, 2)[0], segment((0, 0, 0), (2, 1, 3))):
         k = sigma.dim

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -28,6 +29,7 @@ from tropform.integrate import (
     outward_vector,
     stokes_residual,
 )
+from tropform.lattice import rational_rank
 from tropform.polyhedra import (
     _facet,
     _facet_records,
@@ -311,6 +313,51 @@ def test_integrate_complex_additivity():
     wc = WeightedComplex([(segment((0,), (1,)), 1), (segment((1,), (2,)), 1)])
     a = basis_form(1, (0,), (0,), P(1, {(1,): 1}))
     assert integrate_complex(wc, a) == 2
+
+
+def _cells_on_lattices(rng, r, n, lattices=3):
+    """Weighted n-polytopes in R^r on up to ``lattices`` direction
+    lattices, one to three cells on each: simplices and parallelotopes
+    b + k conv(...) of one set of directions, the base points b with
+    halves among their coordinates, weights that repeat and may be
+    negative, and the last cell listed twice."""
+    cells = []
+    for _ in range(lattices):
+        while True:
+            dirs = [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(n)]
+            if rational_rank(dirs) == n:
+                break
+        for _ in range(rng.randint(1, 3)):
+            b = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(r)]
+            k = rng.randint(1, 2)
+            if rng.random() < 0.5:
+                corners = [()] + [(d,) for d in dirs]
+            else:
+                corners = [c for j in range(n + 1) for c in combinations(dirs, j)]
+            points = [tuple(x + k * sum(d[i] for d in c) for i, x in enumerate(b))
+                      for c in corners]
+            cells.append((from_generators(points), rng.choice((-2, -1, 1, 1, 2, 3))))
+    return cells + cells[-1:]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_complex_integral_is_the_sum_of_cell_integrals(r):
+    """integrate_complex groups the cells by direction lattice and builds
+    each class's integrand once: on complexes whose cells mix lattices, in
+    every dimension n <= r, it equals the sum of m times integrate_polytope
+    over a fresh copy of each cell, which shares no state with the
+    complex."""
+    rng = random.Random(40 + r)
+    for n in range(1, r + 1):
+        for _ in range(2):
+            cells = _cells_on_lattices(rng, r, n)
+            wc = WeightedComplex(cells)
+            if n < r:
+                assert len({c.direction_lattice for c, _ in wc.weighted_cells()}) > 1
+            a = rand_form(rng, r, n, n, deg=2)
+            want = sum((m * integrate_polytope(from_generators(cell.vertices), a)
+                        for cell, m in cells), Fraction(0))
+            assert integrate_complex(wc, a) == want != 0
 
 
 def test_a_polyhedron_is_integrated_as_one_cell_of_weight_1(seed=34):
