@@ -293,6 +293,37 @@ def _slot_sum(omega, minors, K):
     return s
 
 
+def _boundary_of_cells(cells, eta):
+    """sum_sigma m_sigma int_{boundary sigma} eta over the (sigma, m_sigma)
+    in cells, bounded polyhedra, as one sum on ints over their facets."""
+    plans = {}
+    ratios = []
+    for sigma, m in cells:
+        n = sigma.dim
+        if eta.bidegree not in ((n - 1, n), (n, n - 1)):
+            raise ValueError("boundary integrand must have bidegree (n-1,n) or (n,n-1)")
+        if eta.ambient_dim != sigma.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        # the d' slot n of an (n, n-1)-form, else the d'' slot 2n-1
+        front = eta.p == n
+        sign = 1 if front or n % 2 == 0 else -1
+        for i, (_, _, omega) in enumerate(_facet_records(sigma)):
+            rho = _facet(sigma, i)
+            minors = _minors(rho)
+            pairs = []
+            for (I, J), f in eta.components.items():
+                if front:
+                    I, J = J, I
+                d = minors.get(I)
+                if d:
+                    w = d * _slot_sum(omega, minors, J)
+                    if w:
+                        pairs.append((sign * w, f))
+            ratios.extend(_ratios([(rho, m)], _linear_combination(rho.ambient_dim, pairs),
+                                  plans))
+    return _fraction_sum(ratios)
+
+
 def integrate_boundary(sigma, eta):
     """Boundary integral: sum over the facets rho of sigma of the integral
     of the contraction of eta by the outward vector omega of rho's facet
@@ -302,35 +333,9 @@ def integrate_boundary(sigma, eta):
     w_IJ = (-1)^n D(I) sum_k (-1)^k omega_{J_k} D(J without J_k), k the
     1-based places of J; for an (n, n-1)-form, w_IJ = D(J) sum_k (-1)^k
     omega_{I_k} D(I without I_k), with no (-1)^n.  The slot is chosen by
-    bidegree: at n = 1 both slots are 1."""
-    if sigma.is_empty:
-        return Fraction(0)
-    if not sigma.is_bounded:
-        raise ValueError("cannot integrate over an unbounded polyhedron")
-    n = sigma.dim
-    if eta.bidegree not in ((n - 1, n), (n, n - 1)):
-        raise ValueError("boundary integrand must have bidegree (n-1,n) or (n,n-1)")
-    if eta.ambient_dim != sigma.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    # the d' slot n of an (n, n-1)-form, else the d'' slot 2n-1
-    front = eta.p == n
-    sign = 1 if front or n % 2 == 0 else -1
-    plans = {}
-    ratios = []
-    for i, (_, _, omega) in enumerate(_facet_records(sigma)):
-        rho = _facet(sigma, i)
-        minors = _minors(rho)
-        pairs = []
-        for (I, J), f in eta.components.items():
-            if front:
-                I, J = J, I
-            d = minors.get(I)
-            if d:
-                w = d * _slot_sum(omega, minors, J)
-                if w:
-                    pairs.append((sign * w, f))
-        ratios.extend(_ratios([(rho, 1)], _linear_combination(rho.ambient_dim, pairs), plans))
-    return _fraction_sum(ratios)
+    bidegree: at n = 1 both slots are 1.  The one-cell case of
+    ``integrate_complex_boundary``."""
+    return _boundary_of_cells(_cells(sigma), eta)
 
 
 def integrate_complex(domain, a):
@@ -341,8 +346,9 @@ def integrate_complex(domain, a):
 
 
 def integrate_complex_boundary(domain, eta):
-    """sum_sigma m_sigma int_{boundary sigma} eta; a polyhedron is one cell."""
-    return sum((m * integrate_boundary(cell, eta) for cell, m in _cells(domain)), Fraction(0))
+    """sum_sigma m_sigma int_{boundary sigma} eta, as one sum over the
+    facets of the cells; a polyhedron is one cell."""
+    return _boundary_of_cells(_cells(domain), eta)
 
 
 def stokes_residual(domain, eta_prime, eta_second):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, lcm
 from operator import add
 
 from .lattice import determinant, integer_row, mat_mul
@@ -182,17 +182,26 @@ class Polynomial:
     def compose_affine(self, linear_rows, translate, new_nvars):
         """Substitute x_i = sum_j linear_rows[i][j] y_j + translate[i]: each
         x_i becomes that affine polynomial in the y, whose powers are built
-        once per call, and each term is multiplied out and added.  The
-        power k of x_i has at most C(k + s_i, s_i) terms, s_i the nonzero
-        entries of row i, and a term x^e has at most C(|e| + m, m), the
-        monomials of degree at most |e| in the m = new_nvars variables;
-        ValueError if the sum over the terms of the lesser of the product of
-        the first bounds and the second exceeds MAX_TERMS."""
+        once per call, and each term is multiplied out, one power at a time,
+        and added.  The power k of x_i has at most C(k + s_i, s_i) terms,
+        s_i the nonzero entries of row i, and a product of degree D at most
+        C(D + m, m), the monomials of degree at most D in the m = new_nvars
+        variables, so multiplying a partial product of T terms by that
+        power takes at most T C(k + s_i, s_i) multiply-adds and leaves at
+        most the lesser of that and C(D + m, m) terms; ValueError if these
+        multiply-adds, summed over the terms, exceed MAX_TERMS."""
         sizes = [sum(1 for a in row if a) for row in linear_rows]
-        bound = sum(min(prod(comb(k + s, s) for k, s in zip(e, sizes)),
-                        comb(sum(e) + new_nvars, new_nvars)) for e in self.num)
+        bound = 0
+        for e in self.num:
+            terms, degree = 1, 0
+            for k, s in zip(e, sizes):
+                if k:
+                    c = comb(k + s, s)
+                    bound += terms * c
+                    degree += k
+                    terms = min(terms * c, comb(degree + new_nvars, new_nvars))
         if bound > MAX_TERMS:
-            raise ValueError("composition may build %d terms, more than %d"
+            raise ValueError("composition may take %d multiply-adds, more than %d"
                              % (bound, MAX_TERMS))
         zero = (0,) * new_nvars
         powers = []
@@ -204,9 +213,10 @@ class Polynomial:
         for e, n in self.num.items():
             term = Polynomial._trusted(new_nvars, {zero: n}, self.den)
             for p, k in zip(powers, e):
-                while len(p) <= k:
-                    p.append(p[-1] * p[1])
-                term *= p[k]
+                if k:
+                    while len(p) <= k:
+                        p.append(p[-1] * p[1])
+                    term *= p[k]
             out += term
         return out
 

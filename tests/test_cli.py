@@ -810,20 +810,31 @@ def test_output_integers_print_at_any_size(tmp_path, capsys):
     assert [c["weight"] for c in cells] == [n * n + n - 1]
 
 
-@pytest.mark.parametrize("command", ["projection-check", "integrate"])
-def test_term_bound_exits_2_before_anything_is_built(tmp_path, capsys, command):
+@pytest.mark.parametrize("case", ["projection-check", "integrate", "dense-pullback"])
+def test_term_bound_exits_2_before_anything_is_built(tmp_path, capsys, case):
     """Past superform.MAX_TERMS: pulling x^14 back along the all-ones map
-    from R^14 may build C(28, 14) terms, and integrating x_1...x_19 over a
-    segment in R^19 reads a moment for each of its 2^19 divisors."""
-    if command == "projection-check":
+    from R^14 may build C(28, 14) terms; integrating x_1...x_19 over a
+    segment in R^19 reads a moment for each of its 2^19 divisors; and
+    pulling x_0^32 x_1^32 back along a dense map of R^3 builds at most
+    C(67, 3) monomials but multiplies two powers of C(35, 3) = 6545 terms
+    each, while the left side of the check reads only 33^2 moments."""
+    if case == "projection-check":
         r = 14
-        argv = [command, _write(tmp_path, "f.json", AffineMap([[1] * r], [0])),
+        argv = [case, _write(tmp_path, "f.json", AffineMap([[1] * r], [0])),
                 _write(tmp_path, "wc.json", WeightedComplex([(from_generators([(0,) * r]), 1)])),
                 _write(tmp_path, "a.json", basis_form(1, (), (), Polynomial(1, {(r,): 1}))),
                 "--window", _write(tmp_path, "w.json", box(1, -1, 1))]
+    elif case == "dense-pullback":
+        argv = ["projection-check",
+                _write(tmp_path, "f.json", AffineMap([[1, 2, 1], [1, 1, 2], [2, 1, 1]], [0] * 3)),
+                _write(tmp_path, "wc.json",
+                       WeightedComplex([(segment((0, 0, 0), (1, 0, 0)), 1)])),
+                _write(tmp_path, "a.json",
+                       basis_form(3, (0,), (0,), Polynomial(3, {(32, 32, 0): 1}))),
+                "--window", _write(tmp_path, "w.json", box(3, -4, 4))]
     else:
         r = 19
-        argv = [command, _write(tmp_path, "seg.json", segment((0,) * r, (1,) * r)),
+        argv = [case, _write(tmp_path, "seg.json", segment((0,) * r, (1,) * r)),
                 _write(tmp_path, "a.json",
                        basis_form(r, (0,), (0,), Polynomial(r, {(1,) * r: 1})))]
     start = time.perf_counter()

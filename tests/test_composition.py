@@ -322,12 +322,12 @@ def test_compose_affine_evaluates_as_the_substituted_point(case, data):
 
 @pytest.mark.parametrize("seed", [2, 14, 17])
 def test_composition_bound_caps_each_term_at_the_monomials_of_its_degree(seed):
-    """A term x^e composed into m variables has at most C(|e| + m, m)
-    monomials, however many entries the map's rows have.  Counted without
-    that cap, these pullbacks from R^4 may build over MAX_TERMS terms,
-    yet each component has under 500 monomials: they run, and equal the
-    oracle pullback, which composes with no bound.  An input over the
-    capped bound still raises (the CLI exits 2 on it, see
+    """A partial product of degree D composed into m variables has at most
+    C(D + m, m) monomials, however many entries the map's rows have.
+    Counted without that cap, these pullbacks from R^4 may take over
+    MAX_TERMS multiply-adds, yet each component has under 500 monomials:
+    they run, and equal the oracle pullback, which composes with no bound.
+    An input over the capped bound still raises (the CLI exits 2 on it, see
     test_cli.py::test_term_bound_exits_2_before_anything_is_built)."""
     rng = random.Random(seed)
     a = rand_form(rng, 4, 3, 2, deg=2)
@@ -340,6 +340,21 @@ def test_composition_bound_caps_each_term_at_the_monomials_of_its_degree(seed):
     x11 = Polynomial(1, {(11,): 1})
     with pytest.raises(ValueError, match="more than %d" % superform.MAX_TERMS):
         x11.compose_affine([[1] * 8], [0], 8)
+
+
+def test_composition_bound_counts_the_multiply_adds():
+    """The bound counts the work of each product, not only its size:
+    x_0^10 x_1^10 along a dense map of R^3 has at most C(23, 3) = 1771
+    monomials, but multiplying the two powers of C(13, 3) = 286 terms each
+    takes 286^2 = 81796 multiply-adds, over MAX_TERMS; one power alone, or
+    x_0^10 x_1^3, stays under it."""
+    rows, shift = [[1, 2, 1], [1, 1, 2], [2, 1, 1]], [0, 1, 0]
+    with pytest.raises(ValueError, match="more than %d" % superform.MAX_TERMS):
+        Polynomial(3, {(10, 10, 0): 1}).compose_affine(rows, shift, 3)
+    for e in ((10, 0, 0), (10, 3, 0)):
+        poly = Polynomial(3, {e: 1})
+        got = poly.compose_affine(rows, shift, 3)
+        assert got.terms == _oracle_compose_affine(poly, rows, shift, 3).terms
 
 
 @st.composite
